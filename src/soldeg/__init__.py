@@ -31,7 +31,7 @@ from .rings import (
     is_prime,
     render_monomial,
 )
-from .linalg import ColumnIndex, RowBasis
+from .linalg import RowBasis
 from .vspace import (
     ClosureStats,
     TopRepSet,
@@ -44,7 +44,6 @@ from .vspace import (
 )
 from .groebner import (
     GroebnerBasis,
-    MutantStats,
     buchberger_reduced,
     gbd,
     ideal_dim_le,

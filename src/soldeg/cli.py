@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -134,14 +135,15 @@ def _cmd_gen(args) -> int:
 def _cmd_oracle_diff(args) -> int:
     sf = parse_system(_read_text(args.file))
     order = _order_from(args, sf)
-    mutant, stats = mutantxl_gb(sf.system, order)
+    mutant, V = mutantxl_gb(sf.system, order)
     reference = buchberger_reduced(sf.system, order)
     same = mutant.polys == reference.polys
+    n = sf.system.ring.nvars
     print(f"mutant elimination: {[g.render(order) for g in mutant]}")
     print(f"buchberger:         {[g.render(order) for g in reference]}")
     print(
-        f"stats: bound={stats.bound} N={stats.n_monomials} steps={stats.steps} "
-        f"adoptions={stats.adoptions} field_mults={stats.field_mults}"
+        f"stats: bound={V.d} N={math.comb(n + V.d, n)} insertions={V.stats.insertions} "
+        f"adoptions={V.stats.adoptions} field_mults={V.stats.field_mults}"
     )
     print("agreement: " + ("yes" if same else "NO"))
     return 0 if same else 1
@@ -164,7 +166,9 @@ def _cmd_sweep(args) -> int:
     order_kind = args.order or "grevlex"
     TermOrder(order_kind)
     tasks = [(k, args.p, order_kind, args.cap) for k in range(args.start, args.stop + 1)]
-    workers = args.workers or min(len(tasks), os.cpu_count() or 1)
+    if args.workers is not None and args.workers < 1:
+        raise DomainError("--workers must be at least 1")
+    workers = min(args.workers or len(tasks), len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_instance, tasks))

@@ -1,17 +1,16 @@
 """Ground truth for ideal computations: Buchberger with full reduction,
-normal forms, bounded ideal dimension counts, and a mutant-queue elimination
-that must reproduce the Buchberger output exactly.
+normal forms, bounded ideal dimension counts, and `mutantxl_gb`, which reads
+the reduced basis off the closure V(F, d_reg + 1) and must reproduce the
+Buchberger output exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded, DomainError, InconsistencyError, PreconditionError
-from .linalg import RowBasis
 from .rings import (
     GREVLEX,
     Monomial,
@@ -20,6 +19,7 @@ from .rings import (
     TermOrder,
     enumerate_monomials,
 )
+from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, v_space_closure
 
 DEFAULT_MAX_PAIRS = 200_000
 
@@ -232,29 +232,18 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
     )
 
 
-@dataclass
-class MutantStats:
-    """Counters from one mutant-queue elimination run."""
-
-    bound: int  # degree cap d_reg + 1
-    n_monomials: int  # N = number of monomials of degree <= bound
-    steps: int = 0  # queue elements processed
-    adoptions: int = 0  # rows adopted into the echelon basis (seeds included)
-    seed_rows: int = 0
-    field_mults: int = 0
-
-
 def mutantxl_gb(
-    F: PolySystem, order: TermOrder = GREVLEX, *, max_rows: int = 200_000
-) -> tuple[GroebnerBasis, MutantStats]:
-    """Groebner basis via echelon closure at degree d_reg + 1.
+    F: PolySystem, order: TermOrder = GREVLEX, *, max_rows: int = DEFAULT_MAX_ROWS
+) -> tuple[GroebnerBasis, VSpaceBasis]:
+    """Groebner basis read off the closure V(F, d_reg + 1).
 
     Requires max deg(F) <= d_reg(F) < infinity (PreconditionError otherwise;
-    interreduce_tops can repair many violating systems). Echelonizes F, then
-    repeatedly reduces queued monomial multiples, adopting every new pivot
-    row and queueing its bounded multiples in turn, until the queue drains
-    or the basis fills all N monomials. The reduced basis is extracted from
+    interreduce_tops can repair many violating systems). Under that
+    hypothesis the closure, which adopts every mutant row and its bounded
+    multiples (MutantXL), contains the reduced basis; it is extracted from
     the rows whose leading monomials minimally generate the pivot ideal.
+    Returns the basis and the closure: its `d` is the degree bound and its
+    `stats` the work counters.
     """
     from .invariants import degree_of_regularity  # deferred: avoids an import cycle
 
@@ -269,49 +258,9 @@ def mutantxl_gb(
             f"mutant elimination needs max deg(F) <= {d_reg}; "
             "interreduce the system first (interreduce_tops)"
         )
-
-    ring = F.ring
-    n = ring.nvars
-    bound = d_reg + 1
-    stats = MutantStats(bound=bound, n_monomials=math.comb(n + bound, n))
-    basis = RowBasis(ring, order)
-    adopted: list[Polynomial] = []
-    heap: list = []  # (product degree, multiplier key, row id, multiplier)
-    key = order.key
-
-    def multipliers(max_deg: int):
-        if max_deg < 1:
-            return []
-        mons = enumerate_monomials(n, max_deg, "at_most", order)
-        mons.reverse()
-        return mons[1:]  # degree >= 1
-
-    def adopt(residual: Polynomial):
-        rid = len(adopted)
-        adopted.append(residual)
-        stats.adoptions += 1
-        if basis.span_dim() > max_rows:
-            stats.field_mults = basis.mult_count
-            raise CapExceeded(f"elimination exceeded {max_rows} rows", stats=stats)
-        for m in multipliers(bound - residual._degree):
-            heapq.heappush(heap, (residual._degree + m.degree, key(m), rid, m))
-
-    for f in F:
-        residual = basis.insert_reduce(f)
-        if residual:
-            adopt(residual)
-    stats.seed_rows = len(adopted)
-
-    while heap and basis.span_dim() < stats.n_monomials:
-        _, _, rid, m = heapq.heappop(heap)
-        stats.steps += 1
-        residual = basis.insert_reduce(adopted[rid].mul_monomial(m))
-        if residual:
-            adopt(residual)
-
-    stats.field_mults = basis.mult_count
-    minimal = _minimalize(basis.rows, order)
+    V = v_space_closure(F, d_reg + 1, order, max_rows=max_rows)
+    minimal = _minimalize(V.rows, order)
     result = GroebnerBasis(
         _sorted_basis(_interreduce(minimal, order), order), order, reduced=True
     )
-    return result, stats
+    return result, V

@@ -9,51 +9,9 @@ polynomial is a single pass over the pivots it touches, in any order.
 from __future__ import annotations
 
 import bisect
-from typing import Sequence
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .rings import GREVLEX, Monomial, Polynomial, Ring, TermOrder
-
-
-class ColumnIndex:
-    """Monomial column layout: strictly descending under a term order."""
-
-    __slots__ = ("monomials", "order", "_pos")
-
-    def __init__(self, monomials: Sequence[Monomial], order: TermOrder):
-        monomials = tuple(monomials)
-        for a, b in zip(monomials, monomials[1:]):
-            if order.compare(a, b) <= 0:
-                raise DomainError("columns must be strictly descending")
-        self.monomials = monomials
-        self.order = order
-        self._pos = {m: i for i, m in enumerate(monomials)}
-
-    @classmethod
-    def for_degree(
-        cls, n: int, d: int, order: TermOrder = GREVLEX, mode: str = "at_most"
-    ) -> ColumnIndex:
-        from .rings import enumerate_monomials
-
-        return cls(enumerate_monomials(n, d, mode, order), order)
-
-    def position(self, m: Monomial) -> int:
-        try:
-            return self._pos[m]
-        except KeyError:
-            raise DomainError(f"monomial {m!r} is not a column") from None
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self._pos
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __getitem__(self, i: int) -> Monomial:
-        return self.monomials[i]
-
-    def __iter__(self):
-        return iter(self.monomials)
 
 
 class _Row:
@@ -68,10 +26,11 @@ class _Row:
 class RowBasis:
     """Canonical reduced echelon basis of a span of polynomials.
 
-    Single-writer: mutate through insert_reduce only. Reads (span_contains,
-    rows, span_dim) never modify the basis and may run concurrently on a
-    snapshot. The final row set depends only on the span, not on insertion
-    order.
+    Single-writer: mutate the rows through insert_reduce only. Reads
+    (reduce, span_contains, rows, span_dim) leave the rows unchanged, but
+    reduce and span_contains add to mult_count, so concurrent readers race
+    on that counter. The final row set depends only on the span, not on
+    insertion order.
     """
 
     __slots__ = ("ring", "order", "_rows", "_by_pivot", "mult_count")
@@ -171,17 +130,6 @@ class RowBasis:
             terms = dict(row.tail)
             terms[row.pivot] = 1
             out.append(Polynomial._raw(self.ring, terms))
-        return out
-
-    def to_dense(self, columns: ColumnIndex) -> list[list[int]]:
-        """Rows as coefficient vectors over the given column layout."""
-        out = []
-        for row in reversed(self._rows):
-            vec = [0] * len(columns)
-            vec[columns.position(row.pivot)] = 1
-            for m, c in row.tail.items():
-                vec[columns.position(m)] = c
-            out.append(vec)
         return out
 
     def __repr__(self):

@@ -158,76 +158,6 @@ def v_space_closure(
     return VSpaceBasis(d=d, basis=basis, log=log, stats=stats)
 
 
-class _TrackedEchelon:
-    """Echelon basis over one homogeneous slice that records, for every row,
-    the exact combination of inserted generators it equals. Same invariant
-    as RowBasis: tails never contain pivot monomials."""
-
-    __slots__ = ("p", "key", "_by_pivot")
-
-    def __init__(self, p, key):
-        self.p = p
-        self.key = key
-        self._by_pivot: dict[Monomial, tuple[dict, dict]] = {}  # pivot -> (tail, combo)
-
-    def _reduce(self, work: dict, combo: dict):
-        # invariant: work == initial_work - sum over eliminated rows, and the
-        # combo mirrors it: work == (whatever combo says) applied to generators
-        p = self.p
-        for pm in work.keys() & self._by_pivot.keys():
-            c = work.pop(pm)
-            tail, row_combo = self._by_pivot[pm]
-            for m, rc in tail.items():
-                v = (work.get(m, 0) - c * rc) % p
-                if v:
-                    work[m] = v
-                else:
-                    del work[m]
-            for tag, rc in row_combo.items():
-                v = (combo.get(tag, 0) - c * rc) % p
-                if v:
-                    combo[tag] = v
-                else:
-                    del combo[tag]
-        return work, combo
-
-    def insert(self, terms: dict, tag) -> bool:
-        work, combo = self._reduce(dict(terms), {tag: 1})
-        if not work:
-            return False
-        p = self.p
-        pivot = max(work, key=self.key)
-        c = work.pop(pivot)
-        if c != 1:
-            inv = pow(c, -1, p)
-            work = {m: v * inv % p for m, v in work.items()}
-            combo = {t: v * inv % p for t, v in combo.items()}
-        for tail, row_combo in self._by_pivot.values():
-            rc = tail.pop(pivot, None)
-            if rc is None:
-                continue
-            for m, nc in work.items():
-                v = (tail.get(m, 0) - rc * nc) % p
-                if v:
-                    tail[m] = v
-                else:
-                    del tail[m]
-            for t, nc in combo.items():
-                v = (row_combo.get(t, 0) - rc * nc) % p
-                if v:
-                    row_combo[t] = v
-                else:
-                    del row_combo[t]
-        self._by_pivot[pivot] = (work, combo)
-        return True
-
-    def solve(self, terms: dict):
-        """Express `terms` in the span: terms == residual + sum(combo[tag] * gen_tag)."""
-        work, combo = self._reduce(dict(terms), {})
-        p = self.p
-        return work, {tag: p - c for tag, c in combo.items()}
-
-
 @dataclass
 class TopRepSet:
     """One representative per monic monomial of the regularity degree.
@@ -258,11 +188,13 @@ def construct_top_representatives(
     """For every monic monomial m of degree d_reg, build p in V(F, d_reg)
     with top part exactly m.
 
-    Works in the homogeneous degree-d_reg slice spanned by bounded multiples
-    of the input top parts: solve for a representation of m there, then lift
-    the same multiplier combination to the full inputs. Refuses when
-    max deg(F) exceeds d_reg; unreachable monomials raise InconsistencyError
-    (the given regularity degree was wrong).
+    Echelonizes the products m*f of degree exactly d_reg. When their top
+    parts span the degree-d_reg slice, every monomial of that degree is a
+    pivot, and since reduced tails hold no pivot, its row is that monomial
+    plus lower-degree terms. The rows are canonical, so the result does not
+    depend on the order of F. Refuses when max deg(F) exceeds d_reg; a
+    monomial that is no pivot raises InconsistencyError (the given
+    regularity degree was wrong).
     """
     if not isinstance(d_reg, int) or d_reg < 1:
         raise DomainError(f"regularity degree must be a positive int, got {d_reg!r}")
@@ -273,25 +205,22 @@ def construct_top_representatives(
         )
     ring = F.ring
     n = ring.nvars
-    ech = _TrackedEchelon(ring.p, order.key)
-    for i, f in enumerate(F):
-        t = f.top()
-        for m in reversed(enumerate_monomials(n, d_reg - t._degree, "exactly", order)):
-            ech.insert(t.mul_monomial(m).terms, (i, m))
+    basis = RowBasis(ring, order)
+    for f in F:
+        for m in enumerate_monomials(n, d_reg - f._degree, "exactly", order):
+            basis.insert_reduce(f.mul_monomial(m))
+    rows = {row.leading_monomial(order): row for row in basis.rows if row._degree == d_reg}
     reps: dict[Monomial, Polynomial] = {}
     for target in enumerate_monomials(n, d_reg, "exactly", order):
-        residual, combo = ech.solve({target: 1})
-        if residual:
+        rep = rows.get(target)
+        if rep is None:
             raise InconsistencyError(
                 f"monomial {render_monomial(target, ring.names)} has no degree-{d_reg} "
                 "representation; the supplied regularity degree looks wrong"
             )
-        rep = Polynomial.zero_poly(ring)
-        for (i, m), c in combo.items():
-            rep = rep + F[i].mul_monomial(m, c)
         if rep.top().terms != {target: 1}:
             raise InconsistencyError(
-                f"lift of {render_monomial(target, ring.names)} has a different top part"
+                f"row of {render_monomial(target, ring.names)} has a different top part"
             )
         reps[target] = rep
     return TopRepSet(d=d_reg, reps=reps)

@@ -84,7 +84,9 @@ def test_cap_exit_code(fk_file, capsys):
 def test_oracle_diff(fk_file, capsys):
     assert main(["oracle-diff", fk_file]) == 0
     out = capsys.readouterr().out
-    assert "agreement: yes" in out and "stats:" in out
+    assert "agreement: yes" in out
+    assert "stats: bound=3 N=10 insertions=" in out
+    assert " adoptions=" in out and " field_mults=" in out
 
 
 def test_oracle_diff_precondition(tmp_path, capsys):
@@ -113,6 +115,43 @@ def test_sweep_json_parallel(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in rows] == [2, 3, 4, 5]
     assert [r["sd"] for r in rows] == [3, 4, 5, 6]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with a serial stand-in that records its size."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("soldeg.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("soldeg.cli.os.cpu_count", lambda: 4)
+    return sizes
+
+
+def test_sweep_clamps_workers(pool_sizes, capsys):
+    assert main(["sweep", "fk", "--from", "2", "--to", "4", "--workers", "1000"]) == 0
+    assert main(["sweep", "fk", "--from", "2", "--to", "7", "--workers", "1000"]) == 0
+    assert main(["sweep", "fk", "--from", "2", "--to", "7"]) == 0
+    assert pool_sizes == [3, 4, 4]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_nonpositive_workers(workers, pool_sizes, capsys):
+    assert main(["sweep", "fk", "--from", "2", "--to", "3", "--workers", workers]) == 2
+    assert pool_sizes == []
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -5,9 +5,7 @@ import pytest
 from soldeg import (
     GREVLEX,
     GRLEX,
-    ColumnIndex,
     DimensionError,
-    DomainError,
     Monomial,
     Polynomial,
     Ring,
@@ -16,8 +14,6 @@ from soldeg import (
     gen_fk,
     v_space_closure,
 )
-
-from helpers import mk_polys
 
 RING = Ring(101, ("x", "y"))
 
@@ -155,34 +151,3 @@ def test_reduce_leaves_basis_unchanged():
     r = basis.reduce(poly({(2, 0): 3, (1, 0): 1}))
     assert r == poly({(1, 0): 1, (0, 1): -15})
     assert basis.rows == before
-
-
-# --- column index -----------------------------------------------------------
-
-
-def test_column_index_lookup_is_inverse():
-    cols = ColumnIndex.for_degree(2, 3, GREVLEX)
-    assert len(cols) == 10
-    for i, m in enumerate(cols):
-        assert cols.position(m) == i
-    assert Monomial((1, 1)) in cols
-    with pytest.raises(DomainError):
-        cols.position(Monomial((9, 9)))
-
-
-def test_column_index_rejects_unsorted():
-    with pytest.raises(DomainError):
-        ColumnIndex([Monomial((0, 1)), Monomial((1, 0))], GREVLEX)
-
-
-def test_to_dense_matches_rows():
-    f1, f2 = mk_polys("p=101; vars=x,y", "x^2 + 3*y", "x*y + 1")
-    basis = RowBasis(RING)
-    basis.insert_reduce(f1)
-    basis.insert_reduce(f2)
-    cols = ColumnIndex.for_degree(2, 2, GREVLEX)
-    dense = basis.to_dense(cols)
-    assert len(dense) == 2
-    for vec, row in zip(dense, basis.rows):
-        rebuilt = Polynomial(RING, {cols[i]: c for i, c in enumerate(vec) if c})
-        assert rebuilt == row

@@ -9,6 +9,7 @@ from soldeg import (
     DomainError,
     InconsistencyError,
     Monomial,
+    PolySystem,
     PreconditionError,
     buchberger_reduced,
     construct_top_representatives,
@@ -193,6 +194,19 @@ def test_representative_properties_on_random_systems(seed):
     for m, p in reps.items():
         assert p.top().terms == {m: 1}
         assert V.span_contains(p)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_representatives_do_not_depend_on_input_order(order):
+    spec = RandomSpec(seed=23, n=2, k=3, deg_bounds=(2, 2, 2), density=0.8, p=101,
+                      require_hypothesis=True)
+    F = gen_random(spec)
+    from soldeg import degree_of_regularity
+
+    d = degree_of_regularity(F)
+    backwards = PolySystem(F.ring, reversed(list(F)))
+    reps = construct_top_representatives(F, d, order)
+    assert construct_top_representatives(backwards, d, order).reps == reps.reps
 
 
 def test_representatives_refuse_oversized_inputs():
