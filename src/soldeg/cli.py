@@ -83,9 +83,7 @@ def _analyze_common(args, certificates_only: bool) -> int:
     order = _order_from(args, sf)
     trace = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
-        report = verify_bounds(
-            sf.system, order, d_reg_cap=args.cap, sd_cap=args.cap, trace=trace
-        )
+        report = verify_bounds(sf.system, order, cap=args.cap, trace=trace)
     finally:
         if trace is not None:
             trace.close()
@@ -152,7 +150,7 @@ def _cmd_oracle_diff(args) -> int:
 def _sweep_instance(task) -> dict:
     k, p, order_kind, cap = task
     system = gen_fk(k, p)
-    report = verify_bounds(system, TermOrder(order_kind), d_reg_cap=cap, sd_cap=cap)
+    report = verify_bounds(system, TermOrder(order_kind), cap=cap)
     doc = report.to_json()
     doc["k"] = k
     return doc

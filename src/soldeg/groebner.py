@@ -19,7 +19,7 @@ from .rings import (
     TermOrder,
     enumerate_monomials,
 )
-from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, v_space_closure
+from .vspace import VSpaceBasis, v_space_closure
 
 DEFAULT_MAX_PAIRS = 200_000
 
@@ -210,9 +210,9 @@ def buchberger_reduced(
     return result
 
 
-def gbd(F, order: TermOrder = GREVLEX, **caps) -> int:
+def gbd(F, order: TermOrder = GREVLEX) -> int:
     """Maximum degree appearing in the reduced Groebner basis."""
-    return buchberger_reduced(F, order, **caps).max_degree
+    return buchberger_reduced(F, order).max_degree
 
 
 def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
@@ -232,15 +232,14 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
     )
 
 
-def mutantxl_gb(
-    F: PolySystem, order: TermOrder = GREVLEX, *, max_rows: int = DEFAULT_MAX_ROWS
-) -> tuple[GroebnerBasis, VSpaceBasis]:
+def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasis, VSpaceBasis]:
     """Groebner basis read off the closure V(F, d_reg + 1).
 
     Requires max deg(F) <= d_reg(F) < infinity (PreconditionError otherwise;
     interreduce_tops can repair many violating systems). Under that
-    hypothesis the closure, which adopts every mutant row and its bounded
-    multiples (MutantXL), contains the reduced basis; it is extracted from
+    hypothesis the closure, which multiplies every adopted row below the
+    bound, mutants included, by each variable (MutantXL), contains the
+    reduced basis; it is extracted from
     the rows whose leading monomials minimally generate the pivot ideal.
     Returns the basis and the closure: its `d` is the degree bound and its
     `stats` the work counters.
@@ -258,7 +257,7 @@ def mutantxl_gb(
             f"mutant elimination needs max deg(F) <= {d_reg}; "
             "interreduce the system first (interreduce_tops)"
         )
-    V = v_space_closure(F, d_reg + 1, order, max_rows=max_rows)
+    V = v_space_closure(F, d_reg + 1, order)
     minimal = _minimalize(V.rows, order)
     result = GroebnerBasis(
         _sorted_basis(_interreduce(minimal, order), order), order, reduced=True

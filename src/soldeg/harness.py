@@ -71,7 +71,6 @@ class RandomSpec:
     p: int = 101
     require_hypothesis: bool = False
     retry_limit: int = 200
-    d_reg_cap: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -108,7 +107,7 @@ def gen_random(spec: RandomSpec) -> PolySystem:
         )
         if not spec.require_hypothesis:
             return system
-        d = degree_of_regularity(system, spec.d_reg_cap)
+        d = degree_of_regularity(system)
         if isinstance(d, int) and system.max_degree() <= d:
             return system
     raise GenerationError(

@@ -19,7 +19,7 @@ from .errors import CapExceeded, DomainError
 from .groebner import GroebnerBasis, buchberger_reduced, ideal_dim_le
 from .linalg import RowBasis
 from .rings import GREVLEX, PolySystem, TermOrder, enumerate_monomials
-from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, v_space_closure
+from .vspace import VSpaceBasis, v_space_closure
 
 LFD_RATIONALE = (
     "falls cannot occur past the solving degree: once the reduced basis lies in "
@@ -41,11 +41,11 @@ class InfiniteDegree:
 DegreeValue = Union[int, InfiniteDegree]
 
 
-def _default_dreg_cap(F: PolySystem) -> int:
-    # sum of the n largest input degrees - n + 1, plus slack of 2
-    take = min(F.ring.nvars, len(F))
-    degs = sorted(F.degrees(), reverse=True)[:take]
-    return sum(degs) - take + 3
+def _macaulay_bound(F: PolySystem) -> int:
+    """d_1 + ... + d_m - m + 2 over the m = min(n, k) largest input degrees."""
+    m = min(F.ring.nvars, len(F))
+    degs = sorted(F.degrees(), reverse=True)[:m]
+    return sum(degs) - m + 2
 
 
 def degree_of_regularity(F: PolySystem, cap: int | None = None) -> DegreeValue:
@@ -53,7 +53,7 @@ def degree_of_regularity(F: PolySystem, cap: int | None = None) -> DegreeValue:
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
     when no d up to the cap works."""
     if cap is None:
-        cap = _default_dreg_cap(F)
+        cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     if cap < 1:
         raise DomainError(f"cap must be at least 1, got {cap}")
     ring = F.ring
@@ -79,10 +79,10 @@ def degree_of_regularity(F: PolySystem, cap: int | None = None) -> DegreeValue:
     return InfiniteDegree(cap)
 
 
-def _closure_at(F, order, d, cache, *, max_rows=DEFAULT_MAX_ROWS, trace=None) -> VSpaceBasis:
+def _closure_at(F, order, d, cache, trace=None) -> VSpaceBasis:
     V = cache.get(d)
     if V is None:
-        V = v_space_closure(F, d, order, max_rows=max_rows, trace=trace)
+        V = v_space_closure(F, d, order, trace=trace)
         cache[d] = V
     return V
 
@@ -90,18 +90,16 @@ def _closure_at(F, order, d, cache, *, max_rows=DEFAULT_MAX_ROWS, trace=None) ->
 def _default_sd_cap(F: PolySystem, G: GroebnerBasis, d_reg: DegreeValue) -> int:
     if isinstance(d_reg, int):
         return max(d_reg + 1, F.max_degree())
-    # no finite regularity degree: fall back to the classical degree bound
-    # over the n largest input degrees, stretched to keep the scan non-empty
-    take = min(F.ring.nvars, len(F))
-    degs = sorted(F.degrees(), reverse=True)[:take]
-    return max(sum(degs) - take + 2, G.max_degree)
+    # no finite regularity degree: fall back to the Macaulay bound,
+    # stretched to keep the scan non-empty
+    return max(_macaulay_bound(F), G.max_degree)
 
 
-def _sd_scan(F, order, cap, G, cache, **closure_kw) -> int:
+def _sd_scan(F, order, cap, G, cache, trace=None) -> int:
     start = max(1, G.max_degree)
     partial: dict[int, int] = {}
     for d in range(start, cap + 1):
-        V = _closure_at(F, order, d, cache, **closure_kw)
+        V = _closure_at(F, order, d, cache, trace)
         partial[d] = V.span_dim()
         if all(V.span_contains(g) for g in G.polys):
             return d
@@ -209,12 +207,13 @@ def verify_bounds(
     F: PolySystem,
     order: TermOrder = GREVLEX,
     *,
-    d_reg_cap: int | None = None,
-    sd_cap: int | None = None,
-    closure_max_rows: int = DEFAULT_MAX_ROWS,
+    cap: int | None = None,
     trace=None,
 ) -> DegreeReport:
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
+
+    `cap` bounds both the d_reg scan and the sd scan (default: derived from
+    F for each). `trace` receives every closure's lines (see v_space_closure).
 
     Certificates (in report order):
       sd_le_dreg_plus_1        sd <= d_reg + 1, needs max deg(F) <= d_reg
@@ -229,7 +228,7 @@ def verify_bounds(
     ring = F.ring
     n = ring.nvars
     maxdeg = F.max_degree()
-    d_reg = degree_of_regularity(F, d_reg_cap)
+    d_reg = degree_of_regularity(F, cap)
     finite = isinstance(d_reg, int)
     hypothesis = {
         "d_reg_finite": finite,
@@ -238,7 +237,6 @@ def verify_bounds(
     }
 
     cache: dict[int, VSpaceBasis] = {}
-    closure_kw = {"max_rows": closure_max_rows, "trace": trace}
     G = gbd_v = sd = lfd = None
     cap_notes: dict[str, str] = {}
     try:
@@ -248,8 +246,8 @@ def verify_bounds(
         cap_notes["gbd"] = str(exc)
     if G is not None:
         try:
-            cap = sd_cap if sd_cap is not None else _default_sd_cap(F, G, d_reg)
-            sd = _sd_scan(F, order, cap, G, cache, **closure_kw)
+            sd_cap = cap if cap is not None else _default_sd_cap(F, G, d_reg)
+            sd = _sd_scan(F, order, sd_cap, G, cache, trace)
         except CapExceeded as exc:
             cap_notes["sd"] = str(exc)
         if sd is not None:
@@ -327,8 +325,7 @@ def verify_bounds(
         if blocked:
             emit("sd_macaulay_bound", None, None, skipped=blocked)
         else:
-            top = sorted(F.degrees(), reverse=True)[:n]
-            emit("sd_macaulay_bound", sd, sum(top) - n + 2)
+            emit("sd_macaulay_bound", sd, _macaulay_bound(F))
 
     if not hypothesis["satisfied"]:
         emit(
@@ -343,7 +340,7 @@ def verify_bounds(
             emit("vspace_dim_identity", None, None, skipped=blocked)
         else:
             try:
-                V = _closure_at(F, order, d_reg + 1, cache, **closure_kw)
+                V = _closure_at(F, order, d_reg + 1, cache, trace)
                 emit(
                     "vspace_dim_identity",
                     V.span_dim(),

@@ -1,18 +1,18 @@
 """Degree-bounded spans of a polynomial family and their fixed-point closure.
 
 V(F, d) is the smallest linear space that contains every member of F of
-degree <= d and is closed under multiplication by monomials while the
-product stays within degree d. The closure is computed with a worklist:
-seed with all bounded monomial multiples of the inputs, then whenever a
-new pivot row of degree < d appears (a "mutant" when its degree fell below
-the degree it was generated at), enqueue all of its bounded multiples.
-Processing order is ascending in (degree, term order), which makes logs and
-counters reproducible; the resulting basis is canonical regardless.
+degree <= d and is closed under multiplication by monomials, or equivalently
+by single variables, while the product stays within degree d. The closure is
+a FIFO worklist (the variable-only step of MutantXL): seed with the inputs of
+degree <= d, then multiply every adopted row of degree < d (a "mutant" when
+its degree fell below the degree it was generated at) by x_1, ..., x_n.
+Adoption order makes traces and counters reproducible; the resulting basis
+is canonical regardless.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -42,21 +42,15 @@ class ClosureStats:
     insertions: int = 0
     adoptions: int = 0
     field_mults: int = 0
-    closure_passes: int = 0  # pivot rows whose bounded multiples were enqueued
+    closure_passes: int = 0  # adopted rows of degree < d multiplied by every variable
 
 
 @dataclass
 class VSpaceBasis:
-    """Reduced echelon basis of V(F, d) plus its generation log and counters.
-
-    The log holds one (source id, multiplier) pair per adopted row, in
-    adoption order: sources "f<i>" are input polynomials, "r<j>" previously
-    adopted rows.
-    """
+    """Reduced echelon basis of V(F, d) plus the counters of its closure."""
 
     d: int
     basis: RowBasis
-    log: list[tuple[str, Monomial]] = field(default_factory=list)
     stats: ClosureStats = field(default_factory=ClosureStats)
 
     def span_dim(self) -> int:
@@ -70,28 +64,18 @@ class VSpaceBasis:
         return self.basis.rows
 
 
-def _ascending_multipliers(n, max_deg, order, include_unit):
-    if max_deg < 0:
-        return []
-    mons = enumerate_monomials(n, max_deg, "at_most", order)
-    mons.reverse()
-    return mons if include_unit else mons[1:]
-
-
-def _seed_products(F: PolySystem, d: int, order: TermOrder):
-    n = F.ring.nvars
-    for i, f in enumerate(F):
-        if f._degree > d:
-            continue  # inputs above the bound are excluded, not truncated
-        for m in _ascending_multipliers(n, d - f._degree, order, include_unit=True):
-            yield i, m, f.mul_monomial(m)
-
-
 def macaulay_generators(F: PolySystem, d: int, order: TermOrder = GREVLEX) -> list[Polynomial]:
     """All products m*f with f in F, deg(f) <= d, and deg(m*f) <= d (m = 1 included)."""
     if d < 0:
         raise DomainError("degree bound must be non-negative")
-    return [prod for _, _, prod in _seed_products(F, d, order)]
+    n = F.ring.nvars
+    gens = []
+    for f in F:
+        if f._degree > d:
+            continue  # inputs above the bound are excluded, not truncated
+        multipliers = enumerate_monomials(n, d - f._degree, "at_most", order)
+        gens.extend(f.mul_monomial(m) for m in reversed(multipliers))
+    return gens
 
 
 def v_space_closure(
@@ -104,25 +88,32 @@ def v_space_closure(
 ) -> VSpaceBasis:
     """Compute the reduced echelon basis of V(F, d) by worklist closure.
 
+    Each adopted row of degree < d is multiplied, as it was at adoption, by
+    every variable. That reaches all of V(F, d): under a degree-compatible
+    order a row of degree < d is a combination of adopted rows of degree
+    < d, since back-reduction only subtracts rows with smaller pivots.
+
     `trace`, when given, is a writable text stream receiving one
-    tab-separated line per adopted row: degree, pivot, source id, multiplier.
+    tab-separated line per adopted row: degree, pivot, source id ("f<i>" an
+    input, multiplier 1; "r<j>" the j-th adopted row), multiplier.
     Raises CapExceeded (carrying partial stats) past `max_rows` rows.
     """
     if d < 1:
         raise DomainError("closure degree must be at least 1")
     ring = F.ring
     names = ring.names
+    n = ring.nvars
     basis = RowBasis(ring, order)
     stats = ClosureStats()
-    log: list[tuple[str, Monomial]] = []
-    heap: list = []  # (degree, pivot key, serial, row id, snapshot)
-    serial = 0
+    queue: deque[tuple[str, Polynomial]] = deque()  # (row id, snapshot at adoption)
 
-    def adopt(residual: Polynomial, source: str, multiplier: Monomial):
-        nonlocal serial
+    def insert(prod: Polynomial, source: str, multiplier: Monomial):
+        stats.insertions += 1
+        residual = basis.insert_reduce(prod)
+        if not residual:
+            return
         row_id = f"r{stats.adoptions}"
         stats.adoptions += 1
-        log.append((source, multiplier))
         if trace is not None:
             trace.write(
                 f"{residual._degree}\t{render_monomial(residual.leading_monomial(order), names)}"
@@ -132,30 +123,22 @@ def v_space_closure(
             stats.field_mults = basis.mult_count
             raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
         if residual._degree < d:
-            heapq.heappush(
-                heap,
-                (residual._degree, order.key(residual.leading_monomial(order)), serial, row_id, residual),
-            )
-            serial += 1
+            queue.append((row_id, residual))
 
-    for i, m, prod in _seed_products(F, d, order):
-        stats.insertions += 1
-        residual = basis.insert_reduce(prod)
-        if residual:
-            adopt(residual, f"f{i}", m)
+    unit = Monomial.unit(n)
+    for i, f in enumerate(F):
+        if f._degree <= d:  # inputs above the bound are excluded, not truncated
+            insert(f, f"f{i}", unit)
 
-    n = ring.nvars
-    while heap:
-        _, _, _, row_id, g = heapq.heappop(heap)
+    variables = [Monomial.variable(n, i) for i in range(n)]
+    while queue:
+        row_id, g = queue.popleft()
         stats.closure_passes += 1
-        for m in _ascending_multipliers(n, d - g._degree, order, include_unit=False):
-            stats.insertions += 1
-            residual = basis.insert_reduce(g.mul_monomial(m))
-            if residual:
-                adopt(residual, row_id, m)
+        for x in variables:
+            insert(g.mul_monomial(x), row_id, x)
 
     stats.field_mults = basis.mult_count
-    return VSpaceBasis(d=d, basis=basis, log=log, stats=stats)
+    return VSpaceBasis(d=d, basis=basis, stats=stats)
 
 
 @dataclass

@@ -137,7 +137,7 @@ def test_report_with_infinite_regularity():
 
 
 def test_report_under_tight_cap_marks_cap_skips():
-    report = verify_bounds(gen_fk(3, 101), sd_cap=2)
+    report = verify_bounds(gen_fk(3, 101), cap=2)
     assert report.sd is None and report.lfd is None
     assert report.gbd == 1
     t = cert(report, "sd_le_dreg_plus_1")

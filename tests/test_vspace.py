@@ -118,6 +118,15 @@ def test_closure_monotone_in_degree():
         previous = V
 
 
+def assert_variable_only_counters(F, V):
+    # inputs of degree <= d are inserted once; every row of degree < d is
+    # passed over once and multiplied by each of the n variables
+    seeds = sum(1 for f in F if f.degree <= V.d)
+    below = sum(1 for row in V.rows if row.degree < V.d)
+    assert V.stats.closure_passes == below
+    assert V.stats.insertions == seeds + F.ring.nvars * below
+
+
 def test_closure_insertion_counter_within_quadratic_bound():
     for k in (2, 3, 4):
         F = gen_fk(k, 101)
@@ -126,6 +135,7 @@ def test_closure_insertion_counter_within_quadratic_bound():
         N = math.comb(F.ring.nvars + d, F.ring.nvars)
         assert V.stats.insertions <= N * N
         assert V.stats.adoptions == V.span_dim()
+        assert_variable_only_counters(F, V)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -137,13 +147,13 @@ def test_closure_counter_bound_on_random_systems(seed):
         V = v_space_closure(F, d)
         N = math.comb(n + d, n)
         assert V.stats.insertions <= N * N
+        assert_variable_only_counters(F, V)
 
 
 def test_closure_log_and_trace():
     F = gen_fk(2, 101)
     sink = io.StringIO()
     V = v_space_closure(F, 3, trace=sink)
-    assert len(V.log) == V.span_dim()
     lines = sink.getvalue().splitlines()
     assert len(lines) == V.span_dim()
     for line in lines:
@@ -151,6 +161,10 @@ def test_closure_log_and_trace():
         assert degree.isdigit()
         assert source.startswith(("f", "r"))
         assert pivot and multiplier
+        if source.startswith("f"):
+            assert multiplier == "1"
+        else:
+            assert multiplier in F.ring.names
     # deterministic: a second run yields byte-identical output
     sink2 = io.StringIO()
     v_space_closure(F, 3, trace=sink2)
