@@ -147,13 +147,9 @@ def _cmd_oracle_diff(args) -> int:
     return 0 if same else 1
 
 
-def _sweep_instance(task) -> dict:
+def _sweep_instance(task) -> DegreeReport:
     k, p, order_kind, cap = task
-    system = gen_fk(k, p)
-    report = verify_bounds(system, TermOrder(order_kind), cap=cap)
-    doc = report.to_json()
-    doc["k"] = k
-    return doc
+    return verify_bounds(gen_fk(k, p), TermOrder(order_kind), cap=cap)
 
 
 def _cmd_sweep(args) -> int:
@@ -169,9 +165,10 @@ def _cmd_sweep(args) -> int:
     workers = min(args.workers or len(tasks), len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_instance, tasks))
+            reports = list(pool.map(_sweep_instance, tasks))
     else:
-        rows = [_sweep_instance(t) for t in tasks]
+        reports = [_sweep_instance(t) for t in tasks]
+    rows = [{**report.to_json(), "k": task[0]} for task, report in zip(tasks, reports)]
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
@@ -183,13 +180,8 @@ def _cmd_sweep(args) -> int:
                 f"{row['k']:<3d} {row['d_reg']!s:6s} {row['gbd']!s:4s} {row['sd']!s:3s} "
                 f"{row['lfd']!s:4s} {summary}"
             )
-    bad = any(c["verdict"] == "fail" for row in rows for c in row["certificates"])
-    capped = any(
-        c["verdict"] == "skipped" and (c["reason"] or "").startswith("cap")
-        for row in rows
-        for c in row["certificates"]
-    )
-    return 1 if bad else (3 if capped else 0)
+    codes = {_report_exit_code(report) for report in reports}
+    return 1 if 1 in codes else 3 if 3 in codes else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_file:
             p.add_argument("file", help="system file path, or '-' for stdin")
         p.add_argument("--order", choices=TermOrder.KINDS, help="override the file's term order")
-        p.add_argument("--cap", type=int, default=None, help="degree cap for the scans")
+        p.add_argument("--cap", type=int, help="degree cap for the solving-degree scan")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--trace", default=None, help="write closure adoption trace to this path")
 
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=int, default=6)
     sweep.add_argument("--p", type=int, default=101)
     sweep.add_argument("--order", choices=TermOrder.KINDS, default=None)
-    sweep.add_argument("--cap", type=int, default=None)
+    sweep.add_argument("--cap", type=int, help="degree cap for the solving-degree scan")
     sweep.add_argument("--json", action="store_true")
     sweep.add_argument("--workers", type=int, default=None)
     return parser

@@ -2,11 +2,12 @@
 certificates for every bound that relates them.
 
 All four invariants are exact integers (the regularity degree may be an
-InfiniteDegree marker carrying the cap that was scanned). verify_bounds
-computes everything once, sharing closure bases between the scans, and
-emits one certificate per bound with lhs, rhs, and a pass/fail/skipped
-verdict. Resource caps never produce wrong numbers: a capped computation
-turns the certificates that need it into skips with a "cap:" reason.
+InfiniteDegree marker carrying the degree its scan stopped at, one past the
+Macaulay bound). verify_bounds computes everything once: one scan over
+shared closures gives sd and Lfd, and one rule turns each bound into a
+certificate with lhs, rhs, and a pass/fail/skipped verdict. Resource caps
+never produce wrong numbers: a capped computation turns the certificates
+that need it into skips with a "cap:" reason.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import CapExceeded, DomainError
-from .groebner import GroebnerBasis, buchberger_reduced, ideal_dim_le
-from .linalg import RowBasis
-from .rings import GREVLEX, PolySystem, TermOrder, enumerate_monomials
-from .vspace import VSpaceBasis, v_space_closure
+from .groebner import buchberger_reduced, ideal_dim_le
+from .rings import GREVLEX, PolySystem, TermOrder
+from .vspace import VSpaceBasis, degree_slice, v_space_closure
 
 LFD_RATIONALE = (
     "falls cannot occur past the solving degree: once the reduced basis lies in "
@@ -30,7 +30,8 @@ LFD_RATIONALE = (
 
 @dataclass(frozen=True)
 class InfiniteDegree:
-    """Marker for an infinite regularity degree; remembers the scanned cap."""
+    """Marker for an infinite regularity degree; remembers the last degree
+    scanned (one past the Macaulay bound)."""
 
     cap: int
 
@@ -48,80 +49,62 @@ def _macaulay_bound(F: PolySystem) -> int:
     return sum(degs) - m + 2
 
 
-def degree_of_regularity(F: PolySystem, cap: int | None = None) -> DegreeValue:
+def degree_of_regularity(F: PolySystem) -> DegreeValue:
     """Smallest d at which the degree-d slice spanned by bounded multiples of
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
-    when no d up to the cap works."""
-    if cap is None:
-        cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
-    if cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
-    ring = F.ring
-    n = ring.nvars
-    order = GREVLEX
-    tops = [f.top() for f in F]
+    when no d up to cap = Macaulay bound + 1 works."""
+    cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
+    n = F.ring.nvars
+    tops = PolySystem(F.ring, [f.top() for f in F])
     for d in range(1, cap + 1):
-        full = math.comb(d + n - 1, d)
-        basis = RowBasis(ring, order)
-        done = False
-        for t in tops:
-            if t._degree > d:
-                continue
-            for m in enumerate_monomials(n, d - t._degree, "exactly", order):
-                basis.insert_reduce(t.mul_monomial(m))
-                if basis.span_dim() == full:
-                    done = True
-                    break
-            if done:
-                break
-        if basis.span_dim() == full:
+        if degree_slice(tops, d, GREVLEX).span_dim() == math.comb(d + n - 1, d):
             return d
     return InfiniteDegree(cap)
 
 
-def _closure_at(F, order, d, cache, trace=None) -> VSpaceBasis:
-    V = cache.get(d)
-    if V is None:
-        V = v_space_closure(F, d, order, trace=trace)
-        cache[d] = V
-    return V
+def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
+    """(sd, Lfd) from the closures V(F, d), kept in `closures` by degree.
 
+    sd is the first d >= max(1, Gbd) whose span contains G; past `cap`
+    (default: derived from d_reg) CapExceeded carries the scanned span
+    dimensions. Lfd is one past the last e <= sd whose span is smaller than
+    the ideal's elements of degree <= e. Only the sd scan's closures are
+    traced.
+    """
+    if cap is None:
+        if isinstance(d_reg, int):
+            cap = max(d_reg + 1, F.max_degree())
+        else:
+            # no finite regularity degree: fall back to the Macaulay bound,
+            # stretched to keep the scan non-empty
+            cap = max(_macaulay_bound(F), G.max_degree)
 
-def _default_sd_cap(F: PolySystem, G: GroebnerBasis, d_reg: DegreeValue) -> int:
-    if isinstance(d_reg, int):
-        return max(d_reg + 1, F.max_degree())
-    # no finite regularity degree: fall back to the Macaulay bound,
-    # stretched to keep the scan non-empty
-    return max(_macaulay_bound(F), G.max_degree)
+    def closure(d, traced):
+        if d not in closures:
+            closures[d] = v_space_closure(F, d, order, trace=trace if traced else None)
+        return closures[d]
 
-
-def _sd_scan(F, order, cap, G, cache, trace=None) -> int:
-    start = max(1, G.max_degree)
     partial: dict[int, int] = {}
-    for d in range(start, cap + 1):
-        V = _closure_at(F, order, d, cache, trace)
-        partial[d] = V.span_dim()
+    for sd in range(max(1, G.max_degree), cap + 1):
+        V = closure(sd, traced=True)
+        partial[sd] = V.span_dim()
         if all(V.span_contains(g) for g in G.polys):
-            return d
-    raise CapExceeded(
-        f"solving degree exceeds cap {cap}", details={"partial_dims": partial}
+            break
+    else:
+        raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
+    # V(F, e) lies in V(F, sd) for e <= sd, so these closures fit the row cap
+    lfd = 1 + max(
+        (e for e in range(1, sd + 1)
+         if closure(e, traced=False).span_dim() < ideal_dim_le(G, e)),
+        default=0,
     )
+    return sd, lfd
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
     """Smallest d whose degree-d span contains the reduced Groebner basis."""
     G = buchberger_reduced(F, order)
-    if cap is None:
-        cap = _default_sd_cap(F, G, degree_of_regularity(F))
-    return _sd_scan(F, order, cap, G, {})
-
-
-def _lfd_from_cache(F, order, sd, G, cache) -> int:
-    worst = 0
-    for e in range(1, sd + 1):
-        if _closure_at(F, order, e, cache).span_dim() < ideal_dim_le(G, e):
-            worst = e
-    return worst + 1 if worst else 1
+    return _scan(F, order, G, degree_of_regularity(F), cap, {})[0]
 
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -129,11 +112,7 @@ def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None 
     max(d, deg f). Computed by comparing span dimensions against the ideal's
     bounded dimensions for every degree up to the solving degree."""
     G = buchberger_reduced(F, order)
-    if cap is None:
-        cap = _default_sd_cap(F, G, degree_of_regularity(F))
-    cache: dict[int, VSpaceBasis] = {}
-    sd = _sd_scan(F, order, cap, G, cache)
-    return _lfd_from_cache(F, order, sd, G, cache)
+    return _scan(F, order, G, degree_of_regularity(F), cap, {})[1]
 
 
 @dataclass
@@ -201,6 +180,7 @@ class DegreeReport:
 
 
 INF = "+inf"
+TRIVIAL = "regularity degree infinite; bound trivial"
 
 
 def verify_bounds(
@@ -212,8 +192,10 @@ def verify_bounds(
 ) -> DegreeReport:
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
 
-    `cap` bounds both the d_reg scan and the sd scan (default: derived from
-    F for each). `trace` receives every closure's lines (see v_space_closure).
+    `cap` bounds the solving-degree scan (default: max(d_reg + 1, max
+    deg(F))); a cap below 1 is a DomainError. d_reg is always scanned up to
+    one past the Macaulay bound. `trace` receives the lines of the sd-scan
+    and identity closures (see v_space_closure).
 
     Certificates (in report order):
       sd_le_dreg_plus_1        sd <= d_reg + 1, needs max deg(F) <= d_reg
@@ -225,10 +207,11 @@ def verify_bounds(
       vspace_dim_identity      dim V(F, d_reg+1) == dim of ideal elements
                                of degree <= d_reg + 1, needs the hypothesis
     """
+    if cap is not None and cap < 1:
+        raise DomainError(f"cap must be at least 1, got {cap}")
     ring = F.ring
-    n = ring.nvars
     maxdeg = F.max_degree()
-    d_reg = degree_of_regularity(F, cap)
+    d_reg = degree_of_regularity(F)
     finite = isinstance(d_reg, int)
     hypothesis = {
         "d_reg_finite": finite,
@@ -236,119 +219,65 @@ def verify_bounds(
         "satisfied": finite and maxdeg <= d_reg,
     }
 
-    cache: dict[int, VSpaceBasis] = {}
+    closures: dict[int, VSpaceBasis] = {}
     G = gbd_v = sd = lfd = None
     cap_notes: dict[str, str] = {}
     try:
         G = buchberger_reduced(F, order)
         gbd_v = G.max_degree
+        sd, lfd = _scan(F, order, G, d_reg, cap, closures, trace)
     except CapExceeded as exc:
-        cap_notes["gbd"] = str(exc)
-    if G is not None:
-        try:
-            sd_cap = cap if cap is not None else _default_sd_cap(F, G, d_reg)
-            sd = _sd_scan(F, order, sd_cap, G, cache, trace)
-        except CapExceeded as exc:
-            cap_notes["sd"] = str(exc)
-        if sd is not None:
-            try:
-                lfd = _lfd_from_cache(F, order, sd, G, cache)
-            except CapExceeded as exc:
-                cap_notes["lfd"] = str(exc)
+        cap_notes["gbd" if G is None else "sd"] = str(exc)
+    values = {"gbd": gbd_v, "sd": sd, "lfd": lfd}
 
-    def skip_for(*names):
-        values = {"gbd": gbd_v, "sd": sd, "lfd": lfd}
-        for name in names:
-            if name in cap_notes:
-                return f"cap: {cap_notes[name]}"
+    def certify(cid, needs, bound, *, before=None, trivial=False, after=None, equal=False):
+        """One certificate; the first rule that applies decides: the `before`
+        skip, a capped value in `needs`, the +inf pass of a `trivial` bound
+        under an infinite d_reg, the `after` skip, else comparing the
+        (lhs, rhs) that bound() returns."""
+
+        def skipped(reason):
+            return Certificate(cid, None, None, "skipped", reason)
+
+        if before:
+            return skipped(before)
+        for name in needs:
             if values[name] is None:
-                return f"cap: {name} unavailable"
-        return None
+                return skipped(f"cap: {cap_notes.get(name, f'{name} unavailable')}")
+        if trivial and not finite:
+            return Certificate(cid, values[needs[0]], INF, "pass", TRIVIAL)
+        if after:
+            return skipped(after)
+        try:
+            lhs, rhs = bound()
+        except CapExceeded as exc:
+            return skipped(f"cap: {exc}")
+        ok = lhs == rhs if equal else lhs <= rhs
+        return Certificate(cid, lhs, rhs, "pass" if ok else "fail")
 
-    certs: list[Certificate] = []
+    def identity():
+        d = d_reg + 1
+        V = closures[d] if d in closures else v_space_closure(F, d, order, trace=trace)
+        return V.span_dim(), ideal_dim_le(G, d)
 
-    def emit(cid, lhs, rhs, *, skipped=None, trivial=None, equality=False):
-        if skipped:
-            certs.append(Certificate(cid, None, None, "skipped", skipped))
-        elif trivial:
-            certs.append(Certificate(cid, lhs, INF, "pass", trivial))
-        else:
-            ok = (lhs == rhs) if equality else (lhs <= rhs)
-            certs.append(Certificate(cid, lhs, rhs, "pass" if ok else "fail"))
-
-    # sd <= d_reg + 1 under the hypothesis max deg <= d_reg
-    blocked = skip_for("sd")
-    if blocked:
-        emit("sd_le_dreg_plus_1", None, None, skipped=blocked)
-    elif not finite:
-        emit("sd_le_dreg_plus_1", sd, None, trivial="regularity degree infinite; bound trivial")
-    elif maxdeg > d_reg:
-        emit(
-            "sd_le_dreg_plus_1",
-            None,
-            None,
-            skipped=f"hypothesis fails: max deg {maxdeg} > d_reg {d_reg}",
-        )
-    else:
-        emit("sd_le_dreg_plus_1", sd, d_reg + 1)
-
-    blocked = skip_for("gbd")
-    if blocked:
-        emit("gbd_le_dreg", None, None, skipped=blocked)
-    elif not finite:
-        emit("gbd_le_dreg", gbd_v, None, trivial="regularity degree infinite; bound trivial")
-    else:
-        emit("gbd_le_dreg", gbd_v, d_reg)
-
-    blocked = skip_for("sd", "lfd", "gbd")
-    if blocked:
-        emit("sd_eq_max_lfd_gbd", None, None, skipped=blocked)
-    else:
-        emit("sd_eq_max_lfd_gbd", sd, max(lfd, gbd_v), equality=True)
-
-    general_rhs = max(d_reg + 1, maxdeg) if finite else None
-    for cid, value, name in (("sd_generalized_bound", sd, "sd"), ("lfd_upper_bound", lfd, "lfd")):
-        blocked = skip_for(name)
-        if blocked:
-            emit(cid, None, None, skipped=blocked)
-        elif not finite:
-            emit(cid, value, None, trivial="regularity degree infinite; bound trivial")
-        else:
-            emit(cid, value, general_rhs)
-
-    if not finite:
-        emit("sd_macaulay_bound", None, None, skipped="regularity degree infinite")
-    elif len(F) < n:
-        emit("sd_macaulay_bound", None, None, skipped="fewer polynomials than variables")
-    else:
-        blocked = skip_for("sd")
-        if blocked:
-            emit("sd_macaulay_bound", None, None, skipped=blocked)
-        else:
-            emit("sd_macaulay_bound", sd, _macaulay_bound(F))
-
-    if not hypothesis["satisfied"]:
-        emit(
-            "vspace_dim_identity",
-            None,
-            None,
-            skipped="hypothesis fails: needs finite d_reg and max deg <= d_reg",
-        )
-    else:
-        blocked = skip_for("gbd")
-        if blocked:
-            emit("vspace_dim_identity", None, None, skipped=blocked)
-        else:
-            try:
-                V = _closure_at(F, order, d_reg + 1, cache, trace)
-                emit(
-                    "vspace_dim_identity",
-                    V.span_dim(),
-                    ideal_dim_le(G, d_reg + 1),
-                    equality=True,
-                )
-            except CapExceeded as exc:
-                emit("vspace_dim_identity", None, None, skipped=f"cap: {exc}")
+    certs = [
+        certify("sd_le_dreg_plus_1", ("sd",), lambda: (sd, d_reg + 1), trivial=True,
+                after=None if hypothesis["max_deg_le_d_reg"]
+                else f"hypothesis fails: max deg {maxdeg} > d_reg {d_reg}"),
+        certify("gbd_le_dreg", ("gbd",), lambda: (gbd_v, d_reg), trivial=True),
+        certify("sd_eq_max_lfd_gbd", ("sd", "lfd", "gbd"), lambda: (sd, max(lfd, gbd_v)),
+                equal=True),
+        certify("sd_generalized_bound", ("sd",), lambda: (sd, max(d_reg + 1, maxdeg)),
+                trivial=True),
+        certify("lfd_upper_bound", ("lfd",), lambda: (lfd, max(d_reg + 1, maxdeg)),
+                trivial=True),
+        certify("sd_macaulay_bound", ("sd",), lambda: (sd, _macaulay_bound(F)),
+                before="regularity degree infinite" if not finite
+                else "fewer polynomials than variables" if len(F) < ring.nvars else None),
+        certify("vspace_dim_identity", ("gbd",), identity, equal=True,
+                before=None if hypothesis["satisfied"]
+                else "hypothesis fails: needs finite d_reg and max deg <= d_reg"),
+    ]
 
     system = {
         "p": ring.p,

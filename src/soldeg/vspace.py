@@ -78,6 +78,18 @@ def macaulay_generators(F: PolySystem, d: int, order: TermOrder = GREVLEX) -> li
     return gens
 
 
+def degree_slice(F: PolySystem, d: int, order: TermOrder) -> RowBasis:
+    """Echelon basis of the products m*f of degree exactly d, over the
+    members f of F with deg(f) <= d."""
+    n = F.ring.nvars
+    basis = RowBasis(F.ring, order)
+    for f in F:
+        if f._degree <= d:
+            for m in enumerate_monomials(n, d - f._degree, "exactly", order):
+                basis.insert_reduce(f.mul_monomial(m))
+    return basis
+
+
 def v_space_closure(
     F: PolySystem,
     d: int,
@@ -171,13 +183,13 @@ def construct_top_representatives(
     """For every monic monomial m of degree d_reg, build p in V(F, d_reg)
     with top part exactly m.
 
-    Echelonizes the products m*f of degree exactly d_reg. When their top
-    parts span the degree-d_reg slice, every monomial of that degree is a
-    pivot, and since reduced tails hold no pivot, its row is that monomial
-    plus lower-degree terms. The rows are canonical, so the result does not
-    depend on the order of F. Refuses when max deg(F) exceeds d_reg; a
-    monomial that is no pivot raises InconsistencyError (the given
-    regularity degree was wrong).
+    Reads the degree-d_reg rows of degree_slice(F, d_reg). When the top
+    parts of those products span the degree-d_reg slice, every monomial of
+    that degree is a pivot, and since reduced tails hold no pivot, its row
+    is that monomial plus lower-degree terms. The rows are canonical, so the
+    result does not depend on the order of F. Refuses when max deg(F)
+    exceeds d_reg; a monomial that is no pivot raises InconsistencyError
+    (the given regularity degree was wrong).
     """
     if not isinstance(d_reg, int) or d_reg < 1:
         raise DomainError(f"regularity degree must be a positive int, got {d_reg!r}")
@@ -187,14 +199,10 @@ def construct_top_representatives(
             "interreduce the system first"
         )
     ring = F.ring
-    n = ring.nvars
-    basis = RowBasis(ring, order)
-    for f in F:
-        for m in enumerate_monomials(n, d_reg - f._degree, "exactly", order):
-            basis.insert_reduce(f.mul_monomial(m))
-    rows = {row.leading_monomial(order): row for row in basis.rows if row._degree == d_reg}
+    slice_rows = degree_slice(F, d_reg, order).rows
+    rows = {row.leading_monomial(order): row for row in slice_rows if row._degree == d_reg}
     reps: dict[Monomial, Polynomial] = {}
-    for target in enumerate_monomials(n, d_reg, "exactly", order):
+    for target in enumerate_monomials(ring.nvars, d_reg, "exactly", order):
         rep = rows.get(target)
         if rep is None:
             raise InconsistencyError(

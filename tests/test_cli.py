@@ -81,6 +81,20 @@ def test_cap_exit_code(fk_file, capsys):
     assert main(["analyze", fk_file, "--cap", "2"]) == 3
 
 
+def test_cap_does_not_truncate_the_regularity_degree(tmp_path, capsys):
+    path = tmp_path / "x2y5.txt"
+    path.write_text("p=101; vars=x,y; x^2; y^5")
+    assert main(["analyze", str(path), "--cap", "5", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["d_reg"] == 6 and doc["sd"] == 5
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_cap_is_a_usage_error(fk_file, cap, capsys):
+    assert main(["analyze", fk_file, "--cap", cap]) == 2
+    assert "cap must be at least 1" in capsys.readouterr().err
+
+
 def test_oracle_diff(fk_file, capsys):
     assert main(["oracle-diff", fk_file]) == 0
     out = capsys.readouterr().out
@@ -115,6 +129,12 @@ def test_sweep_json_parallel(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in rows] == [2, 3, 4, 5]
     assert [r["sd"] for r in rows] == [3, 4, 5, 6]
+
+
+def test_sweep_cap_exit_code(capsys):
+    # k = 3 and 4 need sd = 4 and 5: both scans stop at cap 2
+    assert main(["sweep", "fk", "--from", "3", "--to", "4", "--cap", "2", "--workers", "1"]) == 3
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 @pytest.fixture

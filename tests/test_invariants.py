@@ -11,6 +11,7 @@ from soldeg import (
     last_fall_degree,
     render_report,
     solving_degree,
+    v_space_closure,
     verify_bounds,
 )
 
@@ -30,9 +31,9 @@ def test_regularity_of_monomial_squares():
 
 
 def test_regularity_infinite_marker():
-    d = degree_of_regularity(mk("p=101; vars=x,y; x*y"), cap=10)
+    d = degree_of_regularity(mk("p=101; vars=x,y; x*y"))
     assert isinstance(d, InfiniteDegree)
-    assert d.cap == 10
+    assert d.cap == 4  # scanned to the Macaulay bound 3, plus one
     assert "infinity" in repr(d)
 
 
@@ -181,3 +182,111 @@ def test_report_json_is_stable_and_complete():
 def test_infinite_marker_serialization():
     doc = verify_bounds(mk("p=101; vars=x,y; x*y")).to_json()
     assert doc["d_reg"] == {"infinite": True, "cap": doc["d_reg"]["cap"]}
+
+
+# --- capped report paths --------------------------------------------------------------
+
+
+def verdicts(report: DegreeReport):
+    return [(c.id, c.verdict, c.reason) for c in report.certificates]
+
+
+def test_report_when_buchberger_is_capped(monkeypatch):
+    def capped(*args, **kwargs):
+        raise CapExceeded("buchberger exceeded 1 pairs")
+
+    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", capped)
+    report = verify_bounds(gen_fk(2, 101))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, None, None, None)
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "skipped", "cap: sd unavailable"),
+        ("gbd_le_dreg", "skipped", "cap: buchberger exceeded 1 pairs"),
+        ("sd_eq_max_lfd_gbd", "skipped", "cap: sd unavailable"),
+        ("sd_generalized_bound", "skipped", "cap: sd unavailable"),
+        ("lfd_upper_bound", "skipped", "cap: lfd unavailable"),
+        ("sd_macaulay_bound", "skipped", "cap: sd unavailable"),
+        ("vspace_dim_identity", "skipped", "cap: buchberger exceeded 1 pairs"),
+    ]
+
+
+def row_capped_closure(max_rows):
+    def closure(F, d, order, *, trace=None):
+        return v_space_closure(F, d, order, max_rows=max_rows, trace=trace)
+
+    return closure
+
+
+def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
+    monkeypatch.setattr("soldeg.invariants.v_space_closure", row_capped_closure(3))
+    report = verify_bounds(gen_fk(2, 101))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, 1, None, None)
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "skipped", "cap: closure exceeded 3 rows"),
+        ("gbd_le_dreg", "pass", None),
+        ("sd_eq_max_lfd_gbd", "skipped", "cap: closure exceeded 3 rows"),
+        ("sd_generalized_bound", "skipped", "cap: closure exceeded 3 rows"),
+        ("lfd_upper_bound", "skipped", "cap: lfd unavailable"),
+        ("sd_macaulay_bound", "skipped", "cap: closure exceeded 3 rows"),
+        ("vspace_dim_identity", "skipped", "cap: closure exceeded 3 rows"),
+    ]
+
+
+def test_report_when_only_the_identity_closure_hits_the_row_cap(monkeypatch):
+    # sd = 2 needs a 2-row closure; the identity closure at d_reg + 1 = 4 needs more
+    monkeypatch.setattr("soldeg.invariants.v_space_closure", row_capped_closure(5))
+    report = verify_bounds(mk("p=101; vars=x,y; x^2; y^2"))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 2, 2, 1)
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "pass", None),
+        ("gbd_le_dreg", "pass", None),
+        ("sd_eq_max_lfd_gbd", "pass", None),
+        ("sd_generalized_bound", "pass", None),
+        ("lfd_upper_bound", "pass", None),
+        ("sd_macaulay_bound", "pass", None),
+        ("vspace_dim_identity", "skipped", "cap: closure exceeded 5 rows"),
+    ]
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_report_when_the_sd_scan_hits_the_user_cap(cap):
+    # sd = 4 lies past either cap; d_reg = 3 stays finite under both
+    report = verify_bounds(gen_fk(3, 101), cap=cap)
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 1, None, None)
+    reason = f"cap: solving degree exceeds cap {cap}"
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "skipped", reason),
+        ("gbd_le_dreg", "pass", None),
+        ("sd_eq_max_lfd_gbd", "skipped", reason),
+        ("sd_generalized_bound", "skipped", reason),
+        ("lfd_upper_bound", "skipped", "cap: lfd unavailable"),
+        ("sd_macaulay_bound", "skipped", reason),
+        ("vspace_dim_identity", "pass", None),
+    ]
+
+
+def test_report_with_infinite_regularity_lists_every_verdict():
+    report = verify_bounds(mk("p=101; vars=x,y; x*y"))
+    trivial = "regularity degree infinite; bound trivial"
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "pass", trivial),
+        ("gbd_le_dreg", "pass", trivial),
+        ("sd_eq_max_lfd_gbd", "pass", None),
+        ("sd_generalized_bound", "pass", trivial),
+        ("lfd_upper_bound", "pass", trivial),
+        ("sd_macaulay_bound", "skipped", "regularity degree infinite"),
+        (
+            "vspace_dim_identity",
+            "skipped",
+            "hypothesis fails: needs finite d_reg and max deg <= d_reg",
+        ),
+    ]
+    assert [c.rhs for c in report.certificates][:5] == ["+inf", "+inf", 2, "+inf", "+inf"]
+
+
+def test_user_cap_bounds_only_the_sd_scan():
+    # d_reg = 6 lies past the cap; the cap must not turn it into "infinite"
+    report = verify_bounds(mk("p=101; vars=x,y; x^2; y^5"), cap=5)
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (6, 5, 5, 1)
+    assert all(c.verdict == "pass" for c in report.certificates)
+    assert not report.any_capped
+
