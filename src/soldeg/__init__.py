@@ -18,6 +18,7 @@ from .errors import (
 from .rings import (
     GREVLEX,
     GRLEX,
+    MAX_DEGREE,
     MAX_VARS,
     MINUS_INFINITY,
     Monomial,

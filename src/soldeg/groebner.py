@@ -8,17 +8,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CapExceeded, DomainError, InconsistencyError, PreconditionError
-from .rings import (
-    GREVLEX,
-    Monomial,
-    Polynomial,
-    PolySystem,
-    TermOrder,
-    enumerate_monomials,
-)
+from .rings import GREVLEX, Monomial, Packing, Polynomial, PolySystem, TermOrder
 from .vspace import VSpaceBasis, v_space_closure
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -55,28 +47,41 @@ class GroebnerBasis:
         return self.polys[i]
 
 
-def _nf(f: Polynomial, divisors: Sequence[Polynomial], order: TermOrder) -> Polynomial:
-    """Full multivariate division remainder of f by monic divisors.
+# Inside this module a monic polynomial is a pair (leading monomial, terms),
+# both packed under the order's packing (see rings.Packing).
+
+
+def _monic(terms: dict[int, int], p: int) -> tuple[int, dict[int, int]]:
+    lead = max(terms)
+    lc = terms[lead]
+    if lc != 1:
+        inv = pow(lc, -1, p)
+        terms = {m: c * inv % p for m, c in terms.items()}
+    return lead, terms
+
+
+def _nf(terms: dict[int, int], divisors, pack: Packing, p: int) -> dict[int, int]:
+    """Full multivariate division remainder of `terms` by monic divisors.
 
     No term of the result is divisible by any divisor's leading monomial;
     the degree never grows because the order is degree-compatible.
     """
-    ring = f.ring
-    p = ring.p
-    key = order.key
-    pairs = [(g.leading_monomial(order), g.terms) for g in divisors]
-    work = dict(f.terms)
-    rem: dict[Monomial, int] = {}
+    s, g = pack.sign, pack.guard
+    # lm divides m iff (s*m + g - s*lm) keeps every guard bit (Packing.divides)
+    divs = [(g - s * lm, lm, t) for lm, t in divisors]
+    work = dict(terms)
+    rem: dict[int, int] = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
-        for lm, terms in pairs:
-            if lm.divides(m):
-                q = m / lm
-                for mm, cc in terms.items():
-                    if mm is lm or mm == lm:
+        sm = s * m
+        for glm, lm, t in divs:
+            if (sm + glm) & g == g:
+                q = m - lm
+                for mm, cc in t.items():
+                    if mm == lm:
                         continue
-                    qm = mm * q
+                    qm = mm + q
                     v = (work.get(qm, 0) - c * cc) % p
                     if v:
                         work[qm] = v
@@ -85,69 +90,78 @@ def _nf(f: Polynomial, divisors: Sequence[Polynomial], order: TermOrder) -> Poly
                 break
         else:
             rem[m] = c
-    return Polynomial._raw(ring, rem)
+    return rem
 
 
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Remainder of f on division by a reduced basis; zero iff f is in the ideal."""
-    return _nf(f, G.polys, G.order)
+def _spoly(f, g, pack: Packing, p: int) -> dict[int, int]:
+    (lf, tf), (lg, tg) = f, g
+    l = pack.lcm(lf, lg)
+    pack.check(pack.degree(l))  # the S-polynomial has degree deg(l)
+    qf, qg = l - lf, l - lg
+    res = {m + qf: c for m, c in tf.items()}
+    for m, c in tg.items():
+        m += qg
+        v = (res.get(m, 0) - c) % p
+        if v:
+            res[m] = v
+        else:
+            del res[m]
+    return res
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
-    l = lf.lcm(lg)
-    # both inputs monic
-    return f.mul_monomial(l / lf) - g.mul_monomial(l / lg)
-
-
-def _minimalize(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
+def _minimalize(polys: list, pack: Packing) -> list:
     """Keep only polynomials whose leading monomial no other kept one divides."""
-    ranked = sorted(polys, key=lambda f: order.key(f.leading_monomial(order)))
-    kept: list[Polynomial] = []
-    kept_lms: list[Monomial] = []
-    for f in ranked:
-        lm = f.leading_monomial(order)
-        if not any(l.divides(lm) for l in kept_lms):
+    kept: list = []
+    for f in sorted(polys, key=lambda f: f[0]):
+        if not any(pack.divides(l, f[0]) for l, _ in kept):
             kept.append(f)
-            kept_lms.append(lm)
     return kept
 
 
-def _interreduce(polys: list[Polynomial], order: TermOrder) -> list[Polynomial]:
+def _interreduce(polys: list, pack: Packing, p: int) -> list:
     """Tail-reduce each element against the others until stable.
 
     Assumes pairwise non-dividing leading monomials, so leading terms survive.
     """
-    polys = [f.monic(order) for f in polys]
+    polys = [_monic(t, p) for _, t in polys]
     changed = True
     while changed:
         changed = False
         for i in range(len(polys)):
             others = polys[:i] + polys[i + 1 :]
-            r = _nf(polys[i], others, order)
-            if r.terms != polys[i].terms:
-                polys[i] = r.monic(order)
+            r = _nf(polys[i][1], others, pack, p)
+            if r != polys[i][1]:
+                polys[i] = _monic(r, p)
                 changed = True
     return polys
 
 
-def _sorted_basis(polys: list[Polynomial], order: TermOrder) -> tuple[Polynomial, ...]:
-    return tuple(
-        sorted(polys, key=lambda f: order.key(f.leading_monomial(order)), reverse=True)
-    )
+def _reduced_basis(ring, polys: list, order: TermOrder, check: bool = False) -> GroebnerBasis:
+    """The reduced basis of a Groebner basis given as monic pairs, sorted by
+    descending leading monomial; with check=True the Buchberger criterion
+    is re-verified on it."""
+    pack, p = ring.packing(order), ring.p
+    reduced = _interreduce(_minimalize(polys, pack), pack, p)
+    reduced.sort(key=lambda f: f[0], reverse=True)
+    if check:
+        for i in range(len(reduced)):
+            for j in range(i + 1, len(reduced)):
+                if _nf(_spoly(reduced[i], reduced[j], pack, p), reduced, pack, p):
+                    raise InconsistencyError("S-polynomial does not reduce to zero")
+    polys = tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced)
+    return GroebnerBasis(polys, order, reduced=True)
+
+
+def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
+    """Remainder of f on division by a reduced basis; zero iff f is in the ideal."""
+    ring = f.ring
+    pack = ring.packing(G.order)
+    divisors = [(max(t), t) for t in (g._packed(pack) for g in G.polys)]
+    return Polynomial._from_packed(ring, pack, _nf(f._packed(pack), divisors, pack, ring.p))
 
 
 def _unit_basis(ring, order: TermOrder) -> GroebnerBasis:
     return GroebnerBasis((ring.one(),), order, reduced=True)
-
-
-def _check_buchberger(G: GroebnerBasis):
-    polys = G.polys
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if not _nf(_spoly(polys[i], polys[j], G.order), polys, G.order).is_zero:
-                raise InconsistencyError("S-polynomial does not reduce to zero")
 
 
 def buchberger_reduced(
@@ -163,23 +177,24 @@ def buchberger_reduced(
     if not polys:
         raise DomainError("cannot take a basis of an empty family")
     ring = polys[0].ring
-    G = [f.monic(order) for f in polys if not f.is_zero]
-    if not G:
+    polys = [f for f in polys if not f.is_zero]
+    if not polys:
         raise DomainError("cannot take a basis of all-zero generators")
-    if any(f._degree == 0 for f in G):
+    if any(f._degree == 0 for f in polys):
         return _unit_basis(ring, order)
 
-    key = order.key
+    pack, p = ring.packing(order), ring.p
+    G = [_monic(f._packed(pack), p) for f in polys]
     heap: list = []
 
     def push_pairs(upto: int, j: int):
-        lj = G[j].leading_monomial(order)
+        lj = G[j][0]
         for i in range(upto):
-            li = G[i].leading_monomial(order)
-            l = li.lcm(lj)
-            if l.degree == li.degree + lj.degree:
+            li = G[i][0]
+            l = pack.lcm(li, lj)
+            if l == li + lj:
                 continue  # coprime leading monomials: S-pair reduces to zero
-            heapq.heappush(heap, (l.degree, key(l), i, j))
+            heapq.heappush(heap, (l, i, j))  # packed order: lcm degree first
 
     for j in range(1, len(G)):
         push_pairs(j, j)
@@ -191,23 +206,16 @@ def buchberger_reduced(
             raise CapExceeded(
                 f"Buchberger exceeded {max_pairs} S-pairs", details={"basis_size": len(G)}
             )
-        _, _, i, j = heapq.heappop(heap)
-        r = _nf(_spoly(G[i], G[j], order), G, order)
-        if r.is_zero:
+        _, i, j = heapq.heappop(heap)
+        r = _nf(_spoly(G[i], G[j], pack, p), G, pack, p)
+        if not r:
             continue
-        if r._degree == 0:
+        if pack.degree(max(r)) == 0:
             return _unit_basis(ring, order)
-        G.append(r.monic(order))
+        G.append(_monic(r, p))
         push_pairs(len(G) - 1, len(G) - 1)
 
-    result = GroebnerBasis(
-        _sorted_basis(_interreduce(_minimalize(G, order), order), order),
-        order,
-        reduced=True,
-    )
-    if check:
-        _check_buchberger(result)
-    return result
+    return _reduced_basis(ring, G, order, check)
 
 
 def gbd(F, order: TermOrder = GREVLEX) -> int:
@@ -219,17 +227,27 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
     """Number of monomials of degree <= e divisible by some leading monomial.
 
     For a degree-compatible order this equals the dimension of the space of
-    ideal elements of degree <= e.
+    ideal elements of degree <= e. Counts packed monomials degree by degree,
+    testing each against the leading monomials of at most its degree.
     """
     if e < 0:
         return 0
-    n = G.polys[0].ring.nvars
-    lms = G.leading_monomials()
-    return sum(
-        1
-        for m in enumerate_monomials(n, e, "at_most", G.order)
-        if any(l.divides(m) for l in lms)
-    )
+    pack = G.polys[0].ring.packing(G.order)
+    s, g = pack.sign, pack.guard
+    lms = [f._lead(G.order)[1] for f in G.polys]
+    count = 0
+    for d in range(e + 1):
+        # lm divides m iff (s*m + g - s*lm) keeps every guard bit
+        glms = [g - s * lm for lm in lms if pack.degree(lm) <= d]
+        if not glms:
+            continue
+        for m in pack.monomials(d):
+            sm = s * m
+            for glm in glms:
+                if (sm + glm) & g == g:
+                    count += 1
+                    break
+    return count
 
 
 def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasis, VSpaceBasis]:
@@ -258,8 +276,5 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
             "interreduce the system first (interreduce_tops)"
         )
     V = v_space_closure(F, d_reg + 1, order)
-    minimal = _minimalize(V.rows, order)
-    result = GroebnerBasis(
-        _sorted_basis(_interreduce(minimal, order), order), order, reduced=True
-    )
-    return result, V
+    rows = [(max(t), t) for t in V.basis._rows()]
+    return _reduced_basis(F.ring, rows, order), V

@@ -21,12 +21,11 @@ from .errors import DomainError, GenerationError, ParseError
 from .invariants import DegreeReport, degree_of_regularity
 from .rings import (
     GREVLEX,
-    Monomial,
+    MAX_DEGREE,
     Polynomial,
     PolySystem,
     Ring,
     TermOrder,
-    enumerate_monomials,
 )
 
 _RESERVED = {"p", "vars", "order"}
@@ -86,7 +85,9 @@ class RandomSpec:
 
 
 def _random_poly(ring: Ring, rng: random.Random, bound: int, density: float) -> Polynomial:
-    mons = enumerate_monomials(ring.nvars, bound, "at_most")
+    # draws follow the monomials of degree <= bound, descending under grevlex
+    pack = ring.packing(GREVLEX)
+    mons = sorted((m for d in range(bound + 1) for m in pack.monomials(d)), reverse=True)
     p = ring.p
     while True:
         terms = {}
@@ -94,7 +95,7 @@ def _random_poly(ring: Ring, rng: random.Random, bound: int, density: float) -> 
             if rng.random() < density:
                 terms[m] = rng.randrange(1, p)
         if terms:
-            return Polynomial(ring, terms)
+            return Polynomial._raw(ring, terms)
 
 
 def gen_random(spec: RandomSpec) -> PolySystem:
@@ -156,7 +157,7 @@ class _ExprParser:
         raise ParseError(msg, self.line, col)
 
     def parse(self) -> Polynomial:
-        terms: list[tuple[Monomial, int]] = []
+        terms: list[tuple[tuple[int, ...], int]] = []
         sign = 1
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
@@ -174,7 +175,7 @@ class _ExprParser:
                 self.error(f"expected '+' or '-', got {tok[1]!r}", tok)
         return self.ring.poly(terms)
 
-    def parse_term(self, sign: int) -> tuple[Monomial, int]:
+    def parse_term(self, sign: int) -> tuple[tuple[int, ...], int]:
         coeff = sign
         exps = [0] * self.ring.nvars
         saw_factor = False
@@ -193,7 +194,7 @@ class _ExprParser:
             saw_factor = True
         if not saw_factor:
             self.error("empty term", self.peek())
-        return Monomial(exps), coeff
+        return tuple(exps), coeff
 
     def parse_factor(self, coeff, exps):
         tok = self.peek()
@@ -214,11 +215,16 @@ class _ExprParser:
                 etok = self.peek()
                 if etok is None or etok[0] != "int":
                     self.error("'^' needs an integer exponent", etok or tok)
-                e = int(etok[1])
+                digits = etok[1].lstrip("0") or "0"
+                if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                    self.error(f"exponent above the largest supported degree {MAX_DEGREE}", etok)
+                e = int(digits)
                 self.i += 1
             idx = self.ring.names.index(text)
             exps = list(exps)
             exps[idx] += e
+            if sum(exps) > MAX_DEGREE:
+                self.error(f"term degree above the largest supported degree {MAX_DEGREE}", tok)
             return coeff, exps
         self.error(f"expected a factor, got {text!r}", tok)
 

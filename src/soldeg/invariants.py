@@ -203,7 +203,10 @@ def verify_bounds(
       sd_eq_max_lfd_gbd        sd == max(Lfd, Gbd)
       sd_generalized_bound     sd <= max(d_reg + 1, max deg(F))
       lfd_upper_bound          Lfd <= max(d_reg + 1, max deg(F))
-      sd_macaulay_bound        sd <= d_1 + ... + d_n - n + 2, needs k >= n
+      sd_macaulay_bound        sd <= d_1 + ... + d_n - n + 2 over the n largest
+                               input degrees, needs finite d_reg (which
+                               already forces k >= n: k < n top parts never
+                               fill a degree slice)
       vspace_dim_identity      dim V(F, d_reg+1) == dim of ideal elements
                                of degree <= d_reg + 1, needs the hypothesis
     """
@@ -272,8 +275,7 @@ def verify_bounds(
         certify("lfd_upper_bound", ("lfd",), lambda: (lfd, max(d_reg + 1, maxdeg)),
                 trivial=True),
         certify("sd_macaulay_bound", ("sd",), lambda: (sd, _macaulay_bound(F)),
-                before="regularity degree infinite" if not finite
-                else "fewer polynomials than variables" if len(F) < ring.nvars else None),
+                before=None if finite else "regularity degree infinite"),
         certify("vspace_dim_identity", ("gbd",), identity, equal=True,
                 before=None if hypothesis["satisfied"]
                 else "hypothesis fails: needs finite d_reg and max deg <= d_reg"),

@@ -4,6 +4,7 @@ A RowBasis is kept fully reduced at all times: each pivot monomial occurs in
 exactly one row (with coefficient 1) and in no other row's tail. Because
 tails can therefore never reintroduce a pivot, fully reducing an incoming
 polynomial is a single pass over the pivots it touches, in any order.
+Columns are packed monomials (see rings.Packing) under the basis's order.
 """
 
 from __future__ import annotations
@@ -14,15 +15,6 @@ from .errors import DimensionError
 from .rings import GREVLEX, Monomial, Polynomial, Ring, TermOrder
 
 
-class _Row:
-    __slots__ = ("pivot", "tail", "key")
-
-    def __init__(self, pivot: Monomial, tail: dict[Monomial, int], key):
-        self.pivot = pivot
-        self.tail = tail  # pivot excluded; pivot coefficient is implicitly 1
-        self.key = key
-
-
 class RowBasis:
     """Canonical reduced echelon basis of a span of polynomials.
 
@@ -31,31 +23,41 @@ class RowBasis:
     reduce and span_contains add to mult_count, so concurrent readers race
     on that counter. The final row set depends only on the span, not on
     insertion order.
+
+    Rows are held as pivot -> tail maps, the pivots also in an ascending
+    list. A tail lies below its pivot, so when a new row is adopted only the
+    rows with larger pivots can hold the new pivot; back-reduction scans
+    those alone, from the new pivot's bisect position.
     """
 
-    __slots__ = ("ring", "order", "_rows", "_by_pivot", "mult_count")
+    __slots__ = ("ring", "order", "_pack", "_pivots", "_tails", "mult_count")
 
     def __init__(self, ring: Ring, order: TermOrder = GREVLEX):
         self.ring = ring
         self.order = order
-        self._rows: list[_Row] = []  # ascending by pivot key
-        self._by_pivot: dict[Monomial, _Row] = {}
+        self._pack = ring.packing(order)
+        self._pivots: list[int] = []  # ascending
+        self._tails: dict[int, dict[int, int]] = {}  # pivot coefficient implicitly 1
         self.mult_count = 0  # field multiplications performed so far
 
-    def _check_ring(self, f: Polynomial):
+    def _encode(self, f: Polynomial) -> dict[int, int]:
+        """A fresh copy of f's terms, keyed under this basis's packing."""
         if f.ring != self.ring:
-            raise DimensionError(f"polynomial ring {f.ring!r} differs from basis ring {self.ring!r}")
+            raise DimensionError(
+                f"polynomial ring {f.ring!r} differs from basis ring {self.ring!r}"
+            )
+        return dict(f._packed(self._pack))
 
-    def _reduce_terms(self, work: dict[Monomial, int]) -> dict[Monomial, int]:
+    def _reduce_terms(self, work: dict[int, int]) -> dict[int, int]:
         """Eliminate every pivot monomial from `work` in place."""
-        hits = work.keys() & self._by_pivot.keys()
+        tails = self._tails
+        hits = work.keys() & tails.keys()
         if not hits:
             return work
         p = self.ring.p
-        by_pivot = self._by_pivot
         for pm in hits:
             c = work.pop(pm)
-            tail = by_pivot[pm].tail
+            tail = tails[pm]
             self.mult_count += len(tail)
             for m, rc in tail.items():
                 v = (work.get(m, 0) - c * rc) % p
@@ -65,72 +67,78 @@ class RowBasis:
                     del work[m]
         return work
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """Full reduction of f against the basis; the basis is unchanged."""
-        self._check_ring(f)
-        return Polynomial._raw(self.ring, self._reduce_terms(dict(f.terms)))
-
-    def insert_reduce(self, f: Polynomial) -> Polynomial:
-        """Reduce f fully, then adopt the residual as a new monic row.
-
-        Returns the monic residual (zero if f was already in the span). On
-        adoption, all stored rows are back-reduced against the new row, so
-        the basis stays canonically reduced.
-        """
-        self._check_ring(f)
-        work = self._reduce_terms(dict(f.terms))
+    def _insert(self, work: dict[int, int]) -> dict[int, int]:
+        """insert_reduce on packed terms, which it consumes: the monic
+        residual as a new map, empty when `work` lay in the span."""
+        work = self._reduce_terms(work)
         if not work:
-            return Polynomial.zero_poly(self.ring)
+            return work
         p = self.ring.p
-        key = self.order.key
-        pivot = max(work, key=key)
+        pivot = max(work)
         c = work.pop(pivot)
         if c != 1:
             inv = pow(c, -1, p)
             self.mult_count += len(work)
             work = {m: v * inv % p for m, v in work.items()}
-        for row in self._rows:
-            rc = row.tail.pop(pivot, None)
+        pivots, tails = self._pivots, self._tails
+        at = bisect.bisect(pivots, pivot)
+        for pm in pivots[at:]:
+            tail = tails[pm]
+            rc = tail.pop(pivot, None)
             if rc is None:
                 continue
             self.mult_count += len(work)
-            tail = row.tail
             for m, nc in work.items():
                 v = (tail.get(m, 0) - rc * nc) % p
                 if v:
                     tail[m] = v
                 else:
                     del tail[m]
-        new = _Row(pivot, work, key(pivot))
-        bisect.insort(self._rows, new, key=lambda r: r.key)
-        self._by_pivot[pivot] = new
-        terms = dict(work)
-        terms[pivot] = 1
-        return Polynomial._raw(self.ring, terms)
+        pivots.insert(at, pivot)
+        tails[pivot] = work
+        residual = dict(work)
+        residual[pivot] = 1
+        return residual
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """Full reduction of f against the basis; the basis is unchanged."""
+        return Polynomial._from_packed(self.ring, self._pack, self._reduce_terms(self._encode(f)))
+
+    def insert_reduce(self, f: Polynomial) -> Polynomial:
+        """Reduce f fully, then adopt the residual as a new monic row.
+
+        Returns the monic residual (zero if f was already in the span). On
+        adoption, the stored rows are back-reduced against the new row, so
+        the basis stays canonically reduced.
+        """
+        return Polynomial._from_packed(self.ring, self._pack, self._insert(self._encode(f)))
 
     def span_contains(self, f: Polynomial) -> bool:
-        self._check_ring(f)
-        return not self._reduce_terms(dict(f.terms))
+        return not self._reduce_terms(self._encode(f))
 
     def span_dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     @property
     def pivots(self) -> frozenset[Monomial]:
-        return frozenset(self._by_pivot)
+        return frozenset(Monomial(self._pack.decode(pm)) for pm in self._pivots)
+
+    def _rows(self) -> list[dict[int, int]]:
+        """Rows as packed term maps (pivot included), by descending pivot."""
+        out = []
+        for pm in reversed(self._pivots):
+            terms = dict(self._tails[pm])
+            terms[pm] = 1
+            out.append(terms)
+        return out
 
     @property
     def rows(self) -> list[Polynomial]:
         """Rows as polynomials, sorted by descending pivot."""
-        out = []
-        for row in reversed(self._rows):
-            terms = dict(row.tail)
-            terms[row.pivot] = 1
-            out.append(Polynomial._raw(self.ring, terms))
-        return out
+        return [Polynomial._from_packed(self.ring, self._pack, t) for t in self._rows()]
 
     def __repr__(self):
-        return f"RowBasis(dim={len(self._rows)}, order={self.order.kind})"
+        return f"RowBasis(dim={len(self._pivots)}, order={self.order.kind})"

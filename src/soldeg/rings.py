@@ -4,10 +4,20 @@ Every value in this module is immutable after construction and safe to share
 between threads. Coefficients are canonical ints in [0, p); the zero
 polynomial is the empty term map and its degree is the MINUS_INFINITY
 sentinel, which deliberately does not compare against integers.
+
+Inside polynomials and every engine built on them, a monomial is one int (a
+packed exponent vector, see Packing): fields of FIELD_BITS bits under the
+total degree, laid out so that integer order is the term order. Products are
+sums, quotients are differences, and divisibility and lcm are guard-bit mask
+tests. A polynomial keeps its terms packed under grevlex, the default order;
+an engine working under grlex re-packs each input once. `Monomial` (a tuple
+of exponents) is the boundary type: parsing, rendering and the public API
+hand it out.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -15,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionError, DomainError
 
 MAX_VARS = 16
+FIELD_BITS = 16  # bits per packed exponent field, the top one a guard bit
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # largest degree a packed field holds
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
@@ -92,7 +104,7 @@ class PrimeField:
 class Monomial:
     """Exponent vector of a monic monomial. Immutable and hashable; n <= MAX_VARS."""
 
-    __slots__ = ("exps", "degree", "_hash")
+    __slots__ = ("exps", "degree")
 
     def __init__(self, exps: Iterable[int]):
         exps = tuple(exps)
@@ -104,7 +116,6 @@ class Monomial:
             raise DomainError(f"negative exponent in {exps}")
         self.exps = exps
         self.degree = sum(exps)
-        self._hash = hash(exps)
 
     @classmethod
     def unit(cls, n: int) -> Monomial:
@@ -120,40 +131,28 @@ class Monomial:
     def is_unit(self) -> bool:
         return self.degree == 0
 
-    def __mul__(self, other: Monomial) -> Monomial:
-        a, b = self.exps, other.exps
-        if len(a) != len(b):
+    def _zip(self, other: Monomial):
+        if len(self.exps) != len(other.exps):
             raise DimensionError("variable counts differ")
-        # hot path: products of valid monomials need no re-validation
-        m = object.__new__(Monomial)
-        m.exps = tuple(x + y for x, y in zip(a, b))
-        m.degree = self.degree + other.degree
-        m._hash = hash(m.exps)
-        return m
+        return zip(self.exps, other.exps)
+
+    def __mul__(self, other: Monomial) -> Monomial:
+        return Monomial(x + y for x, y in self._zip(other))
 
     def __truediv__(self, other: Monomial) -> Monomial:
-        a, b = self.exps, other.exps
-        if len(a) != len(b):
-            raise DimensionError("variable counts differ")
-        return Monomial(tuple(x - y for x, y in zip(a, b)))
+        return Monomial(x - y for x, y in self._zip(other))
 
     def divides(self, other: Monomial) -> bool:
-        a, b = self.exps, other.exps
-        if len(a) != len(b):
-            raise DimensionError("variable counts differ")
-        return all(x <= y for x, y in zip(a, b))
+        return all(x <= y for x, y in self._zip(other))
 
     def lcm(self, other: Monomial) -> Monomial:
-        a, b = self.exps, other.exps
-        if len(a) != len(b):
-            raise DimensionError("variable counts differ")
-        return Monomial(tuple(max(x, y) for x, y in zip(a, b)))
+        return Monomial(max(x, y) for x, y in self._zip(other))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and other.exps == self.exps
 
     def __hash__(self):
-        return self._hash
+        return hash(self.exps)
 
     def __repr__(self):
         return f"Monomial{self.exps}"
@@ -208,6 +207,121 @@ GREVLEX = TermOrder("grevlex")
 GRLEX = TermOrder("grlex")
 
 
+class Packing:
+    """Exponent vectors of n variables packed into ints whose integer order
+    is a term order.
+
+    The int has n + 1 fields of FIELD_BITS bits, the top one holding the
+    total degree. grlex packs (deg, e_1, ..., e_n) from the top down. grevlex
+    packs deg * 2^(B n) - (e_1 + e_2 2^B + ... + e_n 2^(B (n-1))), which
+    reads as the fields (deg, W - e_n, ..., W - e_1) once `offset` (W =
+    MAX_DEGREE in every exponent field) is added. Both maps are additive: the
+    unit packs to 0, a product is the sum of the ints and a quotient their
+    difference. The top bit of each field is a guard that stays clear while
+    every degree is at most MAX_DEGREE; `check` enforces that bound wherever
+    a degree forms, so a field never carries into its neighbour.
+    """
+
+    __slots__ = ("n", "kind", "sign", "offset", "deg_shift", "guard", "variables",
+                 "_shifts", "_low", "_ones")
+
+    def __init__(self, n: int, kind: str):
+        if not 1 <= n <= MAX_VARS:
+            raise DimensionError(f"monomials carry 1..{MAX_VARS} exponents, got {n}")
+        if kind not in TermOrder.KINDS:
+            raise DomainError(f"no packing for term order {kind!r}")
+        grlex = kind == "grlex"
+        ones = sum(1 << (FIELD_BITS * i) for i in range(n))
+        self.n = n
+        self.kind = kind
+        self.sign = 1 if grlex else -1
+        self.offset = 0 if grlex else MAX_DEGREE * ones
+        self.deg_shift = FIELD_BITS * n
+        self.guard = (1 << (FIELD_BITS - 1)) * ones  # guard bits of the exponent fields
+        self._shifts = tuple(FIELD_BITS * (n - 1 - i if grlex else i) for i in range(n))
+        self._low = (1 << self.deg_shift) - 1
+        self._ones = ones
+        self.variables = tuple((1 << self.deg_shift) + self.sign * (1 << sh) for sh in self._shifts)
+
+    @staticmethod
+    def check(d: int) -> None:
+        """Raise DomainError when degree d does not fit a packed field."""
+        if d > MAX_DEGREE:
+            raise DomainError(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
+
+    def encode(self, exps: Sequence[int]) -> int:
+        if len(exps) != self.n:
+            raise DimensionError(f"expected {self.n} exponents, got {len(exps)}")
+        if min(exps) < 0:
+            raise DomainError(f"negative exponent in {tuple(exps)}")
+        deg = sum(exps)
+        self.check(deg)
+        return (deg << self.deg_shift) + self.sign * sum(map(operator.lshift, exps, self._shifts))
+
+    def decode(self, k: int) -> tuple[int, ...]:
+        c = k + self.offset
+        if self.sign > 0:
+            return tuple((c >> sh) & MAX_DEGREE for sh in self._shifts)
+        return tuple(MAX_DEGREE - ((c >> sh) & MAX_DEGREE) for sh in self._shifts)
+
+    def degree(self, k: int) -> int:
+        return (k + self.offset) >> self.deg_shift
+
+    def degree_floor(self, d: int) -> int:
+        """Monomials of degree >= d pack to ints >= this value, lower degrees below it."""
+        return (d << self.deg_shift) - self.offset
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether monomial a divides monomial b: every exponent field of the
+        difference, lifted by its guard bit, keeps that bit."""
+        g = self.guard
+        return ((b - a) * self.sign + g) & g == g
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials. Its degree, in the unbounded top
+        field, may exceed MAX_DEGREE: a caller forming products checks it."""
+        s, off = self.sign, self.offset
+        ea = s * (((a + off) & self._low) - off)  # plain exponent fields of a
+        eb = s * (((b + off) & self._low) - off)
+        t = (ea + self.guard - eb) & self.guard  # guard bit kept where ea >= eb
+        mask = t - (t >> (FIELD_BITS - 1))
+        e = (ea & mask) | (eb & ~mask)
+        # the fields sum into the top one; a sum of two degrees fits FIELD_BITS
+        deg = ((e * self._ones) >> (self.deg_shift - FIELD_BITS)) & ((1 << FIELD_BITS) - 1)
+        return (deg << self.deg_shift) + s * e
+
+    def repack(self, terms: dict[int, int], src: Packing) -> dict[int, int]:
+        """`terms` keyed under `src`, a packing of the same variables, re-keyed
+        under this one. The two orders hold the exponent fields in opposite
+        order, so each key's exponent block is reversed field by field."""
+        if src.kind == self.kind:
+            return terms
+        ds, low = self.deg_shift, src._low
+        s_in, off_in, s_out = src.sign, src.offset, self.sign
+        fields = range(0, ds, FIELD_BITS)
+        out = {}
+        for k, c in terms.items():
+            clean = k + off_in
+            e = s_in * ((clean & low) - off_in)  # plain exponent fields
+            r = 0
+            for sh in fields:
+                r = (r << FIELD_BITS) | ((e >> sh) & MAX_DEGREE)
+            out[((clean >> ds) << ds) + s_out * r] = c
+        return out
+
+    def monomials(self, d: int) -> list[int]:
+        """The packed monomials of degree exactly d, in no particular order."""
+        self.check(d)
+        parts = [(0, d)]
+        for x in self.variables[:-1]:
+            parts = [(k + a * x, r - a) for k, r in parts for a in range(r + 1)]
+        last = self.variables[-1]
+        return [k + r * last for k, r in parts]
+
+    def __repr__(self):
+        return f"Packing({self.n}, {self.kind!r})"
+
+
 class _MinusInfinity:
     """Degree of the zero polynomial. Not comparable against integers on purpose."""
 
@@ -223,7 +337,7 @@ MINUS_INFINITY = _MinusInfinity()
 class Ring:
     """Polynomial ring GF(p)[x1, ..., xn] with named variables (n <= MAX_VARS)."""
 
-    __slots__ = ("field", "names")
+    __slots__ = ("field", "names", "_packings")
 
     def __init__(self, p: int, names: Sequence[str] | None = None, *, nvars: int | None = None):
         self.field = PrimeField(p)
@@ -242,6 +356,11 @@ class Ring:
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate variable names in {names}")
         self.names = names
+        self._packings = {kind: Packing(len(names), kind) for kind in TermOrder.KINDS}
+
+    def packing(self, order: TermOrder) -> Packing:
+        """The packing of this ring's monomials under `order`."""
+        return self._packings[order.kind]
 
     @property
     def p(self) -> int:
@@ -261,12 +380,7 @@ class Ring:
 
     def poly(self, terms) -> Polynomial:
         """Build a polynomial from {Monomial or exponent tuple: coeff}."""
-        fixed = {}
-        for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
-            fixed[m] = fixed.get(m, 0) + c
-        return Polynomial(self, fixed)
+        return Polynomial(self, terms)
 
     def constant(self, c: int) -> Polynomial:
         return Polynomial(self, {self.unit_monomial(): c})
@@ -310,8 +424,12 @@ class Term:
 
 
 def render_monomial(m: Monomial, names: Sequence[str]) -> str:
+    return _render_exps(m.exps, names)
+
+
+def _render_exps(exps: Sequence[int], names: Sequence[str]) -> str:
     parts = []
-    for i, e in enumerate(m.exps):
+    for i, e in enumerate(exps):
         if e == 1:
             parts.append(names[i])
         elif e > 1:
@@ -320,42 +438,66 @@ def render_monomial(m: Monomial, names: Sequence[str]) -> str:
 
 
 class Polynomial:
-    """Sparse polynomial over GF(p): a map monomial -> nonzero coefficient."""
+    """Sparse polynomial over GF(p): a map monomial -> nonzero coefficient.
 
-    __slots__ = ("ring", "terms", "_degree")
+    Built from {Monomial or exponent tuple: coeff} (or such pairs); repeated
+    monomials add up. The map is kept packed under the ring's grevlex
+    packing; `terms` decodes it into Monomial keys on demand.
+    """
+
+    __slots__ = ("ring", "_t", "_degree")
 
     def __init__(self, ring: Ring, terms):
-        fixed: dict[Monomial, int] = {}
+        pack = ring.packing(GREVLEX)
+        fixed: dict[int, int] = {}
         p = ring.p
         n = ring.nvars
         for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            if len(m.exps) != n:
+            exps = m.exps if isinstance(m, Monomial) else m
+            if len(exps) != n:
                 raise DimensionError(f"monomial {m!r} does not live in {ring!r}")
-            c = (fixed.get(m, 0) + c) % p
+            k = pack.encode(exps)
+            c = (fixed.get(k, 0) + c) % p
             if c:
-                fixed[m] = c
+                fixed[k] = c
             else:
-                fixed.pop(m, None)
+                fixed.pop(k, None)
         self.ring = ring
-        self.terms = fixed
-        self._degree = max(m.degree for m in fixed) if fixed else None
+        self._t = fixed
+        self._degree = pack.degree(max(fixed)) if fixed else None
 
     @classmethod
-    def _raw(cls, ring: Ring, terms: dict[Monomial, int]) -> Polynomial:
-        # internal fast path: caller guarantees canonical nonzero coefficients
+    def _raw(cls, ring: Ring, terms: dict[int, int]) -> Polynomial:
+        # internal fast path: grevlex-packed keys, canonical nonzero coefficients
         self = object.__new__(cls)
         self.ring = ring
-        self.terms = terms
-        self._degree = max(m.degree for m in terms) if terms else None
+        self._t = terms
+        self._degree = ring.packing(GREVLEX).degree(max(terms)) if terms else None
         return self
+
+    @classmethod
+    def _from_packed(cls, ring: Ring, pack: Packing, terms: dict[int, int]) -> Polynomial:
+        """The polynomial whose terms are keyed under `pack`."""
+        return cls._raw(ring, ring.packing(GREVLEX).repack(terms, pack))
+
+    def _packed(self, pack: Packing) -> dict[int, int]:
+        """The terms keyed under `pack`. Under grevlex this is the polynomial's
+        own map, so a caller that mutates it copies it first."""
+        return pack.repack(self._t, self.ring.packing(GREVLEX))
 
     @classmethod
     def zero_poly(cls, ring: Ring) -> Polynomial:
         return cls._raw(ring, {})
 
     @property
+    def terms(self) -> dict[Monomial, int]:
+        """The term map with Monomial keys, decoded afresh on every access."""
+        canon = self.ring.packing(GREVLEX)
+        return {Monomial(canon.decode(k)): c for k, c in self._t.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     @property
     def degree(self):
@@ -369,8 +511,8 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check_same_ring(other)
         p = self.ring.p
-        res = dict(self.terms)
-        for m, c in other.terms.items():
+        res = dict(self._t)
+        for m, c in other._t.items():
             v = (res.get(m, 0) + c) % p
             if v:
                 res[m] = v
@@ -379,38 +521,28 @@ class Polynomial:
         return Polynomial._raw(self.ring, res)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        self._check_same_ring(other)
-        p = self.ring.p
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (res.get(m, 0) - c) % p
-            if v:
-                res[m] = v
-            else:
-                res.pop(m, None)
-        return Polynomial._raw(self.ring, res)
+        return self + -other
 
     def __neg__(self) -> Polynomial:
         p = self.ring.p
-        return Polynomial._raw(self.ring, {m: p - c for m, c in self.terms.items()})
+        return Polynomial._raw(self.ring, {m: p - c for m, c in self._t.items()})
 
     def scaled(self, c: int) -> Polynomial:
         p = self.ring.p
         c %= p
         if c == 0:
             return Polynomial.zero_poly(self.ring)
-        return Polynomial._raw(self.ring, {m: v * c % p for m, v in self.terms.items()})
+        return Polynomial._raw(self.ring, {m: v * c % p for m, v in self._t.items()})
 
     def mul_monomial(self, m: Monomial, coeff: int = 1) -> Polynomial:
         p = self.ring.p
         coeff %= p
-        if coeff == 0:
+        if coeff == 0 or not self._t:
             return Polynomial.zero_poly(self.ring)
-        if coeff == 1:
-            return Polynomial._raw(self.ring, {mm * m: c for mm, c in self.terms.items()})
-        return Polynomial._raw(
-            self.ring, {mm * m: c * coeff % p for mm, c in self.terms.items()}
-        )
+        pack = self.ring.packing(GREVLEX)
+        pack.check(self._degree + m.degree)  # one check bounds every product term
+        k = pack.encode(m.exps)
+        return Polynomial._raw(self.ring, {mm + k: c * coeff % p for mm, c in self._t.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -418,11 +550,14 @@ class Polynomial:
         if isinstance(other, Monomial):
             return self.mul_monomial(other)
         self._check_same_ring(other)
+        if not self._t or not other._t:
+            return Polynomial.zero_poly(self.ring)
+        self.ring.packing(GREVLEX).check(self._degree + other._degree)
         p = self.ring.p
-        res: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
+        res: dict[int, int] = {}
+        for m1, c1 in self._t.items():
+            for m2, c2 in other._t.items():
+                m = m1 + m2
                 v = (res.get(m, 0) + c1 * c2) % p
                 if v:
                     res[m] = v
@@ -447,22 +582,29 @@ class Polynomial:
         """Homogeneous part of largest degree."""
         if self.is_zero:
             raise DomainError("the zero polynomial has no top part")
-        d = self._degree
-        return Polynomial._raw(
-            self.ring, {m: c for m, c in self.terms.items() if m.degree == d}
-        )
+        lo = self.ring.packing(GREVLEX).degree_floor(self._degree)
+        return Polynomial._raw(self.ring, {m: c for m, c in self._t.items() if m >= lo})
 
-    def leading_monomial(self, order: TermOrder) -> Monomial:
+    def _lead(self, order: TermOrder) -> tuple[Packing, int, int]:
+        """The packing of `order`, the leading monomial's key under it, and
+        the leading coefficient."""
         if self.is_zero:
             raise DomainError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        pack = self.ring.packing(order)
+        terms = self._packed(pack)
+        k = max(terms)
+        return pack, k, terms[k]
+
+    def leading_monomial(self, order: TermOrder) -> Monomial:
+        pack, k, _ = self._lead(order)
+        return Monomial(pack.decode(k))
 
     def leading_coeff(self, order: TermOrder) -> int:
-        return self.terms[self.leading_monomial(order)]
+        return self._lead(order)[2]
 
     def leading_term(self, order: TermOrder) -> Term:
-        m = self.leading_monomial(order)
-        return Term(self.terms[m], m)
+        pack, k, c = self._lead(order)
+        return Term(c, Monomial(pack.decode(k)))
 
     def monic(self, order: TermOrder) -> Polynomial:
         lc = self.leading_coeff(order)
@@ -471,30 +613,30 @@ class Polynomial:
         return self.scaled(self.ring.field.inv(lc))
 
     def render(self, order: TermOrder | None = None) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
-        order = order if order is not None else GREVLEX
+        pack = self.ring.packing(order if order is not None else GREVLEX)
         names = self.ring.names
         parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[m]
-            if m.is_unit:
+        for k, c in sorted(self._packed(pack).items(), reverse=True):
+            exps = pack.decode(k)
+            if not any(exps):
                 parts.append(str(c))
             elif c == 1:
-                parts.append(render_monomial(m, names))
+                parts.append(_render_exps(exps, names))
             else:
-                parts.append(f"{c}*{render_monomial(m, names)}")
+                parts.append(f"{c}*{_render_exps(exps, names)}")
         return " + ".join(parts)
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
             and other.ring == self.ring
-            and other.terms == self.terms
+            and other._t == self._t
         )
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def __str__(self):
         return self.render()
@@ -546,15 +688,6 @@ class PolySystem:
         return f"PolySystem([{'; '.join(f.render() for f in self.polys)}])"
 
 
-def _exponents_exactly(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d + 1):
-        for rest in _exponents_exactly(n - 1, d - e):
-            yield (e,) + rest
-
-
 def enumerate_monomials(
     n: int, d: int, mode: str = "exactly", order: TermOrder = GREVLEX
 ) -> list[Monomial]:
@@ -568,11 +701,12 @@ def enumerate_monomials(
     if d < 0:
         raise DomainError("degree bound must be non-negative")
     if mode == "exactly":
-        exps = _exponents_exactly(n, d)
+        degrees = (d,)
     elif mode == "at_most":
-        exps = (e for dd in range(d + 1) for e in _exponents_exactly(n, dd))
+        degrees = range(d + 1)
     else:
         raise DomainError(f"mode must be 'exactly' or 'at_most', got {mode!r}")
-    mons = [Monomial(e) for e in exps]
-    mons.sort(key=order.key, reverse=True)
-    return mons
+    pack = Packing(n, order.kind)
+    keys = [k for dd in degrees for k in pack.monomials(dd)]
+    keys.sort(reverse=True)
+    return [Monomial(pack.decode(k)) for k in keys]

@@ -28,8 +28,8 @@ from .rings import (
     Polynomial,
     PolySystem,
     TermOrder,
+    _render_exps,
     enumerate_monomials,
-    render_monomial,
 )
 
 DEFAULT_MAX_ROWS = 200_000
@@ -81,12 +81,14 @@ def macaulay_generators(F: PolySystem, d: int, order: TermOrder = GREVLEX) -> li
 def degree_slice(F: PolySystem, d: int, order: TermOrder) -> RowBasis:
     """Echelon basis of the products m*f of degree exactly d, over the
     members f of F with deg(f) <= d."""
-    n = F.ring.nvars
     basis = RowBasis(F.ring, order)
+    pack = basis._pack
+    pack.check(d)  # every product has degree d
     for f in F:
         if f._degree <= d:
-            for m in enumerate_monomials(n, d - f._degree, "exactly", order):
-                basis.insert_reduce(f.mul_monomial(m))
+            terms = f._packed(pack)
+            for m in sorted(pack.monomials(d - f._degree), reverse=True):
+                basis._insert({k + m: c for k, c in terms.items()})
     return basis
 
 
@@ -114,40 +116,42 @@ def v_space_closure(
         raise DomainError("closure degree must be at least 1")
     ring = F.ring
     names = ring.names
-    n = ring.nvars
     basis = RowBasis(ring, order)
+    pack = basis._pack
+    pack.check(d)  # no product formed below exceeds degree d
+    below_d = pack.degree_floor(d)
     stats = ClosureStats()
-    queue: deque[tuple[str, Polynomial]] = deque()  # (row id, snapshot at adoption)
+    queue: deque[tuple[str, dict[int, int]]] = deque()  # (row id, snapshot at adoption)
 
-    def insert(prod: Polynomial, source: str, multiplier: Monomial):
+    def insert(work: dict[int, int], source: str, multiplier: str):
         stats.insertions += 1
-        residual = basis.insert_reduce(prod)
+        residual = basis._insert(work)
         if not residual:
             return
         row_id = f"r{stats.adoptions}"
         stats.adoptions += 1
+        pivot = max(residual)
         if trace is not None:
             trace.write(
-                f"{residual._degree}\t{render_monomial(residual.leading_monomial(order), names)}"
-                f"\t{source}\t{render_monomial(multiplier, names)}\n"
+                f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+                f"\t{source}\t{multiplier}\n"
             )
         if basis.span_dim() > max_rows:
             stats.field_mults = basis.mult_count
             raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
-        if residual._degree < d:
+        if pivot < below_d:
             queue.append((row_id, residual))
 
-    unit = Monomial.unit(n)
     for i, f in enumerate(F):
         if f._degree <= d:  # inputs above the bound are excluded, not truncated
-            insert(f, f"f{i}", unit)
+            insert(dict(f._packed(pack)), f"f{i}", "1")
 
-    variables = [Monomial.variable(n, i) for i in range(n)]
+    variables = list(zip(pack.variables, names))
     while queue:
         row_id, g = queue.popleft()
         stats.closure_passes += 1
-        for x in variables:
-            insert(g.mul_monomial(x), row_id, x)
+        for x, name in variables:
+            insert({k + x: c for k, c in g.items()}, row_id, name)
 
     stats.field_mults = basis.mult_count
     return VSpaceBasis(d=d, basis=basis, stats=stats)
@@ -199,21 +203,24 @@ def construct_top_representatives(
             "interreduce the system first"
         )
     ring = F.ring
-    slice_rows = degree_slice(F, d_reg, order).rows
-    rows = {row.leading_monomial(order): row for row in slice_rows if row._degree == d_reg}
+    basis = degree_slice(F, d_reg, order)
+    pack = basis._pack
+    below_d = pack.degree_floor(d_reg)
     reps: dict[Monomial, Polynomial] = {}
-    for target in enumerate_monomials(ring.nvars, d_reg, "exactly", order):
-        rep = rows.get(target)
-        if rep is None:
+    for target in sorted(pack.monomials(d_reg), reverse=True):
+        tail = basis._tails.get(target)
+        if tail is None:
             raise InconsistencyError(
-                f"monomial {render_monomial(target, ring.names)} has no degree-{d_reg} "
-                "representation; the supplied regularity degree looks wrong"
+                f"monomial {_render_exps(pack.decode(target), ring.names)} has no "
+                f"degree-{d_reg} representation; the supplied regularity degree looks wrong"
             )
-        if rep.top().terms != {target: 1}:
+        if tail and max(tail) >= below_d:
             raise InconsistencyError(
-                f"row of {render_monomial(target, ring.names)} has a different top part"
+                f"row of {_render_exps(pack.decode(target), ring.names)} has a different top part"
             )
-        reps[target] = rep
+        row = dict(tail)
+        row[target] = 1
+        reps[Monomial(pack.decode(target))] = Polynomial._from_packed(ring, pack, row)
     return TopRepSet(d=d_reg, reps=reps)
 
 

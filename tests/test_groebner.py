@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -221,3 +222,24 @@ def test_mutant_agrees_with_buchberger_on_random_systems(order):
         assert V.d == d + 1
         N = math.comb(F.ring.nvars + d + 1, F.ring.nvars)
         assert V.stats.adoptions <= N**2
+
+
+def _brute_ideal_dim_le(G, e):
+    """Monomials of degree <= e divisible by a leading monomial, counted on
+    plain exponent tuples."""
+    n = G.polys[0].ring.nvars
+    lms = [g.leading_monomial(G.order).exps for g in G.polys]
+    return sum(
+        1
+        for exps in itertools.product(range(e + 1), repeat=n)
+        if sum(exps) <= e and any(all(a <= b for a, b in zip(l, exps)) for l in lms)
+    )
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_ideal_dim_le_matches_a_brute_force_count(order):
+    for F, _ in _hypothesis_instances(8, 9000):
+        G = buchberger_reduced(F, order)
+        assert [ideal_dim_le(G, e) for e in range(9)] == [
+            _brute_ideal_dim_le(G, e) for e in range(9)
+        ]

@@ -290,3 +290,32 @@ def test_user_cap_bounds_only_the_sd_scan():
     assert all(c.verdict == "pass" for c in report.certificates)
     assert not report.any_capped
 
+
+
+def test_underdetermined_system_skips_the_macaulay_bound_for_infinite_regularity():
+    # k = 3 quadrics in n = 4 variables: the top parts generate an ideal of
+    # height <= 3, so no degree slice fills and d_reg is infinite; that skip
+    # is the only way the Macaulay certificate can be skipped for k < n
+    F = mk(
+        "p=101; vars=x1,x2,x3,x4; order=grevlex;"
+        "11*x2^2 + 22*x1*x3 + 78*x1*x4 + 5*x2*x4 + 56*x4^2 + 57;"
+        "41*x1*x3 + 68*x3^2 + 23*x1*x4 + 4*x2*x4 + 23*x3*x4 + 66*x4^2 + 66*x1 + 58*x3;"
+        "58*x1*x3 + 97*x2*x3 + 95*x3^2 + 68*x1*x4 + 36*x2*x4 + 59*x2 + 73*x4"
+    )
+    report = verify_bounds(F)
+    assert report.d_reg == InfiniteDegree(6)
+    assert (report.gbd, report.sd, report.lfd) == (3, 3, 1)
+    trivial = "regularity degree infinite; bound trivial"
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "pass", trivial),
+        ("gbd_le_dreg", "pass", trivial),
+        ("sd_eq_max_lfd_gbd", "pass", None),
+        ("sd_generalized_bound", "pass", trivial),
+        ("lfd_upper_bound", "pass", trivial),
+        ("sd_macaulay_bound", "skipped", "regularity degree infinite"),
+        (
+            "vspace_dim_identity",
+            "skipped",
+            "hypothesis fails: needs finite d_reg and max deg <= d_reg",
+        ),
+    ]

@@ -151,3 +151,62 @@ def test_reduce_leaves_basis_unchanged():
     r = basis.reduce(poly({(2, 0): 3, (1, 0): 1}))
     assert r == poly({(1, 0): 1, (0, 1): -15})
     assert basis.rows == before
+
+
+class _FullScanBasis:
+    """Reference echelon basis on Monomial keys that back-reduces every
+    stored row on adoption, counting field multiplications like RowBasis."""
+
+    def __init__(self, ring, order):
+        self.p = ring.p
+        self.order = order
+        self.rows = {}  # pivot -> tail
+        self.mult_count = 0
+
+    def insert_reduce(self, f):
+        p = self.p
+        work = dict(f.terms)
+        for pm in work.keys() & self.rows.keys():
+            c = work.pop(pm)
+            tail = self.rows[pm]
+            self.mult_count += len(tail)
+            for m, rc in tail.items():
+                work[m] = (work.get(m, 0) - c * rc) % p
+            work = {m: v for m, v in work.items() if v}
+        if not work:
+            return
+        pivot = max(work, key=self.order.key)
+        c = work.pop(pivot)
+        if c != 1:
+            inv = pow(c, -1, p)
+            self.mult_count += len(work)
+            work = {m: v * inv % p for m, v in work.items()}
+        for pm, tail in self.rows.items():
+            rc = tail.pop(pivot, None)
+            if rc is None:
+                continue
+            self.mult_count += len(work)
+            for m, nc in work.items():
+                tail[m] = (tail.get(m, 0) - rc * nc) % p
+            self.rows[pm] = {m: v for m, v in tail.items() if v}
+        self.rows[pivot] = work
+
+    def polys(self, ring):
+        out = []
+        for pivot in sorted(self.rows, key=self.order.key, reverse=True):
+            out.append(Polynomial(ring, {**self.rows[pivot], pivot: 1}))
+        return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_bounded_back_reduction_matches_a_full_scan(seed, order):
+    rng = random.Random(300 + seed)
+    ring = Ring(rng.choice([2, 3, 101]), ("x", "y", "z"))
+    basis = RowBasis(ring, order)
+    reference = _FullScanBasis(ring, order)
+    for f in _random_polys(rng, ring, 25):
+        basis.insert_reduce(f)
+        reference.insert_reduce(f)
+        assert basis.mult_count == reference.mult_count
+    assert basis.rows == reference.polys(ring)
