@@ -21,16 +21,12 @@ from .rings import (
     MAX_DEGREE,
     MAX_VARS,
     MINUS_INFINITY,
-    Monomial,
     Polynomial,
     PolySystem,
-    PrimeField,
     Ring,
-    Term,
     TermOrder,
     enumerate_monomials,
     is_prime,
-    render_monomial,
 )
 from .linalg import RowBasis
 from .vspace import (

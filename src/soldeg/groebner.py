@@ -10,7 +10,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import CapExceeded, DomainError, InconsistencyError, PreconditionError
-from .rings import GREVLEX, Monomial, Packing, Polynomial, PolySystem, TermOrder
+from .rings import GREVLEX, Packing, Polynomial, PolySystem, TermOrder
 from .vspace import VSpaceBasis, v_space_closure
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -34,7 +34,7 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0]._degree == 0
 
-    def leading_monomials(self) -> list[Monomial]:
+    def leading_monomials(self) -> list[tuple[int, ...]]:
         return [g.leading_monomial(self.order) for g in self.polys]
 
     def __iter__(self):
@@ -119,20 +119,18 @@ def _minimalize(polys: list, pack: Packing) -> list:
 
 
 def _interreduce(polys: list, pack: Packing, p: int) -> list:
-    """Tail-reduce each element against the others until stable.
+    """Tail-reduce each element against the others.
 
-    Assumes pairwise non-dividing leading monomials, so leading terms survive.
+    Assumes pairwise non-dividing leading monomials (as _minimalize leaves
+    them). Then no leading term is ever cancelled, so every element keeps its
+    leading monomial and the set of leading monomials never changes. A term
+    that _nf leaves is divisible by none of them, so a remainder taken
+    against elements that are reduced later is already reduced against their
+    final forms: one pass suffices.
     """
     polys = [_monic(t, p) for _, t in polys]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            r = _nf(polys[i][1], others, pack, p)
-            if r != polys[i][1]:
-                polys[i] = _monic(r, p)
-                changed = True
+    for i in range(len(polys)):
+        polys[i] = _monic(_nf(polys[i][1], polys[:i] + polys[i + 1 :], pack, p), p)
     return polys
 
 

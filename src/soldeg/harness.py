@@ -202,8 +202,12 @@ class _ExprParser:
             self.error("expected a factor")
         kind, text, col = tok
         if kind == "int":
+            try:
+                value = int(text)
+            except ValueError:  # past the interpreter's limit on digits
+                self.error(f"coefficient with {len(text)} digits is too long", tok)
             self.i += 1
-            return coeff * int(text), exps
+            return coeff * value, exps
         if kind == "name":
             if text not in self.ring.names:
                 self.error(f"unknown variable {text!r}", tok)
@@ -265,7 +269,7 @@ def parse_system(text: str) -> SystemFile:
         raise ParseError("missing variable list (vars=...)", 1, 1)
 
     p_text, p_line, p_col = header["p"]
-    if not p_text.isdigit():
+    if not (p_text.isascii() and p_text.isdigit()):
         raise ParseError(f"field modulus must be an integer, got {p_text!r}", p_line, p_col)
     names_text, v_line, v_col = header["vars"]
     names = tuple(s.strip() for s in names_text.split(","))
@@ -274,6 +278,9 @@ def parse_system(text: str) -> SystemFile:
             raise ParseError(f"variable name {name!r} is reserved", v_line, v_col)
     try:
         ring = Ring(int(p_text), names)
+    except ValueError:  # past the interpreter's limit on digits
+        msg = f"field modulus with {len(p_text)} digits is too large"
+        raise ParseError(msg, p_line, p_col) from None
     except DomainError as exc:
         raise ParseError(str(exc), p_line, p_col) from None
 

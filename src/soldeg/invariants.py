@@ -52,9 +52,21 @@ def _macaulay_bound(F: PolySystem) -> int:
 def degree_of_regularity(F: PolySystem) -> DegreeValue:
     """Smallest d at which the degree-d slice spanned by bounded multiples of
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
-    when no d up to cap = Macaulay bound + 1 works."""
+    when no d up to cap = Macaulay bound + 1 works.
+
+    InfiniteDegree is a proof, not a give-up. The slices are those of the
+    ideal I generated by the top parts, and their dimensions do not change
+    under field extension, so both arguments below hold over GF(2) and GF(3)
+    too. With k < n forms, I has height <= k < n (Krull's height theorem),
+    so no slice ever fills and the scan is skipped. With k >= n, a slice
+    fills at some degree only if I is primary to the irrelevant ideal, and
+    then (Lazard, 1983) it fills by degree (d_1 - 1) + ... + (d_n - 1) + 1
+    over the n largest degrees, two below the cap.
+    """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
+    if len(F) < n:
+        return InfiniteDegree(cap)
     tops = PolySystem(F.ring, [f.top() for f in F])
     for d in range(1, cap + 1):
         if degree_slice(tops, d, GREVLEX).span_dim() == math.comb(d + n - 1, d):
@@ -68,8 +80,8 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
     sd is the first d >= max(1, Gbd) whose span contains G; past `cap`
     (default: derived from d_reg) CapExceeded carries the scanned span
     dimensions. Lfd is one past the last e <= sd whose span is smaller than
-    the ideal's elements of degree <= e. Only the sd scan's closures are
-    traced.
+    the ideal's elements of degree <= e, found by walking down from sd. Only
+    the sd scan's closures are traced.
     """
     if cap is None:
         if isinstance(d_reg, int):
@@ -92,11 +104,12 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
             break
     else:
         raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
-    # V(F, e) lies in V(F, sd) for e <= sd, so these closures fit the row cap
-    lfd = 1 + max(
-        (e for e in range(1, sd + 1)
+    # V(F, e) lies in V(F, sd) for e <= sd, so these closures fit the row cap;
+    # going down, the first fall is the last one
+    lfd = 1 + next(
+        (e for e in range(sd, 0, -1)
          if closure(e, traced=False).span_dim() < ideal_dim_le(G, e)),
-        default=0,
+        0,
     )
     return sd, lfd
 

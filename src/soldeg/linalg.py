@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 
 from .errors import DimensionError
-from .rings import GREVLEX, Monomial, Polynomial, Ring, TermOrder
+from .rings import GREVLEX, Polynomial, Ring, TermOrder
 
 
 class RowBasis:
@@ -123,8 +123,8 @@ class RowBasis:
         return len(self._pivots)
 
     @property
-    def pivots(self) -> frozenset[Monomial]:
-        return frozenset(Monomial(self._pack.decode(pm)) for pm in self._pivots)
+    def pivots(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(self._pack.decode, self._pivots))
 
     def _rows(self) -> list[dict[int, int]]:
         """Rows as packed term maps (pivot included), by descending pivot."""

@@ -1,4 +1,4 @@
-"""Prime fields, monomials, term orders, and sparse multivariate polynomials.
+"""Polynomial rings over GF(p), term orders, and sparse multivariate polynomials.
 
 Every value in this module is immutable after construction and safe to share
 between threads. Coefficients are canonical ints in [0, p); the zero
@@ -10,16 +10,17 @@ packed exponent vector, see Packing): fields of FIELD_BITS bits under the
 total degree, laid out so that integer order is the term order. Products are
 sums, quotients are differences, and divisibility and lcm are guard-bit mask
 tests. A polynomial keeps its terms packed under grevlex, the default order;
-an engine working under grlex re-packs each input once. `Monomial` (a tuple
-of exponents) is the boundary type: parsing, rendering and the public API
-hand it out.
+an engine working under grlex re-packs each input once. At the boundary
+(parsing, rendering and the public API) a monomial is a plain tuple of
+exponents, one per variable; Packing.encode validates each tuple that enters
+a polynomial. A ring keeps its prime modulus `p` as a plain int, and
+coefficient arithmetic is `% p` with inverses `pow(c, -1, p)`.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, DomainError
@@ -56,108 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """GF(p) for a prime 2 <= p < 2**31. Elements are canonical ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise DomainError(f"field modulus must be an int, got {p!r}")
-        if not 2 <= p < 2**31:
-            raise DomainError(f"field modulus must satisfy 2 <= p < 2**31, got {p}")
-        if not is_prime(p):
-            raise DomainError(f"field modulus {p} is not prime")
-        self.p = p
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise DomainError("zero is not invertible")
-        return pow(a, -1, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class Monomial:
-    """Exponent vector of a monic monomial. Immutable and hashable; n <= MAX_VARS."""
-
-    __slots__ = ("exps", "degree")
-
-    def __init__(self, exps: Iterable[int]):
-        exps = tuple(exps)
-        if not 1 <= len(exps) <= MAX_VARS:
-            raise DimensionError(
-                f"monomials carry 1..{MAX_VARS} exponents, got {len(exps)}"
-            )
-        if any(e < 0 for e in exps):
-            raise DomainError(f"negative exponent in {exps}")
-        self.exps = exps
-        self.degree = sum(exps)
-
-    @classmethod
-    def unit(cls, n: int) -> Monomial:
-        return cls((0,) * n)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> Monomial:
-        exps = [0] * n
-        exps[i] = 1
-        return cls(exps)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.degree == 0
-
-    def _zip(self, other: Monomial):
-        if len(self.exps) != len(other.exps):
-            raise DimensionError("variable counts differ")
-        return zip(self.exps, other.exps)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(x + y for x, y in self._zip(other))
-
-    def __truediv__(self, other: Monomial) -> Monomial:
-        return Monomial(x - y for x, y in self._zip(other))
-
-    def divides(self, other: Monomial) -> bool:
-        return all(x <= y for x, y in self._zip(other))
-
-    def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(max(x, y) for x, y in self._zip(other))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and other.exps == self.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return f"Monomial{self.exps}"
-
-
 class TermOrder:
     """Degree-compatible monomial order with precedence x1 > x2 > ... > xn.
 
@@ -176,15 +75,16 @@ class TermOrder:
             )
         self.kind = kind
 
-    def key(self, m: Monomial):
-        """Sort key: key(a) < key(b) iff a < b under this order."""
+    def key(self, m: tuple[int, ...]):
+        """Sort key of an exponent tuple: key(a) < key(b) iff a < b under
+        this order. The reference that packed order is tested against."""
         if self.kind == "grevlex":
-            return (m.degree, tuple(-e for e in reversed(m.exps)))
-        return (m.degree, m.exps)
+            return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(m))
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
+    def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """-1, 0, or +1 as a <, =, > b. Raises DimensionError on arity mismatch."""
-        if len(a.exps) != len(b.exps):
+        if len(a) != len(b):
             raise DimensionError("variable counts differ")
         ka, kb = self.key(a), self.key(b)
         if ka < kb:
@@ -335,12 +235,18 @@ MINUS_INFINITY = _MinusInfinity()
 
 
 class Ring:
-    """Polynomial ring GF(p)[x1, ..., xn] with named variables (n <= MAX_VARS)."""
+    """Polynomial ring GF(p)[x1, ..., xn] with named variables (n <= MAX_VARS)
+    over a prime 2 <= p < 2**31."""
 
-    __slots__ = ("field", "names", "_packings")
+    __slots__ = ("p", "names", "_packings")
 
     def __init__(self, p: int, names: Sequence[str] | None = None, *, nvars: int | None = None):
-        self.field = PrimeField(p)
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise DomainError(f"field modulus must be an int, got {p!r}")
+        if not 2 <= p < 2**31:
+            raise DomainError(f"field modulus must satisfy 2 <= p < 2**31, got {p}")
+        if not is_prime(p):
+            raise DomainError(f"field modulus {p} is not prime")
         if names is None:
             if nvars is None:
                 raise DomainError("give variable names or a variable count")
@@ -355,6 +261,7 @@ class Ring:
                 raise DomainError(f"bad variable name {name!r}")
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate variable names in {names}")
+        self.p = p
         self.names = names
         self._packings = {kind: Packing(len(names), kind) for kind in TermOrder.KINDS}
 
@@ -363,23 +270,22 @@ class Ring:
         return self._packings[order.kind]
 
     @property
-    def p(self) -> int:
-        return self.field.p
-
-    @property
     def nvars(self) -> int:
         return len(self.names)
 
-    def monomial(self, *exps: int) -> Monomial:
+    def monomial(self, *exps: int) -> tuple[int, ...]:
+        """The exponent tuple of a monomial of this ring, checked."""
         if len(exps) != self.nvars:
             raise DimensionError(f"expected {self.nvars} exponents, got {len(exps)}")
-        return Monomial(exps)
+        if any(e < 0 for e in exps):
+            raise DomainError(f"negative exponent in {exps}")
+        return exps
 
-    def unit_monomial(self) -> Monomial:
-        return Monomial.unit(self.nvars)
+    def unit_monomial(self) -> tuple[int, ...]:
+        return (0,) * self.nvars
 
     def poly(self, terms) -> Polynomial:
-        """Build a polynomial from {Monomial or exponent tuple: coeff}."""
+        """Build a polynomial from {exponent tuple: coeff}."""
         return Polynomial(self, terms)
 
     def constant(self, c: int) -> Polynomial:
@@ -392,7 +298,9 @@ class Ring:
         return Polynomial(self, {})
 
     def variable(self, i: int) -> Polynomial:
-        return Polynomial(self, {Monomial.variable(self.nvars, i): 1})
+        exps = [0] * self.nvars
+        exps[i] = 1
+        return Polynomial(self, {tuple(exps): 1})
 
     def variables(self) -> tuple[Polynomial, ...]:
         return tuple(self.variable(i) for i in range(self.nvars))
@@ -400,31 +308,15 @@ class Ring:
     def __eq__(self, other):
         return (
             isinstance(other, Ring)
-            and other.field == self.field
+            and other.p == self.p
             and other.names == self.names
         )
 
     def __hash__(self):
-        return hash((self.field, self.names))
+        return hash((self.p, self.names))
 
     def __repr__(self):
         return f"Ring(GF({self.p}), {', '.join(self.names)})"
-
-
-@dataclass(frozen=True)
-class Term:
-    """A nonzero coefficient attached to a monomial."""
-
-    coeff: int
-    monomial: Monomial
-
-    def __post_init__(self):
-        if self.coeff == 0:
-            raise DomainError("terms carry nonzero coefficients")
-
-
-def render_monomial(m: Monomial, names: Sequence[str]) -> str:
-    return _render_exps(m.exps, names)
 
 
 def _render_exps(exps: Sequence[int], names: Sequence[str]) -> str:
@@ -440,9 +332,9 @@ def _render_exps(exps: Sequence[int], names: Sequence[str]) -> str:
 class Polynomial:
     """Sparse polynomial over GF(p): a map monomial -> nonzero coefficient.
 
-    Built from {Monomial or exponent tuple: coeff} (or such pairs); repeated
-    monomials add up. The map is kept packed under the ring's grevlex
-    packing; `terms` decodes it into Monomial keys on demand.
+    Built from {exponent tuple: coeff} (or such pairs); repeated monomials
+    add up. The map is kept packed under the ring's grevlex packing; `terms`
+    decodes it into exponent-tuple keys on demand.
     """
 
     __slots__ = ("ring", "_t", "_degree")
@@ -453,10 +345,9 @@ class Polynomial:
         p = ring.p
         n = ring.nvars
         for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            exps = m.exps if isinstance(m, Monomial) else m
-            if len(exps) != n:
+            if len(m) != n:
                 raise DimensionError(f"monomial {m!r} does not live in {ring!r}")
-            k = pack.encode(exps)
+            k = pack.encode(m)
             c = (fixed.get(k, 0) + c) % p
             if c:
                 fixed[k] = c
@@ -490,10 +381,10 @@ class Polynomial:
         return cls._raw(ring, {})
 
     @property
-    def terms(self) -> dict[Monomial, int]:
-        """The term map with Monomial keys, decoded afresh on every access."""
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The term map with exponent-tuple keys, decoded afresh on every access."""
         canon = self.ring.packing(GREVLEX)
-        return {Monomial(canon.decode(k)): c for k, c in self._t.items()}
+        return {canon.decode(k): c for k, c in self._t.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -534,21 +425,22 @@ class Polynomial:
             return Polynomial.zero_poly(self.ring)
         return Polynomial._raw(self.ring, {m: v * c % p for m, v in self._t.items()})
 
-    def mul_monomial(self, m: Monomial, coeff: int = 1) -> Polynomial:
+    def mul_monomial(self, m: tuple[int, ...], coeff: int = 1) -> Polynomial:
+        """coeff * m * self for an exponent tuple m."""
         p = self.ring.p
         coeff %= p
         if coeff == 0 or not self._t:
             return Polynomial.zero_poly(self.ring)
         pack = self.ring.packing(GREVLEX)
-        pack.check(self._degree + m.degree)  # one check bounds every product term
-        k = pack.encode(m.exps)
+        k = pack.encode(m)
+        pack.check(self._degree + pack.degree(k))  # one check bounds every product term
         return Polynomial._raw(self.ring, {mm + k: c * coeff % p for mm, c in self._t.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scaled(other)
-        if isinstance(other, Monomial):
-            return self.mul_monomial(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_same_ring(other)
         if not self._t or not other._t:
             return Polynomial.zero_poly(self.ring)
@@ -566,8 +458,8 @@ class Polynomial:
         return Polynomial._raw(self.ring, res)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Monomial)):
-            return self.__mul__(other)
+        if isinstance(other, int):
+            return self.scaled(other)
         return NotImplemented
 
     def __pow__(self, e: int) -> Polynomial:
@@ -595,22 +487,18 @@ class Polynomial:
         k = max(terms)
         return pack, k, terms[k]
 
-    def leading_monomial(self, order: TermOrder) -> Monomial:
+    def leading_monomial(self, order: TermOrder) -> tuple[int, ...]:
         pack, k, _ = self._lead(order)
-        return Monomial(pack.decode(k))
+        return pack.decode(k)
 
     def leading_coeff(self, order: TermOrder) -> int:
         return self._lead(order)[2]
-
-    def leading_term(self, order: TermOrder) -> Term:
-        pack, k, c = self._lead(order)
-        return Term(c, Monomial(pack.decode(k)))
 
     def monic(self, order: TermOrder) -> Polynomial:
         lc = self.leading_coeff(order)
         if lc == 1:
             return self
-        return self.scaled(self.ring.field.inv(lc))
+        return self.scaled(pow(lc, -1, self.ring.p))
 
     def render(self, order: TermOrder | None = None) -> str:
         if not self._t:
@@ -690,8 +578,9 @@ class PolySystem:
 
 def enumerate_monomials(
     n: int, d: int, mode: str = "exactly", order: TermOrder = GREVLEX
-) -> list[Monomial]:
-    """All monic monomials in n variables, sorted descending under `order`.
+) -> list[tuple[int, ...]]:
+    """All monic monomials in n variables as exponent tuples, sorted
+    descending under `order`.
 
     mode="exactly" lists degree d (count C(d+n-1, d)); mode="at_most" lists
     degrees 0..d (count C(n+d, n)).
@@ -709,4 +598,4 @@ def enumerate_monomials(
     pack = Packing(n, order.kind)
     keys = [k for dd in degrees for k in pack.monomials(dd)]
     keys.sort(reverse=True)
-    return [Monomial(pack.decode(k)) for k in keys]
+    return [pack.decode(k) for k in keys]

@@ -24,7 +24,6 @@ from .errors import (
 from .linalg import RowBasis
 from .rings import (
     GREVLEX,
-    Monomial,
     Polynomial,
     PolySystem,
     TermOrder,
@@ -159,22 +158,23 @@ def v_space_closure(
 
 @dataclass
 class TopRepSet:
-    """One representative per monic monomial of the regularity degree.
+    """One representative per monic monomial of the regularity degree,
+    keyed by exponent tuple.
 
     Each value p satisfies p.top() == key (a single monic term) and lies in
     V(F, d).
     """
 
     d: int
-    reps: dict[Monomial, Polynomial]
+    reps: dict[tuple[int, ...], Polynomial]
 
     def __len__(self) -> int:
         return len(self.reps)
 
-    def __getitem__(self, m: Monomial) -> Polynomial:
+    def __getitem__(self, m: tuple[int, ...]) -> Polynomial:
         return self.reps[m]
 
-    def __contains__(self, m: Monomial) -> bool:
+    def __contains__(self, m: tuple[int, ...]) -> bool:
         return m in self.reps
 
     def items(self):
@@ -206,7 +206,7 @@ def construct_top_representatives(
     basis = degree_slice(F, d_reg, order)
     pack = basis._pack
     below_d = pack.degree_floor(d_reg)
-    reps: dict[Monomial, Polynomial] = {}
+    reps: dict[tuple[int, ...], Polynomial] = {}
     for target in sorted(pack.monomials(d_reg), reverse=True):
         tail = basis._tails.get(target)
         if tail is None:
@@ -220,7 +220,7 @@ def construct_top_representatives(
             )
         row = dict(tail)
         row[target] = 1
-        reps[Monomial(pack.decode(target))] = Polynomial._from_packed(ring, pack, row)
+        reps[pack.decode(target)] = Polynomial._from_packed(ring, pack, row)
     return TopRepSet(d=d_reg, reps=reps)
 
 
@@ -228,11 +228,12 @@ def reduce_against_tops(f: Polynomial, reps: TopRepSet):
     """Cancel the whole top part of f with representatives.
 
     Returns (coeffs, remainder) with f == remainder + sum(coeffs[m] * reps[m])
-    and deg(remainder) < reps.d. Purely syntactic: f need not lie in any span.
+    over exponent tuples m, and deg(remainder) < reps.d. Purely syntactic: f
+    need not lie in any span.
     """
     if f.is_zero or f._degree != reps.d:
         raise DomainError(f"expected a polynomial of degree exactly {reps.d}")
-    coeffs: dict[Monomial, int] = {}
+    coeffs: dict[tuple[int, ...], int] = {}
     remainder = f
     for m, c in f.top().terms.items():
         coeffs[m] = c
@@ -247,31 +248,28 @@ def interreduce_tops(F: PolySystem, order: TermOrder = GREVLEX) -> PolySystem:
     f_i - c*m*f_j (c matching the leading coefficients); zero results are
     dropped. The first applicable pair in ascending (i, j) scan order is
     taken, which makes the result deterministic. The generated ideal is
-    unchanged and no intermediate degree ever exceeds max deg(F).
+    unchanged and no intermediate degree ever exceeds max deg(F). Leading
+    monomials are compared as packed keys under `order`.
     """
     polys = list(F)
-    inv = F.ring.field.inv
-    restart = True
-    while restart:
-        restart = False
-        for i, fi in enumerate(polys):
-            lm_i = fi.leading_monomial(order)
-            for j, fj in enumerate(polys):
-                if i == j:
-                    continue
-                lm_j = fj.leading_monomial(order)
-                if not lm_j.divides(lm_i):
-                    continue
-                c = fi.terms[lm_i] * inv(fj.terms[lm_j])
-                replacement = fi - fj.mul_monomial(lm_i / lm_j, c)
-                if replacement.is_zero:
-                    del polys[i]
-                else:
-                    polys[i] = replacement
-                restart = True
-                break
-            if restart:
-                break
+    p = F.ring.p
+    pack = F.ring.packing(order)
+    while True:
+        leads = [f._lead(order)[1:] for f in polys]  # (packed lm, lc)
+        pair = next(
+            ((i, j) for i, (li, _) in enumerate(leads) for j, (lj, _) in enumerate(leads)
+             if i != j and pack.divides(lj, li)),
+            None,
+        )
+        if pair is None:
+            break
+        i, j = pair
+        (li, ci), (lj, cj) = leads[i], leads[j]
+        replacement = polys[i] - polys[j].mul_monomial(pack.decode(li - lj), ci * pow(cj, -1, p))
+        if replacement.is_zero:
+            del polys[i]
+        else:
+            polys[i] = replacement
     if not polys:
         raise InconsistencyError("interreduction emptied a system of nonzero polynomials")
     return PolySystem(F.ring, [f.monic(order) for f in polys])

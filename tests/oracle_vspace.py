@@ -62,7 +62,7 @@ class BruteForceSpan:
         self.pos = {m: i for i, m in enumerate(self.cols)}
         seeds = []
         for f in system:
-            fe = {m.exps: c for m, c in f.terms.items()}
+            fe = {m: c for m, c in f.terms.items()}
             deg = max(sum(e) for e in fe)
             if deg > d:
                 continue
@@ -99,9 +99,9 @@ class BruteForceSpan:
         """Membership test for a library polynomial of degree <= d."""
         vec = [0] * len(self.cols)
         for m, c in f.terms.items():
-            if sum(m.exps) > self.d:
+            if sum(m) > self.d:
                 return False
-            vec[self.pos[m.exps]] = c
+            vec[self.pos[m]] = c
         p = self.p
         for row in self.rows:
             lead = next(i for i, c in enumerate(row) if c)
@@ -112,9 +112,9 @@ class BruteForceSpan:
 
     def row_polys(self, ring):
         """Oracle rows as library polynomials, for cross-membership checks."""
-        from soldeg import Monomial, Polynomial
+        from soldeg import Polynomial
 
         return [
-            Polynomial(ring, {Monomial(self.cols[i]): c for i, c in enumerate(row) if c})
+            Polynomial(ring, {self.cols[i]: c for i, c in enumerate(row) if c})
             for row in self.rows
         ]

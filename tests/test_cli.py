@@ -72,6 +72,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p=101; vars=x; " + "7" * 5000 + "*x + 1", "column 16: coefficient with 5000 digits"),
+        ("p=" + "7" * 5000 + "; vars=x; x", "column 1: field modulus with 5000 digits"),
+        ("p=\u00b2; vars=x; x", "column 1: field modulus must be an integer"),
+    ],
+    ids=["long-coefficient", "long-modulus", "non-ascii-digit-modulus"],
+)
+def test_unconvertible_numbers_are_parse_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1, ") and message in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/system.txt"]) == 2
 

@@ -116,8 +116,10 @@ def test_product_criterion_s_pairs_still_verified():
         for j in range(i + 1, len(G)):
             li = G[i].leading_monomial(GREVLEX)
             lj = G[j].leading_monomial(GREVLEX)
-            l = li.lcm(lj)
-            s = G[i].mul_monomial(l / li) - G[j].mul_monomial(l / lj)
+            l = tuple(map(max, li, lj))
+            qi = tuple(a - b for a, b in zip(l, li))
+            qj = tuple(a - b for a, b in zip(l, lj))
+            s = G[i].mul_monomial(qi) - G[j].mul_monomial(qj)
             assert normal_form(s, G).is_zero
 
 
@@ -228,7 +230,7 @@ def _brute_ideal_dim_le(G, e):
     """Monomials of degree <= e divisible by a leading monomial, counted on
     plain exponent tuples."""
     n = G.polys[0].ring.nvars
-    lms = [g.leading_monomial(G.order).exps for g in G.polys]
+    lms = [g.leading_monomial(G.order) for g in G.polys]
     return sum(
         1
         for exps in itertools.product(range(e + 1), repeat=n)

@@ -8,6 +8,7 @@ from soldeg import (
     InfiniteDegree,
     degree_of_regularity,
     gen_fk,
+    ideal_dim_le,
     last_fall_degree,
     render_report,
     solving_degree,
@@ -291,18 +292,19 @@ def test_user_cap_bounds_only_the_sd_scan():
     assert not report.any_capped
 
 
+UNDERDETERMINED = (
+    "p=101; vars=x1,x2,x3,x4; order=grevlex;"
+    "11*x2^2 + 22*x1*x3 + 78*x1*x4 + 5*x2*x4 + 56*x4^2 + 57;"
+    "41*x1*x3 + 68*x3^2 + 23*x1*x4 + 4*x2*x4 + 23*x3*x4 + 66*x4^2 + 66*x1 + 58*x3;"
+    "58*x1*x3 + 97*x2*x3 + 95*x3^2 + 68*x1*x4 + 36*x2*x4 + 59*x2 + 73*x4"
+)
+
 
 def test_underdetermined_system_skips_the_macaulay_bound_for_infinite_regularity():
     # k = 3 quadrics in n = 4 variables: the top parts generate an ideal of
     # height <= 3, so no degree slice fills and d_reg is infinite; that skip
     # is the only way the Macaulay certificate can be skipped for k < n
-    F = mk(
-        "p=101; vars=x1,x2,x3,x4; order=grevlex;"
-        "11*x2^2 + 22*x1*x3 + 78*x1*x4 + 5*x2*x4 + 56*x4^2 + 57;"
-        "41*x1*x3 + 68*x3^2 + 23*x1*x4 + 4*x2*x4 + 23*x3*x4 + 66*x4^2 + 66*x1 + 58*x3;"
-        "58*x1*x3 + 97*x2*x3 + 95*x3^2 + 68*x1*x4 + 36*x2*x4 + 59*x2 + 73*x4"
-    )
-    report = verify_bounds(F)
+    report = verify_bounds(mk(UNDERDETERMINED))
     assert report.d_reg == InfiniteDegree(6)
     assert (report.gbd, report.sd, report.lfd) == (3, 3, 1)
     trivial = "regularity degree infinite; bound trivial"
@@ -319,3 +321,28 @@ def test_underdetermined_system_skips_the_macaulay_bound_for_infinite_regularity
             "hypothesis fails: needs finite d_reg and max deg <= d_reg",
         ),
     ]
+
+
+def test_fewer_forms_than_variables_need_no_regularity_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("k < n must not scan degree slices")
+
+    monkeypatch.setattr("soldeg.invariants.degree_slice", refuse)
+    assert degree_of_regularity(mk(UNDERDETERMINED)) == InfiniteDegree(6)
+    assert degree_of_regularity(mk("p=2; vars=x,y,z; x*y + z; y^2 + x*z")) == InfiniteDegree(5)
+
+
+def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
+    from soldeg import invariants
+
+    calls = []
+
+    def counted(G, e):
+        calls.append(e)
+        return ideal_dim_le(G, e)
+
+    monkeypatch.setattr(invariants, "ideal_dim_le", counted)
+    report = verify_bounds(gen_fk(10, 101))
+    assert (report.sd, report.lfd) == (11, 11)
+    assert all(c.verdict == "pass" for c in report.certificates)
+    assert len(calls) <= 3  # sd and sd - 1 in the scan, d_reg + 1 in the identity

@@ -8,7 +8,6 @@ from soldeg import (
     GRLEX,
     DomainError,
     InconsistencyError,
-    Monomial,
     PolySystem,
     PreconditionError,
     buchberger_reduced,
@@ -41,8 +40,8 @@ def test_generators_one_degree_up():
     x, y = F.ring.variables()
     for f in F:
         assert f in gens
-        assert f * x.leading_monomial(GREVLEX) in gens
-        assert f * y.leading_monomial(GREVLEX) in gens
+        assert f.mul_monomial(x.leading_monomial(GREVLEX)) in gens
+        assert f.mul_monomial(y.leading_monomial(GREVLEX)) in gens
 
 
 def test_generators_single_poly():
@@ -78,7 +77,7 @@ def test_closure_without_mutants():
     V = v_space_closure(F, 3)
     assert V.span_dim() == 6
     expected = {(2, 0), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)}
-    assert {r.leading_monomial(GREVLEX).exps for r in V.rows} == expected
+    assert {r.leading_monomial(GREVLEX) for r in V.rows} == expected
 
 
 def test_closure_rejects_degree_zero():
@@ -102,7 +101,7 @@ def test_closure_is_multiplicatively_closed(order):
     n = F.ring.nvars
     for row in V.rows:
         for i in range(n):
-            m = Monomial.variable(n, i)
+            m = tuple(int(j == i) for j in range(n))
             if row.degree + 1 <= d:
                 assert V.span_contains(row.mul_monomial(m))
 
@@ -309,7 +308,7 @@ def test_interreduce_preserves_the_ideal():
     for i, a in enumerate(lms):
         for j, b in enumerate(lms):
             if i != j:
-                assert not a.divides(b)
+                assert not all(x <= y for x, y in zip(a, b))
 
 
 def test_interreduce_repairs_the_degree_hypothesis():
