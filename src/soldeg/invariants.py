@@ -57,15 +57,17 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     InfiniteDegree is a proof, not a give-up. The slices are those of the
     ideal I generated by the top parts, and their dimensions do not change
     under field extension, so both arguments below hold over GF(2) and GF(3)
-    too. With k < n forms, I has height <= k < n (Krull's height theorem),
-    so no slice ever fills and the scan is skipped. With k >= n, a slice
-    fills at some degree only if I is primary to the irrelevant ideal, and
-    then (Lazard, 1983) it fills by degree (d_1 - 1) + ... + (d_n - 1) + 1
-    over the n largest degrees, two below the cap.
+    too. With k < n forms all of positive degree, I is proper and has height
+    <= k < n (Krull's height theorem), so no slice ever fills and the scan is
+    skipped; a constant member makes I the whole ring, and the scan finds
+    d_reg = 1. With k >= n, a slice fills at some degree only if I is
+    primary to the irrelevant ideal or the whole ring, and then (Lazard,
+    1983) it fills by degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n
+    largest degrees, two below the cap.
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
-    if len(F) < n:
+    if len(F) < n and min(F.degrees()) > 0:
         return InfiniteDegree(cap)
     tops = PolySystem(F.ring, [f.top() for f in F])
     for d in range(1, cap + 1):
@@ -218,8 +220,8 @@ def verify_bounds(
       lfd_upper_bound          Lfd <= max(d_reg + 1, max deg(F))
       sd_macaulay_bound        sd <= d_1 + ... + d_n - n + 2 over the n largest
                                input degrees, needs finite d_reg (which
-                               already forces k >= n: k < n top parts never
-                               fill a degree slice)
+                               forces k >= n unless F has a constant member:
+                               k < n forms never fill a degree slice)
       vspace_dim_identity      dim V(F, d_reg+1) == dim of ideal elements
                                of degree <= d_reg + 1, needs the hypothesis
     """

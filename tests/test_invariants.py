@@ -330,6 +330,13 @@ def test_fewer_forms_than_variables_need_no_regularity_scan(monkeypatch):
     monkeypatch.setattr("soldeg.invariants.degree_slice", refuse)
     assert degree_of_regularity(mk(UNDERDETERMINED)) == InfiniteDegree(6)
     assert degree_of_regularity(mk("p=2; vars=x,y,z; x*y + z; y^2 + x*z")) == InfiniteDegree(5)
+    with pytest.raises(AssertionError, match="k < n"):
+        degree_of_regularity(mk("p=101; vars=x,y,z; x*y; 1"))  # constant member: I is not proper
+
+
+def test_constant_member_fills_degree_one_with_fewer_forms_than_variables():
+    assert degree_of_regularity(mk("p=101; vars=x,y,z; x*y; 1")) == 1
+    assert degree_of_regularity(mk("p=2; vars=x,y,z,w; x + 1; 1; y*z")) == 1
 
 
 def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
