@@ -25,17 +25,14 @@ from .rings import (
     PolySystem,
     Ring,
     TermOrder,
-    enumerate_monomials,
     is_prime,
 )
 from .linalg import RowBasis
 from .vspace import (
     ClosureStats,
-    TopRepSet,
     VSpaceBasis,
     construct_top_representatives,
     interreduce_tops,
-    macaulay_generators,
     reduce_against_tops,
     v_space_closure,
 )

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 from .errors import (
     AlgebraError,
@@ -30,10 +31,16 @@ from .rings import GREVLEX, TermOrder
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of a system file, or of stdin for '-'. An invalid byte
+    is a ParseError at its line and column."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before it decode; lines split as the parser splits them
+        lines = (data[: exc.start].decode("utf-8") + "\0").splitlines()
+        msg = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise ParseError(msg, len(lines), len(lines[-1])) from None
 
 
 def _order_from(args, sf: SystemFile) -> TermOrder:
@@ -153,12 +160,9 @@ def _sweep_instance(task) -> DegreeReport:
 
 
 def _cmd_sweep(args) -> int:
-    if args.kind != "fk":
-        raise DomainError(f"unknown sweep family {args.kind!r}")
     if args.start < 2 or args.stop < args.start:
         raise DomainError("need 2 <= --from <= --to")
     order_kind = args.order or "grevlex"
-    TermOrder(order_kind)
     tasks = [(k, args.p, order_kind, args.cap) for k in range(args.start, args.stop + 1)]
     if args.workers is not None and args.workers < 1:
         raise DomainError("--workers must be at least 1")

@@ -18,13 +18,12 @@ DEFAULT_MAX_PAIRS = 200_000
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis; with reduced=True it is the unique reduced basis:
-    monic elements, pairwise non-dividing leading terms, fully inter-reduced,
-    sorted by descending leading monomial."""
+    """The unique reduced Groebner basis of an ideal: monic elements,
+    pairwise non-dividing leading terms, fully inter-reduced, sorted by
+    descending leading monomial."""
 
     polys: tuple[Polynomial, ...]
     order: TermOrder
-    reduced: bool = True
 
     @property
     def max_degree(self) -> int:
@@ -33,9 +32,6 @@ class GroebnerBasis:
     @property
     def is_unit_ideal(self) -> bool:
         return len(self.polys) == 1 and self.polys[0]._degree == 0
-
-    def leading_monomials(self) -> list[tuple[int, ...]]:
-        return [g.leading_monomial(self.order) for g in self.polys]
 
     def __iter__(self):
         return iter(self.polys)
@@ -119,18 +115,17 @@ def _minimalize(polys: list, pack: Packing) -> list:
 
 
 def _interreduce(polys: list, pack: Packing, p: int) -> list:
-    """Tail-reduce each element against the others.
+    """Tail-reduce each monic element against the others, in place.
 
-    Assumes pairwise non-dividing leading monomials (as _minimalize leaves
-    them). Then no leading term is ever cancelled, so every element keeps its
-    leading monomial and the set of leading monomials never changes. A term
-    that _nf leaves is divisible by none of them, so a remainder taken
-    against elements that are reduced later is already reduced against their
-    final forms: one pass suffices.
+    Assumes pairwise non-dividing leading monomials in ascending order (as
+    _minimalize leaves them). A tail term of element i lies below lm_i, so
+    no later element's leading monomial, which lies above lm_i, divides it:
+    reducing against the earlier elements alone is enough, and they are
+    already final. None of their leading monomials divides lm_i, so the
+    leading term survives with coefficient 1 and the element stays monic.
     """
-    polys = [_monic(t, p) for _, t in polys]
     for i in range(len(polys)):
-        polys[i] = _monic(_nf(polys[i][1], polys[:i] + polys[i + 1 :], pack, p), p)
+        polys[i] = (polys[i][0], _nf(polys[i][1], polys[:i], pack, p))
     return polys
 
 
@@ -147,7 +142,7 @@ def _reduced_basis(ring, polys: list, order: TermOrder, check: bool = False) -> 
                 if _nf(_spoly(reduced[i], reduced[j], pack, p), reduced, pack, p):
                     raise InconsistencyError("S-polynomial does not reduce to zero")
     polys = tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced)
-    return GroebnerBasis(polys, order, reduced=True)
+    return GroebnerBasis(polys, order)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -159,7 +154,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 
 
 def _unit_basis(ring, order: TermOrder) -> GroebnerBasis:
-    return GroebnerBasis((ring.one(),), order, reduced=True)
+    return GroebnerBasis((ring.one(),), order)
 
 
 def buchberger_reduced(

@@ -13,6 +13,7 @@ appear before the first polynomial. Example:
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .rings import (
 )
 
 _RESERVED = {"p", "vars", "order"}
+MAX_RANDOM_MONOMIALS = 10**6  # largest candidate monomial list gen_random builds
 
 
 def gen_fk(k: int, p: int = 101) -> PolySystem:
@@ -60,6 +62,8 @@ class RandomSpec:
     nonzero coefficient; zero draws are resampled. With require_hypothesis
     set, whole systems are rejection-sampled until the maximum degree stays
     at or below a finite regularity degree, up to retry_limit extra attempts.
+    A spec whose C(n + max bound, n) candidate monomials exceed
+    MAX_RANDOM_MONOMIALS is refused.
     """
 
     seed: int
@@ -82,6 +86,11 @@ class RandomSpec:
             raise DomainError(f"density must lie in (0, 1], got {self.density}")
         if self.retry_limit < 0:
             raise DomainError("retry limit must be non-negative")
+        count = math.comb(self.n + max(self.deg_bounds), self.n) if self.n > 0 else 0
+        if count > MAX_RANDOM_MONOMIALS:
+            raise DomainError(
+                f"{count} candidate monomials exceed the limit of {MAX_RANDOM_MONOMIALS}"
+            )
 
 
 def _random_poly(ring: Ring, rng: random.Random, bound: int, density: float) -> Polynomial:

@@ -162,7 +162,6 @@ class DegreeReport:
     hypothesis: dict[str, bool]
     certificates: list[Certificate]
     system: dict
-    lfd_rationale: str = LFD_RATIONALE
 
     @property
     def all_pass(self) -> bool:
@@ -190,7 +189,7 @@ class DegreeReport:
             "hypothesis": dict(self.hypothesis),
             "certificates": [c.to_json() for c in self.certificates],
             "system": dict(self.system),
-            "lfd_rationale": self.lfd_rationale,
+            "lfd_rationale": LFD_RATIONALE,
         }
 
 

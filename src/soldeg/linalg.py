@@ -119,9 +119,6 @@ class RowBasis:
     def span_dim(self) -> int:
         return len(self._pivots)
 
-    def __len__(self) -> int:
-        return len(self._pivots)
-
     @property
     def pivots(self) -> frozenset[tuple[int, ...]]:
         return frozenset(map(self._pack.decode, self._pivots))

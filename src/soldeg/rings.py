@@ -281,15 +281,12 @@ class Ring:
             raise DomainError(f"negative exponent in {exps}")
         return exps
 
-    def unit_monomial(self) -> tuple[int, ...]:
-        return (0,) * self.nvars
-
     def poly(self, terms) -> Polynomial:
         """Build a polynomial from {exponent tuple: coeff}."""
         return Polynomial(self, terms)
 
     def constant(self, c: int) -> Polynomial:
-        return Polynomial(self, {self.unit_monomial(): c})
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     def one(self) -> Polynomial:
         return self.constant(1)
@@ -376,10 +373,6 @@ class Polynomial:
         own map, so a caller that mutates it copies it first."""
         return pack.repack(self._t, self.ring.packing(GREVLEX))
 
-    @classmethod
-    def zero_poly(cls, ring: Ring) -> Polynomial:
-        return cls._raw(ring, {})
-
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
         """The term map with exponent-tuple keys, decoded afresh on every access."""
@@ -422,7 +415,7 @@ class Polynomial:
         p = self.ring.p
         c %= p
         if c == 0:
-            return Polynomial.zero_poly(self.ring)
+            return Polynomial._raw(self.ring, {})
         return Polynomial._raw(self.ring, {m: v * c % p for m, v in self._t.items()})
 
     def mul_monomial(self, m: tuple[int, ...], coeff: int = 1) -> Polynomial:
@@ -430,7 +423,7 @@ class Polynomial:
         p = self.ring.p
         coeff %= p
         if coeff == 0 or not self._t:
-            return Polynomial.zero_poly(self.ring)
+            return Polynomial._raw(self.ring, {})
         pack = self.ring.packing(GREVLEX)
         k = pack.encode(m)
         pack.check(self._degree + pack.degree(k))  # one check bounds every product term
@@ -443,7 +436,7 @@ class Polynomial:
             return NotImplemented
         self._check_same_ring(other)
         if not self._t or not other._t:
-            return Polynomial.zero_poly(self.ring)
+            return Polynomial._raw(self.ring, {})
         self.ring.packing(GREVLEX).check(self._degree + other._degree)
         p = self.ring.p
         res: dict[int, int] = {}
@@ -574,28 +567,3 @@ class PolySystem:
 
     def __repr__(self):
         return f"PolySystem([{'; '.join(f.render() for f in self.polys)}])"
-
-
-def enumerate_monomials(
-    n: int, d: int, mode: str = "exactly", order: TermOrder = GREVLEX
-) -> list[tuple[int, ...]]:
-    """All monic monomials in n variables as exponent tuples, sorted
-    descending under `order`.
-
-    mode="exactly" lists degree d (count C(d+n-1, d)); mode="at_most" lists
-    degrees 0..d (count C(n+d, n)).
-    """
-    if n < 1:
-        raise DomainError("need at least one variable")
-    if d < 0:
-        raise DomainError("degree bound must be non-negative")
-    if mode == "exactly":
-        degrees = (d,)
-    elif mode == "at_most":
-        degrees = range(d + 1)
-    else:
-        raise DomainError(f"mode must be 'exactly' or 'at_most', got {mode!r}")
-    pack = Packing(n, order.kind)
-    keys = [k for dd in degrees for k in pack.monomials(dd)]
-    keys.sort(reverse=True)
-    return [pack.decode(k) for k in keys]

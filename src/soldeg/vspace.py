@@ -28,7 +28,6 @@ from .rings import (
     PolySystem,
     TermOrder,
     _render_exps,
-    enumerate_monomials,
 )
 
 DEFAULT_MAX_ROWS = 200_000
@@ -61,20 +60,6 @@ class VSpaceBasis:
     @property
     def rows(self) -> list[Polynomial]:
         return self.basis.rows
-
-
-def macaulay_generators(F: PolySystem, d: int, order: TermOrder = GREVLEX) -> list[Polynomial]:
-    """All products m*f with f in F, deg(f) <= d, and deg(m*f) <= d (m = 1 included)."""
-    if d < 0:
-        raise DomainError("degree bound must be non-negative")
-    n = F.ring.nvars
-    gens = []
-    for f in F:
-        if f._degree > d:
-            continue  # inputs above the bound are excluded, not truncated
-        multipliers = enumerate_monomials(n, d - f._degree, "at_most", order)
-        gens.extend(f.mul_monomial(m) for m in reversed(multipliers))
-    return gens
 
 
 def degree_slice(F: PolySystem, d: int, order: TermOrder) -> RowBasis:
@@ -156,36 +141,11 @@ def v_space_closure(
     return VSpaceBasis(d=d, basis=basis, stats=stats)
 
 
-@dataclass
-class TopRepSet:
-    """One representative per monic monomial of the regularity degree,
-    keyed by exponent tuple.
-
-    Each value p satisfies p.top() == key (a single monic term) and lies in
-    V(F, d).
-    """
-
-    d: int
-    reps: dict[tuple[int, ...], Polynomial]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def __getitem__(self, m: tuple[int, ...]) -> Polynomial:
-        return self.reps[m]
-
-    def __contains__(self, m: tuple[int, ...]) -> bool:
-        return m in self.reps
-
-    def items(self):
-        return self.reps.items()
-
-
 def construct_top_representatives(
     F: PolySystem, d_reg: int, order: TermOrder = GREVLEX
-) -> TopRepSet:
+) -> dict[tuple[int, ...], Polynomial]:
     """For every monic monomial m of degree d_reg, build p in V(F, d_reg)
-    with top part exactly m.
+    with top part exactly m; returns the map from m's exponent tuple to p.
 
     Reads the degree-d_reg rows of degree_slice(F, d_reg). When the top
     parts of those products span the degree-d_reg slice, every monomial of
@@ -221,18 +181,22 @@ def construct_top_representatives(
         row = dict(tail)
         row[target] = 1
         reps[pack.decode(target)] = Polynomial._from_packed(ring, pack, row)
-    return TopRepSet(d=d_reg, reps=reps)
+    return reps
 
 
-def reduce_against_tops(f: Polynomial, reps: TopRepSet):
-    """Cancel the whole top part of f with representatives.
+def reduce_against_tops(f: Polynomial, reps: dict[tuple[int, ...], Polynomial]):
+    """Cancel the whole top part of f with the degree-d representatives
+    that construct_top_representatives returns.
 
     Returns (coeffs, remainder) with f == remainder + sum(coeffs[m] * reps[m])
-    over exponent tuples m, and deg(remainder) < reps.d. Purely syntactic: f
-    need not lie in any span.
+    over exponent tuples m, and deg(remainder) < d. Purely syntactic: f need
+    not lie in any span.
     """
-    if f.is_zero or f._degree != reps.d:
-        raise DomainError(f"expected a polynomial of degree exactly {reps.d}")
+    if not reps:
+        raise DomainError("no top representatives to reduce against")
+    d = sum(next(iter(reps)))
+    if f.is_zero or f._degree != d:
+        raise DomainError(f"expected a polynomial of degree exactly {d}")
     coeffs: dict[tuple[int, ...], int] = {}
     remainder = f
     for m, c in f.top().terms.items():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -65,11 +66,33 @@ def test_gen_random_impossible_constraint(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_random_refuses_oversized_spec(capsys):
+    args = ["gen", "random", "--seed", "1", "--n", "16", "--k", "1", "--deg-bound", "20"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "candidate monomials" in err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("p=4; vars=x; x")
     assert main(["analyze", str(path)]) == 2
     assert "not prime" in capsys.readouterr().err
+
+
+def _stdin(monkeypatch, data: bytes):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_a_parse_error(source, tmp_path, monkeypatch, capsys):
+    # valid multi-byte characters before the bad byte count as one column each
+    data = "p=101; vars=x,y;\n# r\u00e9sum\u00e9\nx^2+y; \u00b5".encode() + b"\xff; x*y\n"
+    path = tmp_path / "latin.txt"
+    path.write_bytes(data)
+    _stdin(monkeypatch, data)
+    assert main(["analyze", str(path) if source == "file" else "-"]) == 2
+    assert capsys.readouterr().err == "error: line 3, column 9: invalid UTF-8 byte 0xff\n"
 
 
 @pytest.mark.parametrize(
@@ -193,8 +216,6 @@ def test_sweep_rejects_nonpositive_workers(workers, pool_sizes, capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("p=101; vars=x,y; x^2+y; y^2+x; x*y"))
+    _stdin(monkeypatch, b"p=101; vars=x,y; x^2+y; y^2+x; x*y")
     assert main(["analyze", "-", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["sd"] == 3

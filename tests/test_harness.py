@@ -18,6 +18,7 @@ from soldeg import (
     verify_bounds,
     render_report,
 )
+from soldeg.rings import Packing
 
 
 # --- the optimal family -----------------------------------------------------
@@ -78,6 +79,16 @@ def test_generation_error_on_impossible_constraint():
     )
     with pytest.raises(GenerationError):
         gen_random(spec)
+
+
+def test_oversized_spec_is_refused_before_enumerating(monkeypatch):
+    def enumerate_nothing(self, d):
+        raise AssertionError("monomials were enumerated")
+
+    monkeypatch.setattr(Packing, "monomials", enumerate_nothing)
+    RandomSpec(seed=1, n=16, k=1, deg_bounds=(8,))  # C(24, 16) = 735471 is within the limit
+    with pytest.raises(DomainError, match="2042975 candidate monomials"):
+        gen_random(RandomSpec(seed=1, n=16, k=2, deg_bounds=(1, 9)))  # C(25, 16)
 
 
 def test_hypothesis_constraint_is_enforced():

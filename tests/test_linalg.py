@@ -9,10 +9,11 @@ from soldeg import (
     Polynomial,
     Ring,
     RowBasis,
-    enumerate_monomials,
     gen_fk,
     v_space_closure,
 )
+
+from oracle_vspace import monomials_at_most
 
 RING = Ring(101, ("x", "y"))
 
@@ -85,7 +86,7 @@ def test_ring_mismatch_raises():
 
 
 def _random_polys(rng, ring, count, deg=3):
-    mons = enumerate_monomials(ring.nvars, deg, "at_most")
+    mons = monomials_at_most(ring.nvars, deg)
     out = []
     while len(out) < count:
         terms = {m: rng.randrange(0, ring.p) for m in mons if rng.random() < 0.5}

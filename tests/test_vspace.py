@@ -15,7 +15,6 @@ from soldeg import (
     gen_fk,
     gen_random,
     interreduce_tops,
-    macaulay_generators,
     normal_form,
     reduce_against_tops,
     v_space_closure,
@@ -23,38 +22,6 @@ from soldeg import (
 )
 
 from helpers import mk
-
-
-# --- macaulay generators ----------------------------------------------------
-
-
-def test_generators_at_the_input_degree_are_the_inputs():
-    F = gen_fk(2, 101)
-    assert macaulay_generators(F, 2) == list(F)
-
-
-def test_generators_one_degree_up():
-    F = gen_fk(2, 101)
-    gens = macaulay_generators(F, 3)
-    assert len(gens) == 9
-    x, y = F.ring.variables()
-    for f in F:
-        assert f in gens
-        assert f.mul_monomial(x.leading_monomial(GREVLEX)) in gens
-        assert f.mul_monomial(y.leading_monomial(GREVLEX)) in gens
-
-
-def test_generators_single_poly():
-    F = mk("p=101; vars=x,y; x")
-    assert macaulay_generators(F, 1) == [F[0]]
-
-
-def test_generators_exclude_too_large_inputs():
-    F = mk("p=101; vars=x,y; x; y^3")
-    gens = macaulay_generators(F, 2)
-    # y^3 is excluded entirely, not truncated
-    assert all(g.degree <= 2 for g in gens)
-    assert len(gens) == 3  # x * {1, x, y}
 
 
 # --- closure ------------------------------------------------------------------
@@ -219,7 +186,7 @@ def test_representatives_do_not_depend_on_input_order(order):
     d = degree_of_regularity(F)
     backwards = PolySystem(F.ring, reversed(list(F)))
     reps = construct_top_representatives(F, d, order)
-    assert construct_top_representatives(backwards, d, order).reps == reps.reps
+    assert construct_top_representatives(backwards, d, order) == reps
 
 
 def test_representatives_refuse_oversized_inputs():
@@ -270,10 +237,12 @@ def test_reduce_keeps_constants():
 def test_reduce_degree_mismatch():
     F = gen_fk(2, 101)
     reps = construct_top_representatives(F, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="degree exactly 2"):
         reduce_against_tops(F.ring.variable(0), reps)
     with pytest.raises(DomainError):
         reduce_against_tops(F.ring.zero(), reps)
+    with pytest.raises(DomainError):
+        reduce_against_tops(F[0], {})
 
 
 # --- leading-term interreduction ----------------------------------------------
