@@ -216,31 +216,34 @@ def gbd(F, order: TermOrder = GREVLEX) -> int:
     return buchberger_reduced(F, order).max_degree
 
 
-def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
-    """Number of monomials of degree <= e divisible by some leading monomial.
-
-    For a degree-compatible order this equals the dimension of the space of
-    ideal elements of degree <= e. Counts packed monomials degree by degree,
-    testing each against the leading monomials of at most its degree.
-    """
-    if e < 0:
-        return 0
+def ideal_dims(G: GroebnerBasis, e: int) -> list[int]:
+    """[ideal_dim_le(G, d) for d in range(e + 1)], from one pass over the
+    packed monomials of degree <= e, each tested against the leading
+    monomials of at most its degree."""
     pack = G.polys[0].ring.packing(G.order)
     s, g = pack.sign, pack.guard
     lms = [f._lead(G.order)[1] for f in G.polys]
-    count = 0
+    dims, count = [], 0
     for d in range(e + 1):
         # lm divides m iff (s*m + g - s*lm) keeps every guard bit
         glms = [g - s * lm for lm in lms if pack.degree(lm) <= d]
-        if not glms:
-            continue
-        for m in pack.monomials(d):
+        for m in pack.monomials(d) if glms else ():
             sm = s * m
             for glm in glms:
                 if (sm + glm) & g == g:
                     count += 1
                     break
-    return count
+        dims.append(count)
+    return dims
+
+
+def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
+    """Number of monomials of degree <= e divisible by some leading monomial.
+
+    For a degree-compatible order this equals the dimension of the space of
+    ideal elements of degree <= e.
+    """
+    return ideal_dims(G, e)[-1] if e >= 0 else 0
 
 
 def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasis, VSpaceBasis]:

@@ -2,7 +2,10 @@
 
 The text format is line oriented: statements are separated by ';' or
 newlines, '#' starts a comment. Header statements p=, vars=, order= must
-appear before the first polynomial. Example:
+appear before the first polynomial. A polynomial is an optional sign, then
+terms joined by '+' or '-'; a term is factors, juxtaposed or joined by '*';
+a factor is ASCII digits, or a variable with an optional '^' exponent; spaces
+may separate any two of these tokens. Example:
 
     p=101; vars=x,y; order=grevlex;
     x^2 + y;
@@ -18,15 +21,17 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, GenerationError, ParseError
+from .errors import DimensionError, DomainError, GenerationError, ParseError
 from .invariants import DegreeReport, degree_of_regularity
 from .rings import (
     GREVLEX,
     MAX_DEGREE,
+    MAX_VARS,
     Polynomial,
     PolySystem,
     Ring,
     TermOrder,
+    check_modulus,
 )
 
 _RESERVED = {"p", "vars", "order"}
@@ -76,6 +81,8 @@ class RandomSpec:
     retry_limit: int = 200
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_VARS:
+            raise DomainError(f"need 1..{MAX_VARS} variables, got {self.n}")
         if self.k < 1:
             raise DomainError("need at least one polynomial")
         if len(self.deg_bounds) != self.k:
@@ -86,7 +93,7 @@ class RandomSpec:
             raise DomainError(f"density must lie in (0, 1], got {self.density}")
         if self.retry_limit < 0:
             raise DomainError("retry limit must be non-negative")
-        count = math.comb(self.n + max(self.deg_bounds), self.n) if self.n > 0 else 0
+        count = math.comb(self.n + max(self.deg_bounds), self.n)
         if count > MAX_RANDOM_MONOMIALS:
             raise DomainError(
                 f"{count} candidate monomials exceed the limit of {MAX_RANDOM_MONOMIALS}"
@@ -134,112 +141,65 @@ class SystemFile:
     system: PolySystem
 
 
-_TOKEN_RE = re.compile(r"\s+|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[\^*+\-])")
+# a factor: an optional '*', then digits or a variable with an optional exponent
+_FACTOR_RE = re.compile(r"\s*(\*?)\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)(?:\s*(\^)\s*([0-9]*))?)")
+_NEXT_RE = re.compile(r"\s*(\S?)")  # the next character that is not a space
+_BAD_CHAR_RE = re.compile(r"[^\sA-Za-z0-9_^*+\-]")
 
 
-def _tokenize(text: str, line: int, col0: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col0 + pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(), col0 + m.start()))
-        pos = m.end()
-    return tokens
+def _parse_poly(ring: Ring, stmt: str, line: int, col: int) -> Polynomial:
+    """The polynomial `stmt` states, read in one left-to-right scan. An error
+    names the column of its token; a character outside the grammar's alphabet
+    is reported before any other error in the statement."""
 
+    def fail(msg, pos):
+        bad = _BAD_CHAR_RE.search(stmt)
+        if bad:
+            msg, pos = f"unexpected character {bad.group()!r}", bad.start()
+        raise ParseError(msg, line, col + pos)
 
-class _ExprParser:
-    def __init__(self, ring: Ring, tokens, line: int, end_col: int):
-        self.ring = ring
-        self.tokens = tokens
-        self.line = line
-        self.end_col = end_col
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def error(self, msg, tok=None):
-        col = tok[2] if tok else self.end_col
-        raise ParseError(msg, self.line, col)
-
-    def parse(self) -> Polynomial:
-        terms: list[tuple[tuple[int, ...], int]] = []
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            sign = -1 if tok[1] == "-" else 1
-            self.i += 1
-        while True:
-            terms.append(self.parse_term(sign))
-            tok = self.peek()
-            if tok is None:
-                break
-            if tok[0] == "op" and tok[1] in "+-":
-                sign = -1 if tok[1] == "-" else 1
-                self.i += 1
+    terms = []
+    pos, sign = (1, -1 if stmt[0] == "-" else 1) if stmt[0] in "+-" else (0, 1)
+    while True:  # one term per pass, then the sign or end after it
+        coeff, exps, saw_factor = sign, [0] * ring.nvars, False
+        while m := _FACTOR_RE.match(stmt, pos):
+            star, digits, name, caret, exp = m.groups()
+            if star and not saw_factor:
+                fail("'*' needs a left factor", m.start(1))
+            if digits:
+                try:
+                    coeff *= int(digits)
+                except ValueError:  # past the interpreter's limit on digits
+                    fail(f"coefficient with {len(digits)} digits is too long", m.start(2))
             else:
-                self.error(f"expected '+' or '-', got {tok[1]!r}", tok)
-        return self.ring.poly(terms)
-
-    def parse_term(self, sign: int) -> tuple[tuple[int, ...], int]:
-        coeff = sign
-        exps = [0] * self.ring.nvars
-        saw_factor = False
-        while True:
-            tok = self.peek()
-            if tok is None or (tok[0] == "op" and tok[1] in "+-"):
-                break
-            if tok[0] == "op" and tok[1] == "*":
-                if not saw_factor:
-                    self.error("'*' needs a left factor", tok)
-                self.i += 1
-                tok = self.peek()
-                if tok is None:
-                    self.error("dangling '*'")
-            coeff, exps = self.parse_factor(coeff, exps)
-            saw_factor = True
+                if name not in ring.names:
+                    fail(f"unknown variable {name!r}", m.start(3))
+                if caret and not exp:  # at the token after '^', else at the variable
+                    at_end = m.end() == len(stmt)
+                    fail("'^' needs an integer exponent", m.start(3) if at_end else m.end())
+                # one digit past MAX_DEGREE's significant digits is enough to exceed it
+                e = int(exp.lstrip("0")[: len(str(MAX_DEGREE)) + 1] or 0) if exp else 1
+                if e > MAX_DEGREE:
+                    fail(f"exponent above the largest supported degree {MAX_DEGREE}", m.start(5))
+                exps[ring.names.index(name)] += e
+                if sum(exps) > MAX_DEGREE:
+                    fail(f"term degree above the largest supported degree {MAX_DEGREE}", m.start(3))
+            pos, saw_factor = m.end(), True
+        nxt = _NEXT_RE.match(stmt, pos)
+        ch, at = nxt.group(1), nxt.start(1)
+        if ch == "*" and saw_factor:
+            after = _NEXT_RE.match(stmt, at + 1)
+            if not after.group(1):
+                fail("dangling '*'", len(stmt))
+            fail(f"expected a factor, got {after.group(1)!r}", after.start(1))
+        if ch not in ("", "+", "-"):
+            fail("'*' needs a left factor" if ch == "*" else f"expected a factor, got {ch!r}", at)
         if not saw_factor:
-            self.error("empty term", self.peek())
-        return tuple(exps), coeff
-
-    def parse_factor(self, coeff, exps):
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a factor")
-        kind, text, col = tok
-        if kind == "int":
-            try:
-                value = int(text)
-            except ValueError:  # past the interpreter's limit on digits
-                self.error(f"coefficient with {len(text)} digits is too long", tok)
-            self.i += 1
-            return coeff * value, exps
-        if kind == "name":
-            if text not in self.ring.names:
-                self.error(f"unknown variable {text!r}", tok)
-            self.i += 1
-            e = 1
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "^":
-                self.i += 1
-                etok = self.peek()
-                if etok is None or etok[0] != "int":
-                    self.error("'^' needs an integer exponent", etok or tok)
-                digits = etok[1].lstrip("0") or "0"
-                if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                    self.error(f"exponent above the largest supported degree {MAX_DEGREE}", etok)
-                e = int(digits)
-                self.i += 1
-            idx = self.ring.names.index(text)
-            exps = list(exps)
-            exps[idx] += e
-            if sum(exps) > MAX_DEGREE:
-                self.error(f"term degree above the largest supported degree {MAX_DEGREE}", tok)
-            return coeff, exps
-        self.error(f"expected a factor, got {text!r}", tok)
+            fail("empty term", at)
+        terms.append((tuple(exps), coeff))
+        if not ch:
+            return ring.poly(terms)
+        pos, sign = at + 1, -1 if ch == "-" else 1
 
 
 def _split_statements(text: str):
@@ -286,12 +246,16 @@ def parse_system(text: str) -> SystemFile:
         if name in _RESERVED:
             raise ParseError(f"variable name {name!r} is reserved", v_line, v_col)
     try:
-        ring = Ring(int(p_text), names)
+        p = check_modulus(int(p_text))
     except ValueError:  # past the interpreter's limit on digits
         msg = f"field modulus with {len(p_text)} digits is too large"
         raise ParseError(msg, p_line, p_col) from None
     except DomainError as exc:
         raise ParseError(str(exc), p_line, p_col) from None
+    try:
+        ring = Ring(p, names)
+    except (DimensionError, DomainError) as exc:  # bad, repeated or too many names
+        raise ParseError(str(exc), v_line, v_col) from None
 
     if "order" in header:
         o_text, o_line, o_col = header["order"]
@@ -306,8 +270,7 @@ def parse_system(text: str) -> SystemFile:
         raise ParseError("no polynomials given", 1, 1)
     polys = []
     for stmt, line, col in exprs:
-        tokens = _tokenize(stmt, line, col)
-        f = _ExprParser(ring, tokens, line, col + len(stmt)).parse()
+        f = _parse_poly(ring, stmt, line, col)
         if f.is_zero:
             raise ParseError("polynomial is zero", line, col)
         polys.append(f)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import CapExceeded, DomainError
-from .groebner import buchberger_reduced, ideal_dim_le
+from .groebner import buchberger_reduced, ideal_dim_le, ideal_dims
 from .rings import GREVLEX, PolySystem, TermOrder
 from .vspace import VSpaceBasis, degree_slice, v_space_closure
 
@@ -82,8 +82,9 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
     sd is the first d >= max(1, Gbd) whose span contains G; past `cap`
     (default: derived from d_reg) CapExceeded carries the scanned span
     dimensions. Lfd is one past the last e <= sd whose span is smaller than
-    the ideal's elements of degree <= e, found by walking down from sd. Only
-    the sd scan's closures are traced.
+    the ideal's elements of degree <= e, found by walking down from sd over
+    ideal dimensions counted in one pass. Only the sd scan's closures are
+    traced.
     """
     if cap is None:
         if isinstance(d_reg, int):
@@ -108,10 +109,9 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
         raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
     # V(F, e) lies in V(F, sd) for e <= sd, so these closures fit the row cap;
     # going down, the first fall is the last one
+    dims = ideal_dims(G, sd)
     lfd = 1 + next(
-        (e for e in range(sd, 0, -1)
-         if closure(e, traced=False).span_dim() < ideal_dim_le(G, e)),
-        0,
+        (e for e in range(sd, 0, -1) if closure(e, traced=False).span_dim() < dims[e]), 0
     )
     return sd, lfd
 

@@ -57,6 +57,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(p) -> int:
+    """p, if it is a prime int with 2 <= p < 2**31; DomainError otherwise."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise DomainError(f"field modulus must be an int, got {p!r}")
+    if not 2 <= p < 2**31:
+        raise DomainError(f"field modulus must satisfy 2 <= p < 2**31, got {p}")
+    if not is_prime(p):
+        raise DomainError(f"field modulus {p} is not prime")
+    return p
+
+
 class TermOrder:
     """Degree-compatible monomial order with precedence x1 > x2 > ... > xn.
 
@@ -241,12 +252,7 @@ class Ring:
     __slots__ = ("p", "names", "_packings")
 
     def __init__(self, p: int, names: Sequence[str] | None = None, *, nvars: int | None = None):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise DomainError(f"field modulus must be an int, got {p!r}")
-        if not 2 <= p < 2**31:
-            raise DomainError(f"field modulus must satisfy 2 <= p < 2**31, got {p}")
-        if not is_prime(p):
-            raise DomainError(f"field modulus {p} is not prime")
+        check_modulus(p)
         if names is None:
             if nvars is None:
                 raise DomainError("give variable names or a variable count")

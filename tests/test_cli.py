@@ -1,7 +1,13 @@
 import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soldeg.cli import main
 from soldeg import gen_fk, render_system, SystemFile, GREVLEX
@@ -71,6 +77,31 @@ def test_gen_random_refuses_oversized_spec(capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "candidate monomials" in err
+
+
+@pytest.mark.parametrize("n", ["0", "17", "-3"])
+def test_gen_random_refuses_a_bad_variable_count(n, capsys):
+    assert main(["gen", "random", "--seed", "1", "--n", n, "--k", "1", "--deg-bound", "2"]) == 2
+    assert capsys.readouterr().err == f"error: need 1..16 variables, got {n}\n"
+
+
+SEVENTEEN = ",".join(f"x{i}" for i in range(17))
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("p=101\nvars=x,x\nx", "line 2, column 1", "duplicate variable names in ('x', 'x')"),
+        ("p=101; vars=x, 2y; x", "line 1, column 8", "bad variable name '2y'"),
+        (f"p=101;\n  vars={SEVENTEEN}; x0", "line 2, column 3", "need 1..16 variables, got 17"),
+    ],
+    ids=["duplicate", "bad-name", "too-many"],
+)
+def test_variable_list_errors_point_at_the_list(text, where, message, tmp_path, capsys):
+    path = tmp_path / "vars.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -219,3 +250,40 @@ def test_stdin_input(capsys, monkeypatch):
     _stdin(monkeypatch, b"p=101; vars=x,y; x^2+y; y^2+x; x*y")
     assert main(["analyze", "-", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["sd"] == 3
+
+
+# headers, good (repeated, so that many texts parse) and bad; pieces of
+# polynomial text: the grammar's alphabet, exponents and digit runs past the
+# limits, and characters the grammar does not have
+_MODULI = ["p=101;"] * 4 + ["p=2; order=grlex;", "p=4;", "p=\u0661\u0660\u0661;", ""]
+_VARS = ["vars=x,y;"] * 5 + ["vars=x,x;", "vars=;", f"vars={SEVENTEEN};"]
+_PIECES = ["x ", "y ", "x^2 ", "y^3", "2", " + ", " - ", "*", "x*y", ";", "\n", "x^2 + y;",
+           "2*x*y - y;"] * 5 + [
+    "z", "xy", "_", "0", "07", "1" * 50, "9" * 4400, "^", "^ 3", "^40000", "^000032768",
+    "+", "-", " ", "\t", "\u00b2", "\u0661", "\u00e9", "\0", "#", "p=101",
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from(_MODULI),
+    names=st.sampled_from(_VARS),
+    body=st.lists(st.sampled_from(_PIECES), max_size=8),
+)
+def test_any_system_text_ends_in_an_exit_code_with_a_position(p, names, body):
+    text = f"{p} {names}\n" + "".join(body)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["analyze", str(path)])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and "internal error" not in err
+    where = re.match(r"error: line (\d+), column (\d+): ", err)
+    if where:
+        lines = text.splitlines()
+        line, col = int(where.group(1)), int(where.group(2))
+        assert 1 <= line <= len(lines)
+        assert 1 <= col <= len(lines[line - 1]) + 1

@@ -139,6 +139,23 @@ def test_ideal_dim_le_examples():
     assert ideal_dim_le(H, 2) == 2
 
 
+def test_ideal_dims_count_divisible_exponent_tuples_per_degree():
+    from soldeg.groebner import ideal_dims
+
+    for F in (gen_fk(5, 101), mk("p=3; vars=x,y,z; x^2*y + z; y^3 - x; z^2 + x*y")):
+        n = F.ring.nvars
+        for order in (GREVLEX, GRLEX):
+            G = buchberger_reduced(F, order)
+            lms = [g.leading_monomial(order) for g in G]
+            expected = [
+                sum(1 for m in itertools.product(range(d + 1), repeat=n)
+                    if sum(m) <= d and any(all(map(int.__ge__, m, lm)) for lm in lms))
+                for d in range(8)
+            ]
+            assert ideal_dims(G, 7) == expected
+            assert ideal_dim_le(G, 7) == expected[-1] and ideal_dim_le(G, -1) == 0
+
+
 def test_ideal_dim_le_monotone_and_zero_below_min_degree():
     G = buchberger_reduced(mk("p=101; vars=x,y; x^2 + y^2; x*y"))
     dims = [ideal_dim_le(G, e) for e in range(0, 6)]

@@ -142,6 +142,52 @@ def test_parse_syntax_error_position():
     assert err.value.line == 2
 
 
+# (statement, column, message) under "p=101; vars=x,y; ", which ends at column 17
+MALFORMED = [
+    ("x\u00b2", 19, "unexpected character '\u00b2'"),
+    ("*x\u00b2", 20, "unexpected character '\u00b2'"),
+    ("*x", 18, "'*' needs a left factor"),
+    ("x + *y", 22, "'*' needs a left factor"),
+    ("x*", 20, "dangling '*'"),
+    ("x**y", 20, "expected a factor, got '*'"),
+    ("x*+y", 20, "expected a factor, got '+'"),
+    ("x^2^3", 21, "expected a factor, got '^'"),
+    ("2^3", 19, "expected a factor, got '^'"),
+    ("2* ^07y10", 21, "expected a factor, got '^'"),
+    ("x^", 18, "'^' needs an integer exponent"),
+    ("x^y", 20, "'^' needs an integer exponent"),
+    ("x ^ -1", 22, "'^' needs an integer exponent"),
+    ("x +", 21, "empty term"),
+    ("-", 19, "empty term"),
+    ("x + -y", 22, "empty term"),
+    ("z", 18, "unknown variable 'z'"),
+    ("xy^2", 18, "unknown variable 'xy'"),
+    ("7" * 5000, 18, "coefficient with 5000 digits is too long"),
+    ("x^40000", 20, "exponent above the largest supported degree 32767"),
+    ("x^000032768", 20, "exponent above the largest supported degree 32767"),
+    ("x^32767*x", 26, "term degree above the largest supported degree 32767"),
+    ("x - x", 18, "polynomial is zero"),
+]
+
+
+@pytest.mark.parametrize(
+    "stmt, col, message", MALFORMED, ids=[f"{m[2]} {m[0][:12]!r}" for m in MALFORMED]
+)
+def test_malformed_statement_position_and_message(stmt, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_system("p=101; vars=x,y; " + stmt)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value) == f"line 1, column {col}: {message}"
+
+
+def test_digits_are_ascii():
+    # int() reads an Arabic-Indic digit; the grammar, like p=, takes 0-9 only
+    for text, col, char in (("\u0661x + 3", 18, "\u0661"), ("x^\u0663", 20, "\u0663")):
+        with pytest.raises(ParseError) as err:
+            parse_system("p=101; vars=x,y; " + text)
+        assert str(err.value) == f"line 1, column {col}: unexpected character {char!r}"
+
+
 def test_parse_rejects_zero_polynomial():
     with pytest.raises(ParseError) as err:
         parse_system("p=7; vars=x; 7")

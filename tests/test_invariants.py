@@ -353,3 +353,28 @@ def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
     assert (report.sd, report.lfd) == (11, 11)
     assert all(c.verdict == "pass" for c in report.certificates)
     assert len(calls) <= 3  # sd and sd - 1 in the scan, d_reg + 1 in the identity
+
+
+def test_last_fall_scan_counts_ideal_dimensions_in_one_pass(monkeypatch):
+    from soldeg import invariants
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(G, e):
+            calls.append((fn.__name__, e))
+            return fn(G, e)
+        return wrapper
+
+    F = mk("p=101; vars=x,y; x^300 + y^300")
+    monkeypatch.setattr(invariants, "ideal_dim_le", counted(ideal_dim_le))
+    report = verify_bounds(F)
+    assert (report.sd, report.lfd) == (300, 1)
+    assert isinstance(report.d_reg, InfiniteDegree)  # so the identity certificate counts none
+    assert calls == []  # not one call per degree of the walk
+
+    from soldeg.groebner import ideal_dims
+
+    monkeypatch.setattr(invariants, "ideal_dims", counted(ideal_dims))
+    assert render_report(verify_bounds(F)) == render_report(report)
+    assert calls == [("ideal_dims", 300)]  # one pass over the degrees 0..sd

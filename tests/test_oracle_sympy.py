@@ -1,9 +1,14 @@
-"""Differential test of the reduced Groebner basis against sympy.
+"""Differential tests of the reduced Groebner basis and the regularity
+degree against sympy.
 
 sympy.groebner is an independent implementation; over GF(p) under the same
 degree-compatible order it must return the same reduced basis, so the
-rendered bases and their largest degrees (Gbd) agree term for term.
+rendered bases and their largest degrees (Gbd) agree term for term. The
+regularity degree is the first degree in which the ideal of the top parts
+has no standard monomial, counted on sympy's basis of that ideal.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +16,15 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from soldeg import GREVLEX, GRLEX, Ring, buchberger_reduced  # noqa: E402
+from soldeg import (  # noqa: E402
+    GREVLEX,
+    GRLEX,
+    InfiniteDegree,
+    PolySystem,
+    Ring,
+    buchberger_reduced,
+    degree_of_regularity,
+)
 
 PRIMES = [2, 3, 101, 2**31 - 1]
 
@@ -57,3 +70,25 @@ def test_reduced_basis_matches_sympy(case):
     theirs = sympy_reduced_basis(ring, order, polys)
     assert [g.render(order) for g in ours] == [g.render(order) for g in theirs]
     assert ours.max_degree == max(g.degree for g in theirs)
+
+
+def sympy_regularity_degree(ring, polys):
+    """The first d in 1..cap whose monomials are all divisible by a leading
+    monomial of sympy's grevlex basis of the top parts, else InfiniteDegree(cap);
+    cap is one past the Macaulay bound over the min(n, k) largest degrees."""
+    basis = sympy_reduced_basis(ring, GREVLEX, [f.top() for f in polys])
+    lms = [g.leading_monomial(GREVLEX) for g in basis]
+    degrees = sorted((f.degree for f in polys), reverse=True)[: min(ring.nvars, len(polys))]
+    cap = sum(degrees) - len(degrees) + 3
+    for d in range(1, cap + 1):
+        monomials = (m for m in itertools.product(range(d + 1), repeat=ring.nvars) if sum(m) == d)
+        if all(any(all(map(int.__ge__, m, lm)) for lm in lms) for m in monomials):  # none standard
+            return d
+    return InfiniteDegree(cap)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(systems())
+def test_regularity_degree_matches_sympy(case):
+    ring, _, polys = case
+    assert degree_of_regularity(PolySystem(ring, polys)) == sympy_regularity_degree(ring, polys)
