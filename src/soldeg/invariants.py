@@ -42,11 +42,15 @@ class InfiniteDegree:
 DegreeValue = Union[int, InfiniteDegree]
 
 
+def _macaulay_degrees(F: PolySystem) -> list[int]:
+    """The m = min(n, k) largest input degrees, largest first."""
+    return sorted(F.degrees(), reverse=True)[: min(F.ring.nvars, len(F))]
+
+
 def _macaulay_bound(F: PolySystem) -> int:
     """d_1 + ... + d_m - m + 2 over the m = min(n, k) largest input degrees."""
-    m = min(F.ring.nvars, len(F))
-    degs = sorted(F.degrees(), reverse=True)[:m]
-    return sum(degs) - m + 2
+    degs = _macaulay_degrees(F)
+    return sum(degs) - len(degs) + 2
 
 
 def degree_of_regularity(F: PolySystem) -> DegreeValue:
@@ -99,11 +103,13 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
             closures[d] = v_space_closure(F, d, order, trace=trace if traced else None)
         return closures[d]
 
+    pack = F.ring.packing(order)
+    goals = [g._packed(pack) for g in G.polys]  # keyed once, as the closures key rows
     partial: dict[int, int] = {}
     for sd in range(max(1, G.max_degree), cap + 1):
         V = closure(sd, traced=True)
         partial[sd] = V.span_dim()
-        if all(V.span_contains(g) for g in G.polys):
+        if all(V.basis._contains(t) for t in goals):
             break
     else:
         raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
@@ -194,6 +200,10 @@ class DegreeReport:
 
 
 INF = "+inf"
+MACAULAY_CONSTANT = (
+    "hypothesis fails: a constant is among the min(n, k) largest degrees; "
+    "Lazard's bound needs forms of positive degree"
+)
 TRIVIAL = "regularity degree infinite; bound trivial"
 
 
@@ -217,10 +227,11 @@ def verify_bounds(
       sd_eq_max_lfd_gbd        sd == max(Lfd, Gbd)
       sd_generalized_bound     sd <= max(d_reg + 1, max deg(F))
       lfd_upper_bound          Lfd <= max(d_reg + 1, max deg(F))
-      sd_macaulay_bound        sd <= d_1 + ... + d_n - n + 2 over the n largest
-                               input degrees, needs finite d_reg (which
-                               forces k >= n unless F has a constant member:
-                               k < n forms never fill a degree slice)
+      sd_macaulay_bound        sd <= d_1 + ... + d_m - m + 2 over the
+                               m = min(n, k) largest input degrees, needs
+                               finite d_reg (which forces k >= n unless F
+                               has a constant member: k < n forms never fill
+                               a degree slice) and those m degrees positive
       vspace_dim_identity      dim V(F, d_reg+1) == dim of ideal elements
                                of degree <= d_reg + 1, needs the hypothesis
     """
@@ -289,7 +300,8 @@ def verify_bounds(
         certify("lfd_upper_bound", ("lfd",), lambda: (lfd, max(d_reg + 1, maxdeg)),
                 trivial=True),
         certify("sd_macaulay_bound", ("sd",), lambda: (sd, _macaulay_bound(F)),
-                before=None if finite else "regularity degree infinite"),
+                before="regularity degree infinite" if not finite
+                else None if min(_macaulay_degrees(F)) > 0 else MACAULAY_CONSTANT),
         certify("vspace_dim_identity", ("gbd",), identity, equal=True,
                 before=None if hypothesis["satisfied"]
                 else "hypothesis fails: needs finite d_reg and max deg <= d_reg"),

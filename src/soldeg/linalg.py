@@ -116,6 +116,11 @@ class RowBasis:
     def span_contains(self, f: Polynomial) -> bool:
         return not self._reduce_terms(self._encode(f))
 
+    def _contains(self, terms: dict[int, int]) -> bool:
+        """span_contains on terms keyed under this basis's packing, which it
+        leaves unchanged."""
+        return not self._reduce_terms(dict(terms))
+
     def span_dim(self) -> int:
         return len(self._pivots)
 

@@ -5,7 +5,12 @@ degree <= d and is closed under multiplication by monomials, or equivalently
 by single variables, while the product stays within degree d. The closure is
 a FIFO worklist (the variable-only step of MutantXL): seed with the inputs of
 degree <= d, then multiply every adopted row of degree < d (a "mutant" when
-its degree fell below the degree it was generated at) by x_1, ..., x_n.
+its degree fell below the degree it was generated at) by the variables from
+its start index on. A row adopted from x_a*g with deg g <= d - 2 starts at
+x_a, since x_i*x_a*g = x_a*(x_i*g) for i < a was already produced (the
+MutantXL and Matrix-F5 rule); every other row starts at x_1. Each skipped
+product already lies in the span (proof at v_space_closure), so adoption
+order, traces and rows are those of multiplying by every variable.
 Adoption order makes traces and counters reproducible; the resulting basis
 is canonical regardless.
 """
@@ -40,7 +45,9 @@ class ClosureStats:
     insertions: int = 0
     adoptions: int = 0
     field_mults: int = 0
-    closure_passes: int = 0  # adopted rows of degree < d multiplied by every variable
+    # adopted rows of degree < d, each multiplied by the variables from its
+    # start index on: a for a row adopted from x_a*g with deg g <= d - 2, else 0
+    closure_passes: int = 0
 
 
 @dataclass
@@ -87,9 +94,27 @@ def v_space_closure(
     """Compute the reduced echelon basis of V(F, d) by worklist closure.
 
     Each adopted row of degree < d is multiplied, as it was at adoption, by
-    every variable. That reaches all of V(F, d): under a degree-compatible
-    order a row of degree < d is a combination of adopted rows of degree
-    < d, since back-reduction only subtracts rows with smaller pivots.
+    every variable from its start index on. Multiplying by every variable
+    would reach all of V(F, d): under a degree-compatible order a row of
+    degree < d is a combination of adopted rows of degree < d, since
+    back-reduction only subtracts rows with smaller pivots.
+
+    Start indices. A row s adopted from the product x_a*g of degree < d
+    (deg g <= d - 2) starts at a; inputs, and rows adopted from products of
+    degree d (mutants), start at 0. Every skipped product x_i*s, i < a,
+    already lies in the span when s is popped, so skipping it changes
+    neither the basis nor the adoption sequence. By induction over pop
+    order, assume every product x_j*r of every row r popped before s is in
+    the span once r's pass ends. Write x_a*g = s + R and x_i*g = t + T,
+    where R and T are combinations of basis rows, those subtracted at
+    insertion, and t is the residual (zero when x_i*g reduced to zero, or
+    was skipped and so lay in the span by induction). The rows in R and T
+    have pivots of degree < d, so they are combinations of rows of degree
+    < d adopted before s; FIFO order pops them before s. The row t,
+    if nonzero, was adopted from x_i*g, which came before x_a*g in g's pass
+    (i < a, fixed variable order), so it too is popped before s. Then
+    x_i*s = x_a*t + x_a*T - x_i*R is a sum of products of rows popped
+    before s, all in the span.
 
     `trace`, when given, is a writable text stream receiving one
     tab-separated line per adopted row: degree, pivot, source id ("f<i>" an
@@ -104,10 +129,12 @@ def v_space_closure(
     pack = basis._pack
     pack.check(d)  # no product formed below exceeds degree d
     below_d = pack.degree_floor(d)
+    below_d_minus_1 = pack.degree_floor(d - 1)
     stats = ClosureStats()
-    queue: deque[tuple[str, dict[int, int]]] = deque()  # (row id, snapshot at adoption)
+    # (row id, snapshot at adoption, start index)
+    queue: deque[tuple[str, dict[int, int], int]] = deque()
 
-    def insert(work: dict[int, int], source: str, multiplier: str):
+    def insert(work: dict[int, int], source: str, multiplier: str, start: int = 0):
         stats.insertions += 1
         residual = basis._insert(work)
         if not residual:
@@ -124,18 +151,20 @@ def v_space_closure(
             stats.field_mults = basis.mult_count
             raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
         if pivot < below_d:
-            queue.append((row_id, residual))
+            queue.append((row_id, residual, start))
 
     for i, f in enumerate(F):
         if f._degree <= d:  # inputs above the bound are excluded, not truncated
             insert(dict(f._packed(pack)), f"f{i}", "1")
 
-    variables = list(zip(pack.variables, names))
+    variables = list(enumerate(zip(pack.variables, names)))
     while queue:
-        row_id, g = queue.popleft()
+        row_id, g, start = queue.popleft()
         stats.closure_passes += 1
-        for x, name in variables:
-            insert({k + x: c for k, c in g.items()}, row_id, name)
+        # products of degree < d pass their multiplier's index on as a start
+        product_below_d = max(g) < below_d_minus_1
+        for a, (x, name) in variables[start:]:
+            insert({k + x: c for k, c in g.items()}, row_id, name, a if product_below_d else 0)
 
     stats.field_mults = basis.mult_count
     return VSpaceBasis(d=d, basis=basis, stats=stats)

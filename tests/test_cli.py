@@ -161,6 +161,21 @@ def test_cap_does_not_truncate_the_regularity_degree(tmp_path, capsys):
     assert doc["d_reg"] == 6 and doc["sd"] == 5
 
 
+@pytest.mark.parametrize("text", ["p=101; vars=x,y; 2; 3", "p=101; vars=x,y,z; x; 2; 3"])
+def test_a_constant_among_the_largest_degrees_skips_the_macaulay_bound(text, tmp_path, capsys):
+    # Lazard's bound needs forms of positive degree; over degrees (0, 0) the
+    # Macaulay bound is 0 while sd is 1, which is no counterexample
+    path = tmp_path / "constants.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d_reg"], doc["gbd"], doc["sd"], doc["lfd"]) == (1, 0, 1, 1)
+    verdicts = {c["id"]: (c["verdict"], c["reason"]) for c in doc["certificates"]}
+    verdict, reason = verdicts.pop("sd_macaulay_bound")
+    assert verdict == "skipped" and reason.startswith("hypothesis fails: a constant")
+    assert all(verdict == "pass" for verdict, _ in verdicts.values())
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_nonpositive_cap_is_a_usage_error(fk_file, cap, capsys):
     assert main(["analyze", fk_file, "--cap", cap]) == 2

@@ -378,3 +378,26 @@ def test_last_fall_scan_counts_ideal_dimensions_in_one_pass(monkeypatch):
     monkeypatch.setattr(invariants, "ideal_dims", counted(ideal_dims))
     assert render_report(verify_bounds(F)) == render_report(report)
     assert calls == [("ideal_dims", 300)]  # one pass over the degrees 0..sd
+
+
+def test_sd_scan_keys_each_basis_member_once(monkeypatch):
+    from soldeg import buchberger_reduced, invariants
+    from soldeg.rings import Polynomial
+
+    F = gen_fk(6, 101)
+    G = buchberger_reduced(F, GRLEX)
+    dims = invariants.ideal_dims(G, 7)
+    monkeypatch.setattr(invariants, "ideal_dims", lambda G, e: dims[: e + 1])
+    keyed = []
+    packed = Polynomial._packed
+
+    def counted(self, pack):
+        if any(self is g for g in G.polys):
+            keyed.append(self)
+        return packed(self, pack)
+
+    monkeypatch.setattr(Polynomial, "_packed", counted)
+    assert invariants._scan(F, GRLEX, G, degree_of_regularity(F), None, {}) == (7, 7)
+    # the sd scan tests membership at degrees 1..7; each member is keyed
+    # under grlex once, not once per degree
+    assert len(keyed) == len(G)

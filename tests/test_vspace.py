@@ -1,7 +1,10 @@
 import io
 import math
+from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soldeg import (
     GREVLEX,
@@ -19,6 +22,7 @@ from soldeg import (
     reduce_against_tops,
     v_space_closure,
     RandomSpec,
+    RowBasis,
 )
 
 from helpers import mk
@@ -84,24 +88,41 @@ def test_closure_monotone_in_degree():
         previous = V
 
 
-def assert_variable_only_counters(F, V):
+def traced_closure(F, d, order=GREVLEX):
+    sink = io.StringIO()
+    V = v_space_closure(F, d, order, trace=sink)
+    return V, sink.getvalue()
+
+
+def assert_variable_only_counters(F, V, text):
     # inputs of degree <= d are inserted once; every row of degree < d is
-    # passed over once and multiplied by each of the n variables
-    seeds = sum(1 for f in F if f.degree <= V.d)
-    below = sum(1 for row in V.rows if row.degree < V.d)
-    assert V.stats.closure_passes == below
-    assert V.stats.insertions == seeds + F.ring.nvars * below
+    # passed over once and multiplied by the variables from its start index
+    # on: the multiplier's index when its source r<k> has degree <= d - 2,
+    # else 0 (inputs, and products of degree d that fell below it)
+    d, names = V.d, F.ring.names
+    lines = [line.split("\t") for line in text.splitlines()]
+    starts = [
+        names.index(multiplier)
+        if source.startswith("r") and int(lines[int(source[1:])][0]) <= d - 2
+        else 0
+        for degree, _, source, multiplier in lines
+        if int(degree) < d
+    ]
+    seeds = sum(1 for f in F if f.degree <= d)
+    assert len(starts) == sum(1 for row in V.rows if row.degree < d)
+    assert V.stats.closure_passes == len(starts)
+    assert V.stats.insertions == seeds + sum(F.ring.nvars - start for start in starts)
 
 
 def test_closure_insertion_counter_within_quadratic_bound():
     for k in (2, 3, 4):
         F = gen_fk(k, 101)
         d = k + 1
-        V = v_space_closure(F, d)
+        V, text = traced_closure(F, d)
         N = math.comb(F.ring.nvars + d, F.ring.nvars)
         assert V.stats.insertions <= N * N
         assert V.stats.adoptions == V.span_dim()
-        assert_variable_only_counters(F, V)
+        assert_variable_only_counters(F, V, text)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -110,10 +131,79 @@ def test_closure_counter_bound_on_random_systems(seed):
     spec = RandomSpec(seed=seed, n=n, k=n + 1, deg_bounds=(2,) * (n + 1), density=0.7, p=3)
     F = gen_random(spec)
     for d in (2, 3, 4):
-        V = v_space_closure(F, d)
+        V, text = traced_closure(F, d)
         N = math.comb(n + d, n)
         assert V.stats.insertions <= N * N
-        assert_variable_only_counters(F, V)
+        assert_variable_only_counters(F, V, text)
+
+
+def reference_closure(F, d, order):
+    """The closure without the start-index skip, on a RowBasis: every queued
+    row times every variable. Returns the basis, the trace text, the
+    insertion and pass counts, and the residual of every product that the
+    start-index rule skips (the variables before the row's start)."""
+    ring, n = F.ring, F.ring.nvars
+    basis = RowBasis(ring, order)
+    lines, queue, skipped = [], deque(), []
+    insertions = passes = 0
+
+    def insert(f, source, multiplier, start):
+        nonlocal insertions
+        insertions += 1
+        residual = basis.insert_reduce(f)
+        if not residual.is_zero:
+            pivot = ring.poly({residual.leading_monomial(order): 1}).render()
+            row_id = f"r{len(lines)}"
+            lines.append(f"{residual.degree}\t{pivot}\t{source}\t{multiplier}\n")
+            if residual.degree < d:
+                queue.append((row_id, residual, start))
+        return residual
+
+    for i, f in enumerate(F):
+        if f.degree <= d:
+            insert(f, f"f{i}", "1", 0)
+    while queue:
+        row_id, g, start = queue.popleft()
+        passes += 1
+        for a in range(n):
+            x = tuple(int(j == a) for j in range(n))
+            residual = insert(g.mul_monomial(x), row_id, ring.names[a],
+                              a if g.degree <= d - 2 else 0)
+            if a < start:
+                skipped.append(residual)
+    return basis, "".join(lines), insertions, passes, skipped
+
+
+@st.composite
+def closure_cases(draw):
+    p = draw(st.sampled_from([2, 3, 101]))
+    if draw(st.booleans()):
+        F = gen_fk(draw(st.integers(2, 4)), p)
+    else:
+        n = draw(st.integers(2, 3))
+        k = draw(st.integers(1, n + 1))
+        bounds = tuple(draw(st.lists(st.integers(1, 3 if n == 2 else 2), min_size=k, max_size=k)))
+        F = gen_random(RandomSpec(seed=draw(st.integers(0, 10**6)), n=n, k=k,
+                                  deg_bounds=bounds, density=draw(st.sampled_from([0.4, 0.7, 1.0])),
+                                  p=p))
+    order = draw(st.sampled_from([GREVLEX, GRLEX]))
+    d = max(1, F.max_degree() + draw(st.sampled_from([2, 3, 1, 0, -1])))
+    return F, d, order
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closure_cases())
+def test_closure_matches_the_closure_without_the_skip(case):
+    F, d, order = case
+    V, text = traced_closure(F, d, order)
+    basis, ref_text, insertions, passes, skipped = reference_closure(F, d, order)
+    assert text == ref_text
+    assert V.rows == basis.rows
+    assert V.stats.adoptions == basis.span_dim() == V.span_dim()
+    assert V.stats.closure_passes == passes
+    assert insertions - V.stats.insertions == len(skipped)
+    assert all(residual.is_zero for residual in skipped)
 
 
 def test_closure_log_and_trace():
