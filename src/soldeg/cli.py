@@ -27,7 +27,7 @@ from .errors import (
 from .groebner import buchberger_reduced, mutantxl_gb
 from .harness import RandomSpec, SystemFile, gen_fk, gen_random, parse_system, render_system
 from .invariants import DegreeReport, verify_bounds
-from .rings import GREVLEX, TermOrder
+from .rings import GREVLEX, MAX_DEGREE, TermOrder
 
 
 def _read_text(path: str) -> str:
@@ -162,6 +162,8 @@ def _sweep_instance(task) -> DegreeReport:
 def _cmd_sweep(args) -> int:
     if args.start < 2 or args.stop < args.start:
         raise DomainError("need 2 <= --from <= --to")
+    if args.stop > MAX_DEGREE:  # refused before the task list is built
+        raise DomainError(f"--to is above the largest supported degree {MAX_DEGREE}")
     order_kind = args.order or "grevlex"
     tasks = [(k, args.p, order_kind, args.cap) for k in range(args.start, args.stop + 1)]
     if args.workers is not None and args.workers < 1:

@@ -1,43 +1,57 @@
-"""Exact reduced echelon bases over GF(p), with monomial-indexed columns.
+"""Exact echelon bases over GF(p), with monomial-indexed columns.
 
-A RowBasis is kept fully reduced at all times: each pivot monomial occurs in
-exactly one row (with coefficient 1) and in no other row's tail. Because
-tails can therefore never reintroduce a pivot, fully reducing an incoming
-polynomial is a single pass over the pivots it touches, in any order.
-Columns are packed monomials (see rings.Packing) under the basis's order.
+A RowBasis stores each row as it was adopted: monic, free of the pivots that
+existed then, but free to hold pivots adopted later. Reducing an incoming
+polynomial therefore removes pivot monomials largest first, since a
+subtracted row can bring in smaller pivots. The reduced echelon form, where
+each pivot occurs in exactly one row, is built by one back-substitution pass
+when the rows are read. Columns are packed monomials (see rings.Packing)
+under the basis's order.
 """
 
 from __future__ import annotations
 
-import bisect
+from heapq import heapify, heappop, heappush
 
 from .errors import DimensionError
 from .rings import GREVLEX, Polynomial, Ring, TermOrder
 
 
 class RowBasis:
-    """Canonical reduced echelon basis of a span of polynomials.
+    """Echelon basis of a span of polynomials, read in canonical reduced form.
 
-    Single-writer: mutate the rows through insert_reduce only. Reads
-    (reduce, span_contains, rows, span_dim) leave the rows unchanged, but
-    reduce and span_contains add to mult_count, so concurrent readers race
-    on that counter. The final row set depends only on the span, not on
-    insertion order.
+    Rows are held as pivot -> tail maps, the pivot coefficient 1. Adopting a
+    row leaves the stored rows as they are: each tail is free of the pivots
+    that existed at its adoption, and may hold pivots adopted since (row
+    echelon form, as in Gaussian elimination). Reading `rows` or `_rows`
+    first reduces every tail against the rows with smaller pivots, in
+    ascending pivot order (Gauss-Jordan back-substitution), once per batch of
+    adoptions; the rows read are the canonical reduced ones, so they depend
+    only on the span, not on insertion order.
 
-    Rows are held as pivot -> tail maps, the pivots also in an ascending
-    list. A tail lies below its pivot, so when a new row is adopted only the
-    rows with larger pivots can hold the new pivot; back-reduction scans
-    those alone, from the new pivot's bisect position.
+    Residuals do not depend on the stored form. Every nonzero element of the
+    span leads with a pivot, so v + span holds exactly one element that
+    contains no pivot monomial. Reduction removes every pivot monomial from
+    v, largest first: a tail lies below its pivot, so once a pivot is
+    removed no later subtraction brings it back. It thus returns that one
+    element, whichever form the rows are stored in, and reduce,
+    span_contains, insert_reduce and the adoption order are those of a basis
+    kept fully reduced.
+
+    Single-writer: mutate the rows through insert_reduce only, and treat a
+    `rows` read as a write too, since it rewrites the stored tails to the
+    reduced form. reduce and span_contains leave the rows unchanged but add
+    to mult_count, so concurrent readers race on that counter.
     """
 
-    __slots__ = ("ring", "order", "_pack", "_pivots", "_tails", "mult_count")
+    __slots__ = ("ring", "order", "_pack", "_tails", "_reduced", "mult_count")
 
     def __init__(self, ring: Ring, order: TermOrder = GREVLEX):
         self.ring = ring
         self.order = order
         self._pack = ring.packing(order)
-        self._pivots: list[int] = []  # ascending
         self._tails: dict[int, dict[int, int]] = {}  # pivot coefficient implicitly 1
+        self._reduced = True  # no tail holds a pivot
         self.mult_count = 0  # field multiplications performed so far
 
     def _encode(self, f: Polynomial) -> dict[int, int]:
@@ -49,19 +63,27 @@ class RowBasis:
         return dict(f._packed(self._pack))
 
     def _reduce_terms(self, work: dict[int, int]) -> dict[int, int]:
-        """Eliminate every pivot monomial from `work` in place."""
+        """Eliminate every pivot monomial from `work` in place, largest first."""
         tails = self._tails
-        hits = work.keys() & tails.keys()
-        if not hits:
+        heap = [-m for m in work.keys() & tails.keys()]  # max-heap of hit pivots
+        if not heap:
             return work
+        heapify(heap)
         p = self.ring.p
-        for pm in hits:
-            c = work.pop(pm)
+        while heap:
+            pm = -heappop(heap)
+            c = work.pop(pm, 0)
+            if not c:  # cancelled, or a duplicate entry already handled
+                continue
             tail = tails[pm]
             self.mult_count += len(tail)
             for m, rc in tail.items():
-                v = (work.get(m, 0) - c * rc) % p
-                if v:
+                v = work.get(m)
+                if v is None:
+                    work[m] = -c * rc % p
+                    if m in tails:
+                        heappush(heap, -m)
+                elif v := (v - c * rc) % p:
                     work[m] = v
                 else:
                     del work[m]
@@ -73,29 +95,15 @@ class RowBasis:
         work = self._reduce_terms(work)
         if not work:
             return work
-        p = self.ring.p
         pivot = max(work)
         c = work.pop(pivot)
         if c != 1:
+            p = self.ring.p
             inv = pow(c, -1, p)
             self.mult_count += len(work)
             work = {m: v * inv % p for m, v in work.items()}
-        pivots, tails = self._pivots, self._tails
-        at = bisect.bisect(pivots, pivot)
-        for pm in pivots[at:]:
-            tail = tails[pm]
-            rc = tail.pop(pivot, None)
-            if rc is None:
-                continue
-            self.mult_count += len(work)
-            for m, nc in work.items():
-                v = (tail.get(m, 0) - rc * nc) % p
-                if v:
-                    tail[m] = v
-                else:
-                    del tail[m]
-        pivots.insert(at, pivot)
-        tails[pivot] = work
+        self._tails[pivot] = work
+        self._reduced = False
         residual = dict(work)
         residual[pivot] = 1
         return residual
@@ -107,9 +115,8 @@ class RowBasis:
     def insert_reduce(self, f: Polynomial) -> Polynomial:
         """Reduce f fully, then adopt the residual as a new monic row.
 
-        Returns the monic residual (zero if f was already in the span). On
-        adoption, the stored rows are back-reduced against the new row, so
-        the basis stays canonically reduced.
+        Returns the monic residual (zero if f was already in the span). The
+        stored rows are left as they are; see the class docstring.
         """
         return Polynomial._from_packed(self.ring, self._pack, self._insert(self._encode(f)))
 
@@ -122,25 +129,28 @@ class RowBasis:
         return not self._reduce_terms(dict(terms))
 
     def span_dim(self) -> int:
-        return len(self._pivots)
+        return len(self._tails)
 
     @property
     def pivots(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(map(self._pack.decode, self._pivots))
+        return frozenset(map(self._pack.decode, self._tails))
 
-    def _rows(self) -> list[dict[int, int]]:
-        """Rows as packed term maps (pivot included), by descending pivot."""
-        out = []
-        for pm in reversed(self._pivots):
-            terms = dict(self._tails[pm])
-            terms[pm] = 1
-            out.append(terms)
-        return out
+    def _rows(self) -> list[tuple[int, dict[int, int]]]:
+        """(pivot, row) pairs of the reduced echelon form, by descending
+        pivot; each row is a fresh packed term map, pivot included."""
+        tails = self._tails
+        pivots = sorted(tails)
+        if not self._reduced:
+            # ascending: the rows a tail is reduced against are already final
+            for pm in pivots:
+                self._reduce_terms(tails[pm])
+            self._reduced = True
+        return [(pm, {**tails[pm], pm: 1}) for pm in reversed(pivots)]
 
     @property
     def rows(self) -> list[Polynomial]:
         """Rows as polynomials, sorted by descending pivot."""
-        return [Polynomial._from_packed(self.ring, self._pack, t) for t in self._rows()]
+        return [Polynomial._from_packed(self.ring, self._pack, t) for _, t in self._rows()]
 
     def __repr__(self):
-        return f"RowBasis(dim={len(self._pivots)}, order={self.order.kind})"
+        return f"RowBasis(dim={len(self._tails)}, order={self.order.kind})"

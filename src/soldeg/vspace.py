@@ -52,7 +52,8 @@ class ClosureStats:
 
 @dataclass
 class VSpaceBasis:
-    """Reduced echelon basis of V(F, d) plus the counters of its closure."""
+    """Echelon basis of V(F, d), read in reduced form, plus the counters of
+    its closure."""
 
     d: int
     basis: RowBasis
@@ -71,14 +72,17 @@ class VSpaceBasis:
 
 def degree_slice(F: PolySystem, d: int, order: TermOrder) -> RowBasis:
     """Echelon basis of the products m*f of degree exactly d, over the
-    members f of F with deg(f) <= d."""
+    members f of F with deg(f) <= d. The span does not depend on insertion
+    order. Ascending m makes the work smaller: later rows tend to have
+    larger pivots, which the tails of earlier rows, lying below their own
+    pivots, cannot hold."""
     basis = RowBasis(F.ring, order)
     pack = basis._pack
     pack.check(d)  # every product has degree d
     for f in F:
         if f._degree <= d:
             terms = f._packed(pack)
-            for m in sorted(pack.monomials(d - f._degree), reverse=True):
+            for m in sorted(pack.monomials(d - f._degree)):
                 basis._insert({k + m: c for k, c in terms.items()})
     return basis
 
@@ -96,8 +100,9 @@ def v_space_closure(
     Each adopted row of degree < d is multiplied, as it was at adoption, by
     every variable from its start index on. Multiplying by every variable
     would reach all of V(F, d): under a degree-compatible order a row of
-    degree < d is a combination of adopted rows of degree < d, since
-    back-reduction only subtracts rows with smaller pivots.
+    degree < d is a combination of adopted rows of degree < d, since the
+    basis stores each row as adopted and its reduced form only subtracts
+    rows with smaller pivots (see linalg.RowBasis).
 
     Start indices. A row s adopted from the product x_a*g of degree < d
     (deg g <= d - 2) starts at a; inputs, and rows adopted from products of
@@ -195,20 +200,19 @@ def construct_top_representatives(
     basis = degree_slice(F, d_reg, order)
     pack = basis._pack
     below_d = pack.degree_floor(d_reg)
+    rows = dict(basis._rows())
     reps: dict[tuple[int, ...], Polynomial] = {}
     for target in sorted(pack.monomials(d_reg), reverse=True):
-        tail = basis._tails.get(target)
-        if tail is None:
+        row = rows.get(target)
+        if row is None:
             raise InconsistencyError(
                 f"monomial {_render_exps(pack.decode(target), ring.names)} has no "
                 f"degree-{d_reg} representation; the supplied regularity degree looks wrong"
             )
-        if tail and max(tail) >= below_d:
+        if any(m >= below_d for m in row if m != target):
             raise InconsistencyError(
                 f"row of {_render_exps(pack.decode(target), ring.names)} has a different top part"
             )
-        row = dict(tail)
-        row[target] = 1
         reps[pack.decode(target)] = Polynomial._from_packed(ring, pack, row)
     return reps
 

@@ -224,6 +224,14 @@ def test_sweep_cap_exit_code(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+def test_sweep_refuses_a_degree_above_the_largest_up_front(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("soldeg.cli._sweep_instance", calls.append)
+    assert main(["sweep", "fk", "--to", "1000000000", "--workers", "1"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: --to is above")
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the process pool with a serial stand-in that records its size."""

@@ -2,12 +2,17 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soldeg import (
     GREVLEX,
     GRLEX,
     CapExceeded,
+    InconsistencyError,
+    Polynomial,
     PreconditionError,
+    Ring,
     buchberger_reduced,
     gbd,
     gen_fk,
@@ -18,6 +23,7 @@ from soldeg import (
     normal_form,
     RandomSpec,
 )
+from soldeg.groebner import _monic, _nf, _reduced_basis, _spoly
 
 from helpers import mk
 
@@ -108,7 +114,8 @@ def test_buchberger_cap():
 
 
 def test_product_criterion_s_pairs_still_verified():
-    # post-hoc check re-reduces every S-polynomial of the result
+    # the post-hoc check skips coprime pairs; every S-polynomial of the
+    # result, coprime pairs included, still reduces to zero
     F = mk("p=101; vars=x,y,z; x*y - z; y*z - x; x*z - y")
     G = buchberger_reduced(F)
     for i in range(len(G)):
@@ -120,6 +127,32 @@ def test_product_criterion_s_pairs_still_verified():
             qj = tuple(a - b for a, b in zip(l, lj))
             s = G[i].mul_monomial(qi) - G[j].mul_monomial(qj)
             assert normal_form(s, G).is_zero
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 101]), order=st.sampled_from([GREVLEX, GRLEX]), data=st.data())
+def test_post_check_rejects_exactly_when_the_full_check_does(p, order, data):
+    """The post-hoc check, which skips pairs with coprime leading monomials,
+    rejects a random monic set exactly when checking every pair does."""
+    ring = Ring(p, ("x", "y", "z"))
+    pack = ring.packing(order)
+    mons = [m for m in itertools.product(range(4), repeat=3) if 0 < sum(m) <= 3]
+    terms = st.dictionaries(st.sampled_from(mons), st.integers(1, p - 1), min_size=1, max_size=3)
+    polys = [
+        _monic(dict(Polynomial(ring, t)._packed(pack)), p)
+        for t in data.draw(st.lists(terms, min_size=2, max_size=5))
+    ]
+    G = _reduced_basis(ring, polys, order)
+    reduced = [(max(t), t) for t in (dict(g._packed(pack)) for g in G.polys)]
+    full_rejects = any(
+        _nf(_spoly(f, g, pack, p), reduced, pack, p) for f, g in itertools.combinations(reduced, 2)
+    )
+    try:
+        _reduced_basis(ring, polys, order, check=True)
+        pruned_rejects = False
+    except InconsistencyError:
+        pruned_rejects = True
+    assert pruned_rejects == full_rejects
 
 
 def test_gbd_examples():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soldeg import (
     GREVLEX,
@@ -155,58 +157,170 @@ def test_reduce_leaves_basis_unchanged():
 
 class _FullScanBasis:
     """Reference echelon basis on exponent-tuple keys that back-reduces every
-    stored row on adoption, counting field multiplications like RowBasis."""
+    stored row on adoption, so its rows are always the reduced ones."""
 
     def __init__(self, ring, order):
+        self.ring = ring
         self.p = ring.p
         self.order = order
         self.rows = {}  # pivot -> tail
-        self.mult_count = 0
+
+    def _reduce(self, work):
+        p = self.p
+        for pm in work.keys() & self.rows.keys():
+            c = work.pop(pm)
+            for m, rc in self.rows[pm].items():
+                work[m] = (work.get(m, 0) - c * rc) % p
+        return {m: v for m, v in work.items() if v}
+
+    def reduce(self, f):
+        return Polynomial(self.ring, self._reduce(dict(f.terms)))
+
+    def span_contains(self, f):
+        return not self._reduce(dict(f.terms))
 
     def insert_reduce(self, f):
         p = self.p
-        work = dict(f.terms)
-        for pm in work.keys() & self.rows.keys():
-            c = work.pop(pm)
-            tail = self.rows[pm]
-            self.mult_count += len(tail)
-            for m, rc in tail.items():
-                work[m] = (work.get(m, 0) - c * rc) % p
-            work = {m: v for m, v in work.items() if v}
+        work = self._reduce(dict(f.terms))
         if not work:
-            return
+            return self.ring.zero()
         pivot = max(work, key=self.order.key)
         c = work.pop(pivot)
-        if c != 1:
-            inv = pow(c, -1, p)
-            self.mult_count += len(work)
-            work = {m: v * inv % p for m, v in work.items()}
+        inv = pow(c, -1, p)
+        work = {m: v * inv % p for m, v in work.items()}
         for pm, tail in self.rows.items():
             rc = tail.pop(pivot, None)
             if rc is None:
                 continue
-            self.mult_count += len(work)
             for m, nc in work.items():
                 tail[m] = (tail.get(m, 0) - rc * nc) % p
             self.rows[pm] = {m: v for m, v in tail.items() if v}
         self.rows[pivot] = work
+        return Polynomial(self.ring, {**work, pivot: 1})
 
-    def polys(self, ring):
-        out = []
-        for pivot in sorted(self.rows, key=self.order.key, reverse=True):
-            out.append(Polynomial(ring, {**self.rows[pivot], pivot: 1}))
-        return out
+    @property
+    def pivots(self):
+        return frozenset(self.rows)
+
+    def polys(self):
+        return [
+            Polynomial(self.ring, {**self.rows[pivot], pivot: 1})
+            for pivot in sorted(self.rows, key=self.order.key, reverse=True)
+        ]
+
+
+class _LargestFirstBasis:
+    """Reference row-echelon basis on exponent-tuple keys, counting field
+    multiplications like RowBasis: rows are stored as adopted, an incoming
+    row loses its largest pivot monomial until none is left, and reading
+    the rows back-substitutes them in ascending pivot order."""
+
+    def __init__(self, ring, order):
+        self.p = ring.p
+        self.key = order.key
+        self.tails = {}  # pivot -> tail as adopted
+        self.mult_count = 0
+
+    def _reduce(self, work):
+        p = self.p
+        while hits := work.keys() & self.tails.keys():
+            pm = max(hits, key=self.key)
+            c = work.pop(pm)
+            tail = self.tails[pm]
+            self.mult_count += len(tail)
+            for m, rc in tail.items():
+                work[m] = (work.get(m, 0) - c * rc) % p
+            work = {m: v for m, v in work.items() if v}
+        return work
+
+    def reduce(self, f):
+        self._reduce(dict(f.terms))
+
+    def insert_reduce(self, f):
+        work = self._reduce(dict(f.terms))
+        if work:
+            pivot = max(work, key=self.key)
+            c = work.pop(pivot)
+            if c != 1:
+                inv = pow(c, -1, self.p)
+                self.mult_count += len(work)
+                work = {m: v * inv % self.p for m, v in work.items()}
+            self.tails[pivot] = work
+
+    def read_rows(self):
+        for pivot in sorted(self.tails, key=self.key):
+            self.tails[pivot] = self._reduce(self.tails[pivot])
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX])
-def test_bounded_back_reduction_matches_a_full_scan(seed, order):
+def test_largest_pivot_first_matches_a_full_scan(seed, order):
+    """Residuals and rows equal those of a basis kept fully reduced, after
+    every insertion, whether the rows are read after each one or only at
+    the end; the multiplication count of the unread basis is pinned exactly."""
     rng = random.Random(300 + seed)
     ring = Ring(rng.choice([2, 3, 101]), ("x", "y", "z"))
+    basis = RowBasis(ring, order)  # read after every insertion
+    unread = RowBasis(ring, order)  # read once, at the end
+    reference = _FullScanBasis(ring, order)
+    counter = _LargestFirstBasis(ring, order)
+    for f in _random_polys(rng, ring, 25):
+        residual = reference.insert_reduce(f)
+        assert basis.insert_reduce(f) == residual
+        assert basis.rows == reference.polys()
+        assert unread.insert_reduce(f) == residual
+        counter.insert_reduce(f)
+        assert unread.mult_count == counter.mult_count
+    assert unread.rows == reference.polys()
+    counter.read_rows()
+    assert unread.mult_count == counter.mult_count
+
+
+_OPS = st.sampled_from(["insert", "insert", "insert", "reduce", "contains", "rows", "pivots"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    p=st.sampled_from([2, 3, 101]),
+    order=st.sampled_from([GREVLEX, GRLEX]),
+    data=st.data(),
+)
+def test_reads_between_writes_match_a_full_scan(p, order, data):
+    """Random interleavings of writes and reads on one basis, a rows read
+    followed by more insertions included, agree with a basis kept fully
+    reduced at every step, and count multiplications like the reference."""
+    ring = Ring(p, ("x", "y", "z"))
+    mons = monomials_at_most(ring.nvars, 3)
+    polys = st.dictionaries(st.sampled_from(mons), st.integers(1, p - 1), max_size=6).map(
+        lambda terms: Polynomial(ring, terms)
+    )
     basis = RowBasis(ring, order)
     reference = _FullScanBasis(ring, order)
-    for f in _random_polys(rng, ring, 25):
-        basis.insert_reduce(f)
-        reference.insert_reduce(f)
-        assert basis.mult_count == reference.mult_count
-    assert basis.rows == reference.polys(ring)
+    counter = _LargestFirstBasis(ring, order)
+    inserted = []
+    for op in data.draw(st.lists(_OPS, min_size=1, max_size=40)):
+        if op == "rows":
+            assert basis.rows == reference.polys()
+            counter.read_rows()
+        elif op == "pivots":
+            assert basis.pivots == reference.pivots
+        else:
+            if op != "insert" and inserted and data.draw(st.booleans()):
+                # a combination of inserted polynomials, so that membership holds
+                f = ring.zero()
+                for g in data.draw(st.lists(st.sampled_from(inserted), min_size=1, max_size=4)):
+                    f = f + g.scaled(data.draw(st.integers(1, p - 1)))
+            else:
+                f = data.draw(polys)
+            if op == "insert":
+                inserted.append(f)
+                assert basis.insert_reduce(f) == reference.insert_reduce(f)
+                counter.insert_reduce(f)
+            elif op == "reduce":
+                assert basis.reduce(f) == reference.reduce(f)
+                counter.reduce(f)
+            else:
+                assert basis.span_contains(f) == reference.span_contains(f)
+                counter.reduce(f)
+        assert basis.mult_count == counter.mult_count
+        assert basis.span_dim() == len(reference.rows)

@@ -137,6 +137,21 @@ def test_closure_counter_bound_on_random_systems(seed):
         assert_variable_only_counters(F, V, text)
 
 
+@pytest.mark.parametrize(
+    "make, d, counters",
+    [
+        (lambda: gen_fk(10), 11, (89, 77, 65, 4)),
+        (lambda: gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4)), 6, (244, 194, 110, 59484)),
+    ],
+    ids=["fk10-d11", "random-n4-quadrics-d6"],
+)
+def test_closure_work_counters_are_pinned(make, d, counters):
+    """Work counters are deterministic: insertions, adoptions and passes
+    follow the closure's schedule, field_mults the echelon kernel."""
+    stats = v_space_closure(make(), d).stats
+    assert (stats.insertions, stats.adoptions, stats.closure_passes, stats.field_mults) == counters
+
+
 def reference_closure(F, d, order):
     """The closure without the start-index skip, on a RowBasis: every queued
     row times every variable. Returns the basis, the trace text, the
