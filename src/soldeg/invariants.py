@@ -2,24 +2,26 @@
 certificates for every bound that relates them.
 
 All four invariants are exact integers (the regularity degree may be an
-InfiniteDegree marker carrying the degree its scan stopped at, one past the
-Macaulay bound). verify_bounds computes everything once: one scan over
-shared closures gives sd and Lfd, and one rule turns each bound into a
-certificate with lhs, rhs, and a pass/fail/skipped verdict. Resource caps
-never produce wrong numbers: a capped computation turns the certificates
-that need it into skips with a "cap:" reason.
+InfiniteDegree marker carrying its cap, one past the Macaulay bound).
+verify_bounds computes everything once: one scan over shared closures gives
+sd and Lfd, and one rule turns each bound into a certificate with lhs, rhs,
+and a pass/fail/skipped verdict. Resource caps never produce wrong numbers:
+a capped computation turns the certificates that need it into skips with a
+"cap:" reason.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .errors import CapExceeded, DomainError
 from .groebner import buchberger_reduced, ideal_dim_le, ideal_dims
+from .linalg import RowBasis
 from .rings import GREVLEX, PolySystem, TermOrder
-from .vspace import VSpaceBasis, degree_slice, v_space_closure
+from .vspace import VSpaceBasis, v_space_closure
 
 LFD_RATIONALE = (
     "falls cannot occur past the solving degree: once the reduced basis lies in "
@@ -30,8 +32,7 @@ LFD_RATIONALE = (
 
 @dataclass(frozen=True)
 class InfiniteDegree:
-    """Marker for an infinite regularity degree; remembers the last degree
-    scanned (one past the Macaulay bound)."""
+    """Marker for an infinite regularity degree, with its cap: Macaulay + 1."""
 
     cap: int
 
@@ -56,7 +57,7 @@ def _macaulay_bound(F: PolySystem) -> int:
 def degree_of_regularity(F: PolySystem) -> DegreeValue:
     """Smallest d at which the degree-d slice spanned by bounded multiples of
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
-    when no d up to cap = Macaulay bound + 1 works.
+    when none does, cap = Macaulay bound + 1.
 
     InfiniteDegree is a proof, not a give-up. The slices are those of the
     ideal I generated by the top parts, and their dimensions do not change
@@ -67,15 +68,32 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     d_reg = 1. With k >= n, a slice fills at some degree only if I is
     primary to the irrelevant ideal or the whole ring, and then (Lazard,
     1983) it fills by degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n
-    largest degrees, two below the cap.
+    largest degrees, two below the cap; the scan stops there.
+
+    The tops are homogeneous: slice d is x_1..x_n times slice d - 1 plus the
+    tops of degree d, each slice a fresh basis fed x_a*r, a >= start(r), for
+    each row r of slice d - 1 in adoption order, then the tops; a row from
+    x_a*r starts at a, a top at 0. By v_space_closure's induction one degree
+    at a time, if x_a*g = s + R and x_i*g = t + T in slice d - 1 with i < a,
+    then t, R, T precede s in (degree, adoption) order, so x_i*s = x_a*t +
+    x_a*T - x_i*R lies in slice d.
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
     if len(F) < n and min(F.degrees()) > 0:
         return InfiniteDegree(cap)
-    tops = PolySystem(F.ring, [f.top() for f in F])
-    for d in range(1, cap + 1):
-        if degree_slice(tops, d, GREVLEX).span_dim() == math.comb(d + n - 1, d):
+    pack = F.ring.packing(GREVLEX)
+    adopted = []  # (start, residual) of each row adopted in the last slice
+    for d in range(max(1, cap - 2) + 1):  # Lazard's degree, two below the cap
+        pack.check(d)  # every product has degree d
+        basis, previous, adopted = RowBasis(F.ring, GREVLEX), adopted, []
+        products = ((a, {k + x: c for k, c in r.items()})
+                    for start, r in previous for a, x in enumerate(pack.variables[start:], start))
+        tops = ((0, dict(f.top()._packed(pack))) for f in F if f._degree == d)
+        for a, work in chain(products, tops):
+            if residual := basis._insert(work):
+                adopted.append((a, residual))
+        if d and basis.span_dim() == math.comb(d + n - 1, d):  # slice 0: constant tops
             return d
     return InfiniteDegree(cap)
 
@@ -217,9 +235,9 @@ def verify_bounds(
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
 
     `cap` bounds the solving-degree scan (default: max(d_reg + 1, max
-    deg(F))); a cap below 1 is a DomainError. d_reg is always scanned up to
-    one past the Macaulay bound. `trace` receives the lines of the sd-scan
-    and identity closures (see v_space_closure).
+    deg(F))); a cap below 1 is a DomainError. The d_reg scan is never
+    capped. `trace` receives the lines of the sd-scan and identity closures
+    (see v_space_closure).
 
     Certificates (in report order):
       sd_le_dreg_plus_1        sd <= d_reg + 1, needs max deg(F) <= d_reg

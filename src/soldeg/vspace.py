@@ -10,9 +10,9 @@ its start index on. A row adopted from x_a*g with deg g <= d - 2 starts at
 x_a, since x_i*x_a*g = x_a*(x_i*g) for i < a was already produced (the
 MutantXL and Matrix-F5 rule); every other row starts at x_1. Each skipped
 product already lies in the span (proof at v_space_closure), so adoption
-order, traces and rows are those of multiplying by every variable.
-Adoption order makes traces and counters reproducible; the resulting basis
-is canonical regardless.
+order, traces and rows are those of multiplying by every variable. Adoption
+order makes traces and counters reproducible; the resulting basis is
+canonical regardless. Every span the library hands out is such a closure.
 """
 
 from __future__ import annotations
@@ -68,23 +68,6 @@ class VSpaceBasis:
     @property
     def rows(self) -> list[Polynomial]:
         return self.basis.rows
-
-
-def degree_slice(F: PolySystem, d: int, order: TermOrder) -> RowBasis:
-    """Echelon basis of the products m*f of degree exactly d, over the
-    members f of F with deg(f) <= d. The span does not depend on insertion
-    order. Ascending m makes the work smaller: later rows tend to have
-    larger pivots, which the tails of earlier rows, lying below their own
-    pivots, cannot hold."""
-    basis = RowBasis(F.ring, order)
-    pack = basis._pack
-    pack.check(d)  # every product has degree d
-    for f in F:
-        if f._degree <= d:
-            terms = f._packed(pack)
-            for m in sorted(pack.monomials(d - f._degree)):
-                basis._insert({k + m: c for k, c in terms.items()})
-    return basis
 
 
 def v_space_closure(
@@ -181,13 +164,13 @@ def construct_top_representatives(
     """For every monic monomial m of degree d_reg, build p in V(F, d_reg)
     with top part exactly m; returns the map from m's exponent tuple to p.
 
-    Reads the degree-d_reg rows of degree_slice(F, d_reg). When the top
-    parts of those products span the degree-d_reg slice, every monomial of
-    that degree is a pivot, and since reduced tails hold no pivot, its row
-    is that monomial plus lower-degree terms. The rows are canonical, so the
-    result does not depend on the order of F. Refuses when max deg(F)
-    exceeds d_reg; a monomial that is no pivot raises InconsistencyError
-    (the given regularity degree was wrong).
+    Reads the rows of v_space_closure(F, d_reg). V(F, d_reg) holds every
+    product m*f of degree d_reg, so when their top parts fill the degree-d_reg
+    slice, every monomial of that degree is a pivot; since reduced tails
+    hold no pivot, its row is that monomial plus lower-degree terms. The
+    rows are canonical, so the result does not depend on the order of F.
+    Refuses when max deg(F) exceeds d_reg; a monomial that is no pivot
+    raises InconsistencyError (the given regularity degree was wrong).
     """
     if not isinstance(d_reg, int) or d_reg < 1:
         raise DomainError(f"regularity degree must be a positive int, got {d_reg!r}")
@@ -197,10 +180,9 @@ def construct_top_representatives(
             "interreduce the system first"
         )
     ring = F.ring
-    basis = degree_slice(F, d_reg, order)
-    pack = basis._pack
+    pack = ring.packing(order)
     below_d = pack.degree_floor(d_reg)
-    rows = dict(basis._rows())
+    rows = dict(v_space_closure(F, d_reg, order).basis._rows())
     reps: dict[tuple[int, ...], Polynomial] = {}
     for target in sorted(pack.monomials(d_reg), reverse=True):
         row = rows.get(target)

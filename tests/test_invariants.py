@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soldeg import (
     GREVLEX,
@@ -6,6 +10,9 @@ from soldeg import (
     CapExceeded,
     DegreeReport,
     InfiniteDegree,
+    Polynomial,
+    PolySystem,
+    Ring,
     degree_of_regularity,
     gen_fk,
     ideal_dim_le,
@@ -17,6 +24,7 @@ from soldeg import (
 )
 
 from helpers import mk
+from oracle_vspace import rref
 
 
 # --- degree of regularity -------------------------------------------------------
@@ -34,12 +42,87 @@ def test_regularity_of_monomial_squares():
 def test_regularity_infinite_marker():
     d = degree_of_regularity(mk("p=101; vars=x,y; x*y"))
     assert isinstance(d, InfiniteDegree)
-    assert d.cap == 4  # scanned to the Macaulay bound 3, plus one
+    assert d.cap == 4  # the Macaulay bound 3, plus one
     assert "infinity" in repr(d)
 
 
 def test_regularity_linear_full_rank():
     assert degree_of_regularity(mk("p=101; vars=x,y; x + 2*y; x + 3*y + 1")) == 1
+
+
+@pytest.mark.parametrize(
+    "text, d_reg",
+    [
+        ("p=2; vars=x,y; x*y; x^2 + x*y + y", InfiniteDegree(5)),
+        ("p=3; vars=x,y,z; x*y; y*z; x*z; x^2 + y^2", InfiniteDegree(6)),
+        ("p=101; vars=x; 1", 1),  # cap 2
+        # three constants among the four largest degrees put the cap at 0;
+        # the scan still reaches degree 1, which the constants fill
+        ("p=101; vars=x,y,z,w; x; 1; 1; 1", 1),
+    ],
+)
+def test_regularity_scan_stops_at_lazards_degree(monkeypatch, text, d_reg):
+    # with k >= n a slice fills by (d_1 - 1) + ... + (d_n - 1) + 1 = cap - 2
+    # if at all, so an infinite scan builds slices 0 .. cap - 2 and no more
+    from soldeg import invariants
+
+    slices = []
+
+    class Recording(invariants.RowBasis):
+        def __init__(self, *args, **kwargs):
+            slices.append(len(slices))  # one fresh basis per slice degree
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "RowBasis", Recording)
+    assert degree_of_regularity(mk(text)) == d_reg
+    assert slices[-1] == (d_reg if isinstance(d_reg, int) else d_reg.cap - 2)
+
+
+def _reference_regularity(F: PolySystem):
+    """d_reg by ranking, at each degree d up to the cap, every product of
+    exact degree d of the top parts as a dense vector: independent of the
+    library's echelon kernel and of its slice-to-slice walk."""
+    n, p = F.ring.nvars, F.ring.p
+    degs = sorted(F.degrees(), reverse=True)[: min(n, len(F))]
+    cap = sum(degs) - len(degs) + 3
+    tops = [(f.degree, f.top().terms) for f in F]
+    for d in range(1, max(1, cap) + 1):  # a constant fills degree 1 even when cap < 1
+        cols = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+        pos = {m: i for i, m in enumerate(cols)}
+        rows = []
+        for e, top in tops:
+            for mult in itertools.product(range(d - e + 1), repeat=n):
+                if e <= d and sum(mult) == d - e:
+                    row = [0] * len(cols)
+                    for m, c in top.items():
+                        row[pos[tuple(map(sum, zip(m, mult)))]] = c
+                    rows.append(row)
+        if len(rref(rows, p)) == len(cols):
+            return d
+    return InfiniteDegree(cap)
+
+
+@st.composite
+def _small_systems(draw):
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 101]))
+    ring = Ring(p, nvars=n)
+    polys = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        e = draw(st.integers(0, 3 if n < 4 else 2))
+        mons = [m for m in itertools.product(range(e + 1), repeat=n) if sum(m) <= e]
+        top = [m for m in mons if sum(m) == e]
+        coeff = st.integers(1, p - 1)
+        terms = draw(st.dictionaries(st.sampled_from(mons), coeff, max_size=3))
+        terms.update(draw(st.dictionaries(st.sampled_from(top), coeff, min_size=1, max_size=2)))
+        polys.append(Polynomial(ring, terms))
+    return PolySystem(ring, polys)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(F=_small_systems())
+def test_regularity_matches_dense_reference(F):
+    assert degree_of_regularity(F) == _reference_regularity(F)
 
 
 # --- solving degree ----------------------------------------------------------------
@@ -325,9 +408,9 @@ def test_underdetermined_system_skips_the_macaulay_bound_for_infinite_regularity
 
 def test_fewer_forms_than_variables_need_no_regularity_scan(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("k < n must not scan degree slices")
+        raise AssertionError("k < n must not build degree slices")
 
-    monkeypatch.setattr("soldeg.invariants.degree_slice", refuse)
+    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
     assert degree_of_regularity(mk(UNDERDETERMINED)) == InfiniteDegree(6)
     assert degree_of_regularity(mk("p=2; vars=x,y,z; x*y + z; y^2 + x*z")) == InfiniteDegree(5)
     with pytest.raises(AssertionError, match="k < n"):
