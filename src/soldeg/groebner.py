@@ -6,8 +6,8 @@ Buchberger output exactly.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import CapExceeded, DomainError, InconsistencyError, PreconditionError
 from .rings import GREVLEX, Packing, Polynomial, PolySystem, TermOrder
@@ -60,16 +60,23 @@ def _nf(terms: dict[int, int], divisors, pack: Packing, p: int) -> dict[int, int
     """Full multivariate division remainder of `terms` by monic divisors.
 
     No term of the result is divisible by any divisor's leading monomial;
-    the degree never grows because the order is degree-compatible.
+    the degree never grows because the order is degree-compatible. Work
+    monomials leave a max-heap largest first; every term a step subtracts
+    lies below the monomial it eliminates, so a popped monomial never comes
+    back, and an entry whose monomial has left `work` is skipped.
     """
     s, g = pack.sign, pack.guard
     # lm divides m iff (s*m + g - s*lm) keeps every guard bit (Packing.divides)
     divs = [(g - s * lm, lm, t) for lm, t in divisors]
     work = dict(terms)
+    heap = [-m for m in work]
+    heapify(heap)
     rem: dict[int, int] = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if not c:  # cancelled, or a duplicate entry already handled
+            continue
         sm = s * m
         for glm, lm, t in divs:
             if (sm + glm) & g == g:
@@ -78,8 +85,11 @@ def _nf(terms: dict[int, int], divisors, pack: Packing, p: int) -> dict[int, int
                     if mm == lm:
                         continue
                     qm = mm + q
-                    v = (work.get(qm, 0) - c * cc) % p
-                    if v:
+                    v = work.get(qm)
+                    if v is None:
+                        work[qm] = -c * cc % p
+                        heappush(heap, -qm)
+                    elif v := (v - c * cc) % p:
                         work[qm] = v
                     else:
                         del work[qm]
@@ -131,29 +141,58 @@ def _interreduce(polys: list, pack: Packing, p: int) -> list:
 
 def _reduced_basis(ring, polys: list, order: TermOrder, check: bool = False) -> GroebnerBasis:
     """The reduced basis of a Groebner basis given as monic pairs, sorted by
-    descending leading monomial; with check=True the Buchberger criterion
-    is re-verified on it.
-
-    The check skips pairs with coprime leading monomials. Their
-    S-polynomials reduce to zero by Buchberger's first (product) criterion,
-    so the basis is a Groebner basis iff every other S-polynomial leaves
-    remainder zero, and the pruned check rejects exactly when the full one
-    does (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
-    Ch. 2 §10, Thm 9).
-    """
+    descending leading monomial; with check=True check_basis re-verifies
+    the Buchberger criterion on it, over every pair that the product and
+    strict chain criteria leave."""
     pack, p = ring.packing(order), ring.p
     reduced = _interreduce(_minimalize(polys, pack), pack, p)
     reduced.sort(key=lambda f: f[0], reverse=True)
+    G = GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced), order)
     if check:
-        for i, (li, _) in enumerate(reduced):
-            for j in range(i + 1, len(reduced)):
-                lj = reduced[j][0]
-                if pack.lcm(li, lj) == li + lj:
-                    continue  # coprime leading monomials: product criterion
-                if _nf(_spoly(reduced[i], reduced[j], pack, p), reduced, pack, p):
-                    raise InconsistencyError("S-polynomial does not reduce to zero")
-    polys = tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced)
-    return GroebnerBasis(polys, order)
+        check_basis(G)
+    return G
+
+
+def check_basis(G: GroebnerBasis, low: int = 0) -> None:
+    """Raise InconsistencyError unless the reduced basis G is a Groebner
+    basis, taking every S-pair whose lcm has degree <= `low` as already
+    proved to reduce to zero (low=0 takes none; see invariants.verify_bounds
+    for the proof the closure gives).
+
+    A pair (i, j) is also skipped when lm_i and lm_j are coprime (product
+    criterion), or when some k not in {i, j} has lm_k | lcm_ij with
+    lcm_ik != lcm_ij and lcm_jk != lcm_ij (strict chain criterion). Every
+    other S-polynomial must leave remainder zero.
+
+    Why that is still a proof. G is a Groebner basis iff every S_ij has a
+    standard representation, a sum of multiples h*g_k with lm(h*g_k) <
+    lcm_ij (Becker and Weispfenning, Groebner Bases, Thm 5.64). A remainder
+    of zero gives one, and so does a coprime pair. For a chain skip, lcm_ik
+    and lcm_jk are proper divisors of lcm_ij and S_ij = (lcm_ij/lcm_ik)*S_ik
+    - (lcm_ij/lcm_jk)*S_jk, so representations of S_ik and S_jk below their
+    lcms give one of S_ij below lcm_ij. Each skip rests only on pairs of
+    strictly smaller lcm, and the term order is a well-order, so induction
+    over the lcm covers every pair even with all skips applied at once.
+    """
+    ring = G.polys[0].ring
+    pack, p = ring.packing(G.order), ring.p
+    reduced = [(max(t), t) for t in (g._packed(pack) for g in G.polys)]
+    lms = [l for l, _ in reduced]
+    n = len(lms)
+    lcm = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lcm[i][j] = lcm[j][i] = pack.lcm(lms[i], lms[j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            l = lcm[i][j]
+            if l == lms[i] + lms[j] or pack.degree(l) <= low:
+                continue
+            if any(k != i and k != j and lcm[i][k] != l and lcm[j][k] != l
+                   and pack.divides(lms[k], l) for k in range(n)):
+                continue
+            if _nf(_spoly(reduced[i], reduced[j], pack, p), reduced, pack, p):
+                raise InconsistencyError("S-polynomial does not reduce to zero")
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -173,9 +212,27 @@ def buchberger_reduced(
 ) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal generated by F.
 
-    Pairs are processed lowest lcm degree first (normal strategy) and
-    coprime leading terms are skipped (product criterion). With check=True
-    the Buchberger criterion is re-verified on the result.
+    Pairs are processed lowest lcm first (normal strategy). Each new
+    element h, input or remainder, goes through the Gebauer-Moeller update
+    (Becker and Weispfenning, Groebner Bases, algorithm UPDATE):
+      M        a new pair {i, h} goes when another new pair's lcm properly
+               divides lcm_ih
+      F        of the new pairs left with equal lcm one stays, and none
+               when one of them is coprime
+      product  the coprime new pairs go after M and F, which they still
+               take part in
+      B        a pending pair {i, j} goes when lm_h | lcm_ij and neither
+               lcm_ih nor lcm_jh equals lcm_ij
+    New pairs join h only to elements whose leading monomial no later
+    element divides; remainders are taken against every element.
+
+    With check=True check_basis re-verifies the Buchberger criterion on the
+    result, independently of the update, so a pair the update dropped by
+    mistake cannot pass unseen. verify_bounds passes check=False and runs
+    check_basis itself after the sd scan, where the closure proves the low
+    pairs. Past `max_pairs` S-polynomials CapExceeded carries `basis_size`,
+    `pairs_popped`, `pairs_pending` and `pairs_dropped`, the count per
+    criterion.
     """
     polys = list(F)
     if not polys:
@@ -188,36 +245,65 @@ def buchberger_reduced(
         return _unit_basis(ring, order)
 
     pack, p = ring.packing(order), ring.p
-    G = [_monic(f._packed(pack), p) for f in polys]
-    heap: list = []
+    s, g, lcm = pack.sign, pack.guard, pack.lcm
+    G: list = []  # every element, monic; all of them reduce
+    active: list[int] = []  # elements whose leading monomial no later one divides
+    heap: list = []  # pending pairs (lcm, i, j), i < j; packed order: lcm degree first
+    dropped = dict.fromkeys(("M", "F", "B", "product"), 0)
 
-    def push_pairs(upto: int, j: int):
-        lj = G[j][0]
-        for i in range(upto):
-            li = G[i][0]
-            l = pack.lcm(li, lj)
-            if l == li + lj:
-                continue  # coprime leading monomials: S-pair reduces to zero
-            heapq.heappush(heap, (l, i, j))  # packed order: lcm degree first
+    def update(f):
+        h, lh = len(G), f[0]
+        G.append(f)
+        glh = g - s * lh  # lm_h divides m iff (s*m + glh) keeps every guard bit
+        groups: dict[int, list] = {}  # lcm -> [coprime?, i, pairs]; no other lcm divides it
+        for l, i in sorted([(lcm(G[i][0], lh), i) for i in active]):
+            group = groups.get(l)
+            if group:
+                group[0] |= l == G[i][0] + lh
+                group[2] += 1
+                continue
+            sl = s * l + g
+            for m in groups:  # a proper divisor: l is not a key
+                if (sl - s * m) & g == g:
+                    dropped["M"] += 1
+                    break
+            else:
+                groups[l] = [l == G[i][0] + lh, i, 1]
+        if heap:
+            kept = [e for e in heap if (s * e[0] + glh) & g != g
+                    or lcm(G[e[1]][0], lh) == e[0] or lcm(G[e[2]][0], lh) == e[0]]
+            if len(kept) < len(heap):
+                dropped["B"] += len(heap) - len(kept)
+                heap[:] = kept
+                heapify(heap)
+        for l, (coprime, i, pairs) in groups.items():
+            dropped["F"] += pairs - 1
+            if coprime:
+                dropped["product"] += 1
+            else:
+                heappush(heap, (l, i, h))
+        active[:] = [i for i in active if (s * G[i][0] + glh) & g != g]
+        active.append(h)
 
-    for j in range(1, len(G)):
-        push_pairs(j, j)
+    for f in polys:
+        update(_monic(f._packed(pack), p))
 
     pops = 0
     while heap:
-        pops += 1
-        if pops > max_pairs:
+        if pops >= max_pairs:
             raise CapExceeded(
-                f"Buchberger exceeded {max_pairs} S-pairs", details={"basis_size": len(G)}
+                f"Buchberger exceeded {max_pairs} S-pairs",
+                details={"basis_size": len(G), "pairs_popped": pops,
+                         "pairs_pending": len(heap), "pairs_dropped": dropped},
             )
-        _, i, j = heapq.heappop(heap)
+        pops += 1
+        _, i, j = heappop(heap)
         r = _nf(_spoly(G[i], G[j], pack, p), G, pack, p)
         if not r:
             continue
         if pack.degree(max(r)) == 0:
             return _unit_basis(ring, order)
-        G.append(_monic(r, p))
-        push_pairs(len(G) - 1, len(G) - 1)
+        update(_monic(r, p))
 
     return _reduced_basis(ring, G, order, check)
 

@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Union
 
 from .errors import CapExceeded, DomainError
-from .groebner import buchberger_reduced, ideal_dim_le, ideal_dims
+from .groebner import buchberger_reduced, check_basis, ideal_dim_le, ideal_dims
 from .linalg import RowBasis
 from .rings import GREVLEX, PolySystem, TermOrder
 from .vspace import VSpaceBasis, v_space_closure
@@ -98,16 +98,22 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     return InfiniteDegree(cap)
 
 
-def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
-    """(sd, Lfd) from the closures V(F, d), kept in `closures` by degree.
+def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int, int]:
+    """(sd, Lfd, certified) from the closures V(F, d), kept in `closures` by
+    degree.
 
-    sd is the first d >= max(1, Gbd) whose span contains G; past `cap`
-    (default: derived from d_reg) CapExceeded carries the scanned span
-    dimensions. Lfd is one past the last e <= sd whose span is smaller than
-    the ideal's elements of degree <= e, found by walking down from sd over
-    ideal dimensions counted in one pass. Only the sd scan's closures are
-    traced.
+    sd is the first d >= max(1, Gbd) whose span contains G; a `cap` below
+    1 is a DomainError, and past `cap` (default: derived from d_reg)
+    CapExceeded carries the scanned span dimensions. Lfd is one past the
+    last e <= sd whose span is smaller than the ideal's elements of degree
+    <= e, found by walking down from sd over ideal dimensions counted in one
+    pass. `certified` is sd when dim V(F, sd) equals the count of multiples
+    of LM(G) of degree <= sd, else 0: then every S-pair of G with lcm degree
+    <= sd reduces to zero (see verify_bounds). Only the sd scan's closures
+    are traced.
     """
+    if cap is not None and cap < 1:
+        raise DomainError(f"cap must be at least 1, got {cap}")
     if cap is None:
         if isinstance(d_reg, int):
             cap = max(d_reg + 1, F.max_degree())
@@ -137,7 +143,7 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int]:
     lfd = 1 + next(
         (e for e in range(sd, 0, -1) if closure(e, traced=False).span_dim() < dims[e]), 0
     )
-    return sd, lfd
+    return sd, lfd, sd if closures[sd].span_dim() == dims[sd] else 0
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -239,6 +245,21 @@ def verify_bounds(
     capped. `trace` receives the lines of the sd-scan and identity closures
     (see v_space_closure).
 
+    Buchberger runs unchecked, and its basis G is checked after the sd scan,
+    before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
+    the number of multiples of LM(G) of degree <= sd, the check leaves out
+    every S-pair of lcm degree <= sd, because the closure proves that each
+    reduces to zero:
+      - the scan put G in V(F, sd), which every bounded multiple u*g
+        (deg u*g <= sd) then lies in, so the leading monomials of V(F, sd)
+        include every multiple of LM(G) up to degree sd;
+      - the dimensions count both sets, so being equal, the two are the same;
+      - a low S-polynomial, and each multiple of G its division subtracts,
+        lie in V(F, sd) (the order is degree-compatible), so its remainder
+        does too; a nonzero remainder would lead with a multiple of LM(G),
+        which no term of a remainder is.
+    Otherwise, or when the scan hits a cap, every pair is checked.
+
     Certificates (in report order):
       sd_le_dreg_plus_1        sd <= d_reg + 1, needs max deg(F) <= d_reg
       gbd_le_dreg              Gbd <= d_reg
@@ -253,8 +274,6 @@ def verify_bounds(
       vspace_dim_identity      dim V(F, d_reg+1) == dim of ideal elements
                                of degree <= d_reg + 1, needs the hypothesis
     """
-    if cap is not None and cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
     ring = F.ring
     maxdeg = F.max_degree()
     d_reg = degree_of_regularity(F)
@@ -268,12 +287,15 @@ def verify_bounds(
     closures: dict[int, VSpaceBasis] = {}
     G = gbd_v = sd = lfd = None
     cap_notes: dict[str, str] = {}
+    certified = 0
     try:
-        G = buchberger_reduced(F, order)
-        gbd_v = G.max_degree
-        sd, lfd = _scan(F, order, G, d_reg, cap, closures, trace)
+        G = buchberger_reduced(F, order, check=False)
+        sd, lfd, certified = _scan(F, order, G, d_reg, cap, closures, trace)
     except CapExceeded as exc:
         cap_notes["gbd" if G is None else "sd"] = str(exc)
+    if G is not None:
+        check_basis(G, certified)
+        gbd_v = G.max_degree
     values = {"gbd": gbd_v, "sd": sd, "lfd": lfd}
 
     def certify(cid, needs, bound, *, before=None, trivial=False, after=None, equal=False):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -23,7 +24,7 @@ from soldeg import (
     normal_form,
     RandomSpec,
 )
-from soldeg.groebner import _monic, _nf, _reduced_basis, _spoly
+from soldeg.groebner import _monic, _nf, _reduced_basis, _spoly, check_basis
 
 from helpers import mk
 
@@ -113,6 +114,36 @@ def test_buchberger_cap():
         buchberger_reduced(F, max_pairs=1)
 
 
+UPDATE_SHAPES = [(2, (2, 2)), (2, (3, 2, 2)), (3, (2, 2)), (3, (2, 2, 2)), (3, (3, 2, 1)),
+                 (3, (2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_pair_update_gives_the_basis_of_plain_buchberger(p, order):
+    """The Gebauer-Moeller update drops pairs, never the answer: on 40 seeds
+    per shape, the reduced basis equals that of Buchberger over every pair."""
+    for seed, (n, degs) in itertools.product(range(40), UPDATE_SHAPES):
+        F = gen_random(RandomSpec(seed=seed, n=n, k=len(degs), deg_bounds=degs, density=0.6, p=p))
+        pack = F.ring.packing(order)
+        polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
+        plain = _reduced_basis(F.ring, _plain_buchberger(polys, pack, p), order, check=True)
+        assert buchberger_reduced(F, order).polys == plain.polys, (seed, n, degs)
+
+
+def test_pair_update_pins_the_pairs_of_a_dense_system():
+    # 29 S-polynomials with the update; the product criterion alone leaves 56
+    F = gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4, density=1.0, p=101))
+    G = buchberger_reduced(F, max_pairs=29)
+    assert not G.is_unit_ideal
+    with pytest.raises(CapExceeded) as err:
+        buchberger_reduced(F, max_pairs=28)
+    details = err.value.details
+    assert details["pairs_popped"] == 28 and details["pairs_pending"] >= 1
+    assert details["basis_size"] >= len(F)
+    assert set(details["pairs_dropped"]) == {"M", "F", "B", "product"}
+
+
 def test_product_criterion_s_pairs_still_verified():
     # the post-hoc check skips coprime pairs; every S-polynomial of the
     # result, coprime pairs included, still reduces to zero
@@ -129,30 +160,114 @@ def test_product_criterion_s_pairs_still_verified():
             assert normal_form(s, G).is_zero
 
 
+def _all_pairs_reject(reduced, pack, p):
+    """Whether some S-polynomial of the monic set leaves a nonzero remainder,
+    every pair tried."""
+    return any(
+        _nf(_spoly(f, g, pack, p), reduced, pack, p) for f, g in itertools.combinations(reduced, 2)
+    )
+
+
+def _packed_basis(G, pack):
+    return [(max(t), t) for t in (dict(g._packed(pack)) for g in G.polys)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(p=st.sampled_from([2, 3, 101]), order=st.sampled_from([GREVLEX, GRLEX]), data=st.data())
 def test_post_check_rejects_exactly_when_the_full_check_does(p, order, data):
-    """The post-hoc check, which skips pairs with coprime leading monomials,
-    rejects a random monic set exactly when checking every pair does."""
+    """The post-hoc check, which skips pairs with coprime leading monomials
+    and pairs the strict chain criterion covers, rejects a random monic set
+    exactly when checking every pair does; with the chain criterion left
+    out it rejects the same sets."""
     ring = Ring(p, ("x", "y", "z"))
     pack = ring.packing(order)
     mons = [m for m in itertools.product(range(4), repeat=3) if 0 < sum(m) <= 3]
     terms = st.dictionaries(st.sampled_from(mons), st.integers(1, p - 1), min_size=1, max_size=3)
     polys = [
         _monic(dict(Polynomial(ring, t)._packed(pack)), p)
-        for t in data.draw(st.lists(terms, min_size=2, max_size=5))
+        for t in data.draw(st.lists(terms, min_size=2, max_size=6))
     ]
     G = _reduced_basis(ring, polys, order)
-    reduced = [(max(t), t) for t in (dict(g._packed(pack)) for g in G.polys)]
-    full_rejects = any(
-        _nf(_spoly(f, g, pack, p), reduced, pack, p) for f, g in itertools.combinations(reduced, 2)
-    )
+    reduced = _packed_basis(G, pack)
+    full_rejects = _all_pairs_reject(reduced, pack, p)
     try:
         _reduced_basis(ring, polys, order, check=True)
         pruned_rejects = False
     except InconsistencyError:
         pruned_rejects = True
     assert pruned_rejects == full_rejects
+
+
+def test_chain_criterion_skips_a_pair_whose_lcm_another_leading_monomial_splits(monkeypatch):
+    # lm x*z divides lcm(x^2*y, y*z^2) = x^2*y*z^2, and its lcms with both
+    # are proper divisors of it: of the three pairs, only two are reduced
+    from soldeg import groebner
+
+    ring = Ring(101, ("x", "y", "z"))
+    pack = ring.packing(GREVLEX)
+    x, y, z = ring.variables()
+    lms = [_monic(dict(f._packed(pack)), 101) for f in (x * x * y, y * z * z, x * z)]
+    G = _reduced_basis(ring, lms, GREVLEX)
+    calls = []
+    nf = groebner._nf
+    monkeypatch.setattr(groebner, "_nf", lambda *a: calls.append(1) or nf(*a))
+    check_basis(G)
+    assert len(calls) == 2
+
+
+def _plain_buchberger(polys, pack, p, steps=None):
+    """Monic pairs closed under S-polynomials: every pair, lowest lcm first,
+    no criterion. Stops after `steps` S-polynomials when given."""
+    G = list(polys)
+    heap = [(pack.lcm(f[0], g[0]), i, j)
+            for (i, f), (j, g) in itertools.combinations(enumerate(G), 2)]
+    heapq.heapify(heap)
+    done = 0
+    while heap and done != steps:
+        done += 1
+        _, i, j = heapq.heappop(heap)
+        r = _nf(_spoly(G[i], G[j], pack, p), G, pack, p)
+        if r:
+            f = _monic(r, p)
+            for k, g in enumerate(G):
+                heapq.heappush(heap, (pack.lcm(g[0], f[0]), k, len(G)))
+            G.append(f)
+    return G
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 101]), order=st.sampled_from([GREVLEX, GRLEX]), data=st.data())
+def test_closure_certified_check_rejects_exactly_when_the_full_check_does(p, order, data):
+    """When dim V(F, sd) equals the count of multiples of LM(H) up to degree
+    sd, checking only the pairs of lcm degree > sd rejects H exactly when
+    checking every pair does. H is the inter-reduced basis that a plain
+    Buchberger run holds after a random number of S-polynomials, so it is
+    often not yet a Groebner basis and both answers occur."""
+    from soldeg import PolySystem, degree_of_regularity
+    from soldeg.invariants import _scan
+
+    ring = Ring(p, ("x", "y", "z")[: data.draw(st.integers(2, 3))])
+    n = ring.nvars
+    mons = [m for m in itertools.product(range(4), repeat=n) if sum(m) <= 3]
+    terms = st.dictionaries(st.sampled_from(mons), st.integers(1, p - 1), min_size=2, max_size=5)
+    members = data.draw(st.lists(terms, min_size=2, max_size=4))
+    F = PolySystem(ring, [Polynomial(ring, t) for t in members])
+    pack = ring.packing(order)
+    polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
+    H = _reduced_basis(ring, _plain_buchberger(polys, pack, p, data.draw(st.integers(0, 10))), order)
+    try:
+        _, _, certified = _scan(F, order, H, degree_of_regularity(F), None, {})
+    except CapExceeded:
+        return
+    if not certified:
+        return
+    full_rejects = _all_pairs_reject(_packed_basis(H, pack), pack, p)
+    try:
+        check_basis(H, certified)
+        limited_rejects = False
+    except InconsistencyError:
+        limited_rejects = True
+    assert limited_rejects == full_rejects
 
 
 def test_gbd_examples():

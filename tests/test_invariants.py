@@ -9,6 +9,8 @@ from soldeg import (
     GRLEX,
     CapExceeded,
     DegreeReport,
+    DomainError,
+    InconsistencyError,
     InfiniteDegree,
     Polynomial,
     PolySystem,
@@ -143,6 +145,32 @@ def test_solving_degree_cap_error_reports_partial_dims():
     with pytest.raises(CapExceeded) as err:
         solving_degree(gen_fk(3, 101), cap=2)
     assert err.value.details["partial_dims"]  # scanned dimensions are reported
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(cap):
+    F = gen_fk(3, 101)
+    for entry in (solving_degree, last_fall_degree, verify_bounds):
+        with pytest.raises(DomainError, match="cap must be at least 1"):
+            entry(F, cap=cap)
+
+
+def test_report_checks_the_basis_it_is_handed(monkeypatch):
+    """verify_bounds checks Buchberger's basis after the sd scan, pairs above
+    sd always and the rest unless the closure certifies them. Handed the
+    inputs, which are not a Groebner basis, it raises: the closure certifies
+    the pairs up to sd = 2, and the one pair, of lcm degree 3, fails."""
+    from soldeg.groebner import _monic, _reduced_basis
+
+    F = mk("p=101; vars=x,y; x^2 + y; x*y + 1")
+
+    def unchecked(F, order, *, check=True):
+        pack = F.ring.packing(order)
+        return _reduced_basis(F.ring, [_monic(dict(f._packed(pack)), 101) for f in F], order)
+
+    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", unchecked)
+    with pytest.raises(InconsistencyError):
+        verify_bounds(F)
 
 
 def test_solving_degree_with_infinite_regularity():
@@ -480,7 +508,7 @@ def test_sd_scan_keys_each_basis_member_once(monkeypatch):
         return packed(self, pack)
 
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    assert invariants._scan(F, GRLEX, G, degree_of_regularity(F), None, {}) == (7, 7)
+    assert invariants._scan(F, GRLEX, G, degree_of_regularity(F), None, {}) == (7, 7, 7)
     # the sd scan tests membership at degrees 1..7; each member is keyed
     # under grlex once, not once per degree
     assert len(keyed) == len(G)
