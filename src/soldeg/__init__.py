@@ -41,7 +41,6 @@ from .groebner import (
     buchberger_reduced,
     gbd,
     ideal_dim_le,
-    mutantxl_gb,
     normal_form,
 )
 from .invariants import (
@@ -50,6 +49,7 @@ from .invariants import (
     InfiniteDegree,
     degree_of_regularity,
     last_fall_degree,
+    mutantxl_gb,
     solving_degree,
     verify_bounds,
 )

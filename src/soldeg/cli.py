@@ -24,9 +24,9 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .groebner import buchberger_reduced, mutantxl_gb
+from .groebner import buchberger_reduced
 from .harness import RandomSpec, SystemFile, gen_fk, gen_random, parse_system, render_system
-from .invariants import DegreeReport, verify_bounds
+from .invariants import DegreeReport, mutantxl_gb, verify_bounds
 from .rings import GREVLEX, MAX_DEGREE, TermOrder
 
 
@@ -255,16 +255,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, PreconditionError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, DomainError, PreconditionError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

@@ -1,7 +1,7 @@
 """Ground truth for ideal computations: Buchberger with full reduction,
-normal forms, bounded ideal dimension counts, and `mutantxl_gb`, which reads
-the reduced basis off the closure V(F, d_reg + 1) and must reproduce the
-Buchberger output exactly.
+normal forms, and bounded ideal dimension counts. The module stands on rings
+alone; invariants.mutantxl_gb reads the reduced basis off a closure and
+compares against it.
 """
 
 from __future__ import annotations
@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import CapExceeded, DomainError, InconsistencyError, PreconditionError
-from .rings import GREVLEX, Packing, Polynomial, PolySystem, TermOrder
-from .vspace import VSpaceBasis, v_space_closure
+from .errors import CapExceeded, DomainError, InconsistencyError
+from .rings import GREVLEX, Packing, Polynomial, TermOrder
 
 DEFAULT_MAX_PAIRS = 200_000
 
@@ -341,32 +340,3 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
     ideal elements of degree <= e.
     """
     return ideal_dims(G, e)[-1] if e >= 0 else 0
-
-
-def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasis, VSpaceBasis]:
-    """Groebner basis read off the closure V(F, d_reg + 1).
-
-    Requires max deg(F) <= d_reg(F) < infinity (PreconditionError otherwise;
-    interreduce_tops can repair many violating systems). Under that
-    hypothesis the closure, which multiplies every adopted row below the
-    bound, mutants included, by each variable (MutantXL), contains the
-    reduced basis; it is extracted from
-    the rows whose leading monomials minimally generate the pivot ideal.
-    Returns the basis and the closure: its `d` is the degree bound and its
-    `stats` the work counters.
-    """
-    from .invariants import degree_of_regularity  # deferred: avoids an import cycle
-
-    d_reg = degree_of_regularity(F)
-    if not isinstance(d_reg, int):
-        raise PreconditionError(
-            "mutant elimination needs a finite regularity degree; "
-            "interreduce the system first (interreduce_tops)"
-        )
-    if F.max_degree() > d_reg:
-        raise PreconditionError(
-            f"mutant elimination needs max deg(F) <= {d_reg}; "
-            "interreduce the system first (interreduce_tops)"
-        )
-    V = v_space_closure(F, d_reg + 1, order)
-    return _reduced_basis(F.ring, V.basis._rows(), order), V

@@ -7,7 +7,8 @@ verify_bounds computes everything once: one scan over shared closures gives
 sd and Lfd, and one rule turns each bound into a certificate with lhs, rhs,
 and a pass/fail/skipped verdict. Resource caps never produce wrong numbers:
 a capped computation turns the certificates that need it into skips with a
-"cap:" reason.
+"cap:" reason. mutantxl_gb reads the reduced Groebner basis off the closure
+at d_reg + 1, which contains it when max deg(F) <= d_reg.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Union
 
-from .errors import CapExceeded, DomainError
-from .groebner import buchberger_reduced, check_basis, ideal_dim_le, ideal_dims
+from .errors import CapExceeded, DomainError, PreconditionError
+from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
+                       ideal_dim_le, ideal_dims)
 from .linalg import RowBasis
 from .rings import GREVLEX, PolySystem, TermOrder
 from .vspace import VSpaceBasis, v_space_closure
@@ -98,6 +100,33 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     return InfiniteDegree(cap)
 
 
+def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasis, VSpaceBasis]:
+    """Groebner basis read off the closure V(F, d_reg + 1).
+
+    Requires max deg(F) <= d_reg(F) < infinity (PreconditionError otherwise;
+    interreduce_tops can repair many violating systems). Under that
+    hypothesis the closure, which multiplies every adopted row below the
+    bound, mutants included, by each variable (MutantXL), contains the
+    reduced basis; it is extracted from the rows whose leading monomials
+    minimally generate the pivot ideal.
+    Returns the basis and the closure: its `d` is the degree bound and its
+    `stats` the work counters.
+    """
+    d_reg = degree_of_regularity(F)
+    if not isinstance(d_reg, int):
+        raise PreconditionError(
+            "mutant elimination needs a finite regularity degree; "
+            "interreduce the system first (interreduce_tops)"
+        )
+    if F.max_degree() > d_reg:
+        raise PreconditionError(
+            f"mutant elimination needs max deg(F) <= {d_reg}; "
+            "interreduce the system first (interreduce_tops)"
+        )
+    V = v_space_closure(F, d_reg + 1, order)
+    return _reduced_basis(F.ring, V._rows(), order), V
+
+
 def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int, int]:
     """(sd, Lfd, certified) from the closures V(F, d), kept in `closures` by
     degree.
@@ -133,7 +162,7 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int, int]
     for sd in range(max(1, G.max_degree), cap + 1):
         V = closure(sd, traced=True)
         partial[sd] = V.span_dim()
-        if all(V.basis._contains(t) for t in goals):
+        if all(V._contains(t) for t in goals):
             break
     else:
         raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
@@ -155,7 +184,8 @@ def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
     """Minimal d such that every ideal element f lies in the span at degree
     max(d, deg f). Computed by comparing span dimensions against the ideal's
-    bounded dimensions for every degree up to the solving degree."""
+    bounded dimensions, walking down from the solving degree and stopping
+    at the last fall."""
     G = buchberger_reduced(F, order)
     return _scan(F, order, G, degree_of_regularity(F), cap, {})[1]
 

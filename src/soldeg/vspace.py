@@ -12,13 +12,14 @@ MutantXL and Matrix-F5 rule); every other row starts at x_1. Each skipped
 product already lies in the span (proof at v_space_closure), so adoption
 order, traces and rows are those of multiplying by every variable. Adoption
 order makes traces and counters reproducible; the resulting basis is
-canonical regardless. Every span the library hands out is such a closure.
+canonical regardless. Every span the library hands out is such a closure,
+returned as its own echelon basis (a VSpaceBasis is a RowBasis).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CapExceeded,
@@ -31,6 +32,7 @@ from .rings import (
     GREVLEX,
     Polynomial,
     PolySystem,
+    Ring,
     TermOrder,
     _render_exps,
 )
@@ -50,24 +52,16 @@ class ClosureStats:
     closure_passes: int = 0
 
 
-@dataclass
-class VSpaceBasis:
-    """Echelon basis of V(F, d), read in reduced form, plus the counters of
-    its closure."""
+class VSpaceBasis(RowBasis):
+    """Echelon basis of V(F, d), read in reduced form, plus the degree bound
+    `d` and the counters of its closure."""
 
-    d: int
-    basis: RowBasis
-    stats: ClosureStats = field(default_factory=ClosureStats)
+    __slots__ = ("d", "stats")
 
-    def span_dim(self) -> int:
-        return self.basis.span_dim()
-
-    def span_contains(self, f: Polynomial) -> bool:
-        return self.basis.span_contains(f)
-
-    @property
-    def rows(self) -> list[Polynomial]:
-        return self.basis.rows
+    def __init__(self, ring: Ring, order: TermOrder, d: int):
+        super().__init__(ring, order)
+        self.d = d
+        self.stats = ClosureStats()
 
 
 def v_space_closure(
@@ -111,14 +105,13 @@ def v_space_closure(
     """
     if d < 1:
         raise DomainError("closure degree must be at least 1")
-    ring = F.ring
-    names = ring.names
-    basis = RowBasis(ring, order)
+    names = F.ring.names
+    basis = VSpaceBasis(F.ring, order, d)
     pack = basis._pack
     pack.check(d)  # no product formed below exceeds degree d
     below_d = pack.degree_floor(d)
     below_d_minus_1 = pack.degree_floor(d - 1)
-    stats = ClosureStats()
+    stats = basis.stats
     # (row id, snapshot at adoption, start index)
     queue: deque[tuple[str, dict[int, int], int]] = deque()
 
@@ -155,7 +148,7 @@ def v_space_closure(
             insert({k + x: c for k, c in g.items()}, row_id, name, a if product_below_d else 0)
 
     stats.field_mults = basis.mult_count
-    return VSpaceBasis(d=d, basis=basis, stats=stats)
+    return basis
 
 
 def construct_top_representatives(
@@ -182,7 +175,7 @@ def construct_top_representatives(
     ring = F.ring
     pack = ring.packing(order)
     below_d = pack.degree_floor(d_reg)
-    rows = dict(v_space_closure(F, d_reg, order).basis._rows())
+    rows = dict(v_space_closure(F, d_reg, order)._rows())
     reps: dict[tuple[int, ...], Polynomial] = {}
     for target in sorted(pack.monomials(d_reg), reverse=True):
         row = rows.get(target)

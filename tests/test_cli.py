@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soldeg.cli import main
-from soldeg import gen_fk, render_system, SystemFile, GREVLEX
+from soldeg import gen_fk, render_system, SystemFile, GREVLEX, InconsistencyError
 
 
 @pytest.fixture
@@ -180,6 +180,17 @@ def test_a_constant_among_the_largest_degrees_skips_the_macaulay_bound(text, tmp
 def test_nonpositive_cap_is_a_usage_error(fk_file, cap, capsys):
     assert main(["analyze", fk_file, "--cap", cap]) == 2
     assert "cap must be at least 1" in capsys.readouterr().err
+
+
+def test_an_internal_error_is_one_line_and_exit_2(fk_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise InconsistencyError("cross-check failed")
+
+    monkeypatch.setattr("soldeg.cli.verify_bounds", fail)
+    assert main(["analyze", fk_file]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: cross-check failed\n"
+    assert "Traceback" not in err
 
 
 def test_oracle_diff(fk_file, capsys):
