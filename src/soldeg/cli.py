@@ -85,7 +85,7 @@ def _print_certificates(report: DegreeReport):
         print(line)
 
 
-def _analyze_common(args, certificates_only: bool) -> int:
+def _analyze_common(args) -> int:
     sf = parse_system(_read_text(args.file))
     order = _order_from(args, sf)
     trace = open(args.trace, "w", encoding="utf-8") if args.trace else None
@@ -96,22 +96,14 @@ def _analyze_common(args, certificates_only: bool) -> int:
             trace.close()
     if args.json:
         doc = report.to_json()
-        if certificates_only:
+        if args.certificates_only:
             doc = {"order": doc["order"], "certificates": doc["certificates"]}
         print(json.dumps(doc, indent=2))
-    elif certificates_only:
+    elif args.certificates_only:
         _print_certificates(report)
     else:
         _print_report_text(report)
     return _report_exit_code(report)
-
-
-def _cmd_analyze(args) -> int:
-    return _analyze_common(args, certificates_only=False)
-
-
-def _cmd_verify_bounds(args) -> int:
-    return _analyze_common(args, certificates_only=True)
 
 
 def _cmd_gen(args) -> int:
@@ -197,18 +189,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="system file path, or '-' for stdin")
+    def add_analyze(name, summary, certificates_only):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=_analyze_common, certificates_only=certificates_only)
+        p.add_argument("file", help="system file path, or '-' for stdin")
         p.add_argument("--order", choices=TermOrder.KINDS, help="override the file's term order")
         p.add_argument("--cap", type=int, help="degree cap for the solving-degree scan")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--trace", default=None, help="write closure adoption trace to this path")
 
-    add_common(sub.add_parser("analyze", help="full invariant report with certificates"))
-    add_common(sub.add_parser("verify-bounds", help="certificates only"))
+    add_analyze("analyze", "full invariant report with certificates", False)
+    add_analyze("verify-bounds", "certificates only", True)
 
     gen = sub.add_parser("gen", help="emit a system file")
+    gen.set_defaults(run=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     fk = gen_sub.add_parser("fk", help="the optimal family {x^k+y, y^k+x, x*y}")
     fk.add_argument("--k", type=int, required=True)
@@ -226,10 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     rnd.add_argument("--order", choices=TermOrder.KINDS, default=None)
 
     diff = sub.add_parser("oracle-diff", help="compare the two Groebner back ends")
+    diff.set_defaults(run=_cmd_oracle_diff)
     diff.add_argument("file")
     diff.add_argument("--order", choices=TermOrder.KINDS, default=None)
 
     sweep = sub.add_parser("sweep", help="regression table over a family")
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("kind", choices=["fk"])
     sweep.add_argument("--from", dest="start", type=int, default=2)
     sweep.add_argument("--to", dest="stop", type=int, default=6)
@@ -241,20 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "verify-bounds": _cmd_verify_bounds,
-    "gen": _cmd_gen,
-    "oracle-diff": _cmd_oracle_diff,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import CapExceeded, DomainError, InconsistencyError
+from .errors import CapExceeded, DimensionError, DomainError, InconsistencyError
 from .rings import GREVLEX, Packing, Polynomial, TermOrder
 
 DEFAULT_MAX_PAIRS = 200_000
@@ -138,18 +138,13 @@ def _interreduce(polys: list, pack: Packing, p: int) -> list:
     return polys
 
 
-def _reduced_basis(ring, polys: list, order: TermOrder, check: bool = False) -> GroebnerBasis:
+def _reduced_basis(ring, polys: list, order: TermOrder) -> GroebnerBasis:
     """The reduced basis of a Groebner basis given as monic pairs, sorted by
-    descending leading monomial; with check=True check_basis re-verifies
-    the Buchberger criterion on it, over every pair that the product and
-    strict chain criteria leave."""
+    descending leading monomial, unchecked (check_basis verifies it)."""
     pack, p = ring.packing(order), ring.p
     reduced = _interreduce(_minimalize(polys, pack), pack, p)
     reduced.sort(key=lambda f: f[0], reverse=True)
-    G = GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced), order)
-    if check:
-        check_basis(G)
-    return G
+    return GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced), order)
 
 
 def check_basis(G: GroebnerBasis, low: int = 0) -> None:
@@ -197,6 +192,8 @@ def check_basis(G: GroebnerBasis, low: int = 0) -> None:
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by a reduced basis; zero iff f is in the ideal."""
     ring = f.ring
+    if ring != G.polys[0].ring:
+        raise DimensionError(f"polynomial ring {ring!r} differs from basis ring {G.polys[0].ring!r}")
     pack = ring.packing(G.order)
     divisors = [(max(t), t) for t in (g._packed(pack) for g in G.polys)]
     return Polynomial._from_packed(ring, pack, _nf(f._packed(pack), divisors, pack, ring.p))
@@ -225,18 +222,19 @@ def buchberger_reduced(
     New pairs join h only to elements whose leading monomial no later
     element divides; remainders are taken against every element.
 
-    With check=True check_basis re-verifies the Buchberger criterion on the
-    result, independently of the update, so a pair the update dropped by
-    mistake cannot pass unseen. verify_bounds passes check=False and runs
-    check_basis itself after the sd scan, where the closure proves the low
-    pairs. Past `max_pairs` S-polynomials CapExceeded carries `basis_size`,
-    `pairs_popped`, `pairs_pending` and `pairs_dropped`, the count per
-    criterion.
+    With check=True check_basis re-verifies the result, independently of
+    the update, so a pair the update dropped by mistake cannot pass unseen.
+    verify_bounds passes check=False and runs check_basis itself after the
+    sd scan, where the closure proves the low pairs. Generators of two rings
+    are a DimensionError. Past `max_pairs` S-polynomials CapExceeded carries
+    `basis_size`, `pairs_popped`, `pairs_pending` and `pairs_dropped` by rule.
     """
     polys = list(F)
     if not polys:
         raise DomainError("cannot take a basis of an empty family")
     ring = polys[0].ring
+    if any(f.ring != ring for f in polys):
+        raise DimensionError("generators must share one ring")
     polys = [f for f in polys if not f.is_zero]
     if not polys:
         raise DomainError("cannot take a basis of all-zero generators")
@@ -304,7 +302,10 @@ def buchberger_reduced(
             return _unit_basis(ring, order)
         update(_monic(r, p))
 
-    return _reduced_basis(ring, G, order, check)
+    basis = _reduced_basis(ring, G, order)
+    if check:
+        check_basis(basis)
+    return basis
 
 
 def gbd(F, order: TermOrder = GREVLEX) -> int:

@@ -43,17 +43,12 @@ def gen_fk(k: int, p: int = 101) -> PolySystem:
     if not isinstance(k, int) or k < 2:
         raise DomainError(f"the family needs k >= 2, got {k}")
     ring = Ring(p, ("x", "y"))
-    xk = ring.monomial(k, 0)
-    yk = ring.monomial(0, k)
-    x = ring.monomial(1, 0)
-    y = ring.monomial(0, 1)
-    xy = ring.monomial(1, 1)
     return PolySystem(
         ring,
         [
-            Polynomial(ring, {xk: 1, y: 1}),
-            Polynomial(ring, {yk: 1, x: 1}),
-            Polynomial(ring, {xy: 1}),
+            Polynomial(ring, {(k, 0): 1, (0, 1): 1}),
+            Polynomial(ring, {(0, k): 1, (1, 0): 1}),
+            Polynomial(ring, {(1, 1): 1}),
         ],
     )
 

@@ -200,15 +200,6 @@ class Certificate:
     verdict: str  # "pass" | "fail" | "skipped"
     reason: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class DegreeReport:
@@ -247,7 +238,8 @@ class DegreeReport:
             "lfd": self.lfd,
             "order": self.order.kind,
             "hypothesis": dict(self.hypothesis),
-            "certificates": [c.to_json() for c in self.certificates],
+            # the fields in order; dataclasses.asdict costs ~20x more per report
+            "certificates": [dict(vars(c)) for c in self.certificates],
             "system": dict(self.system),
             "lfd_rationale": LFD_RATIONALE,
         }

@@ -346,11 +346,8 @@ class Polynomial:
         pack = ring.packing(GREVLEX)
         fixed: dict[int, int] = {}
         p = ring.p
-        n = ring.nvars
         for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            if len(m) != n:
-                raise DimensionError(f"monomial {m!r} does not live in {ring!r}")
-            k = pack.encode(m)
+            k = pack.encode(m)  # checks the arity, the signs and the degree
             c = (fixed.get(k, 0) + c) % p
             if c:
                 fixed[k] = c

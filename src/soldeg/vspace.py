@@ -159,11 +159,12 @@ def construct_top_representatives(
 
     Reads the rows of v_space_closure(F, d_reg). V(F, d_reg) holds every
     product m*f of degree d_reg, so when their top parts fill the degree-d_reg
-    slice, every monomial of that degree is a pivot; since reduced tails
-    hold no pivot, its row is that monomial plus lower-degree terms. The
-    rows are canonical, so the result does not depend on the order of F.
-    Refuses when max deg(F) exceeds d_reg; a monomial that is no pivot
-    raises InconsistencyError (the given regularity degree was wrong).
+    slice, every monomial of that degree is a pivot, and that is the only
+    check: V(F, d_reg) has no term above d_reg and reduced tails hold no
+    pivot, so its row is that monomial plus lower-degree terms. The rows
+    are canonical, so the result does not depend on the order of F. Refuses
+    when max deg(F) exceeds d_reg; InconsistencyError names the largest
+    monomial that is no pivot (the given regularity degree was wrong).
     """
     if not isinstance(d_reg, int) or d_reg < 1:
         raise DomainError(f"regularity degree must be a positive int, got {d_reg!r}")
@@ -174,19 +175,15 @@ def construct_top_representatives(
         )
     ring = F.ring
     pack = ring.packing(order)
-    below_d = pack.degree_floor(d_reg)
     rows = dict(v_space_closure(F, d_reg, order)._rows())
     reps: dict[tuple[int, ...], Polynomial] = {}
+    # largest first, so the keys run down the term order and a miss names the largest one
     for target in sorted(pack.monomials(d_reg), reverse=True):
         row = rows.get(target)
         if row is None:
             raise InconsistencyError(
                 f"monomial {_render_exps(pack.decode(target), ring.names)} has no "
                 f"degree-{d_reg} representation; the supplied regularity degree looks wrong"
-            )
-        if any(m >= below_d for m in row if m != target):
-            raise InconsistencyError(
-                f"row of {_render_exps(pack.decode(target), ring.names)} has a different top part"
             )
         reps[pack.decode(target)] = Polynomial._from_packed(ring, pack, row)
     return reps

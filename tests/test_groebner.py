@@ -10,6 +10,7 @@ from soldeg import (
     GREVLEX,
     GRLEX,
     CapExceeded,
+    DimensionError,
     InconsistencyError,
     Polynomial,
     PreconditionError,
@@ -48,6 +49,13 @@ def test_normal_form_of_monomial_multiple():
     G = buchberger_reduced(mk("p=101; vars=x,y; x*y"))
     f = mk("p=101; vars=x,y; x^2*y")[0]
     assert normal_form(f, G).is_zero
+
+
+def test_normal_form_refuses_a_polynomial_of_another_ring():
+    G = buchberger_reduced(mk("p=101; vars=x,y; x^2 + y; x*y"))
+    f = mk("p=7; vars=x,y,z; x^2 + 5")[0]
+    with pytest.raises(DimensionError):
+        normal_form(f, G)
 
 
 def test_normal_form_never_raises_degree():
@@ -108,6 +116,12 @@ def test_buchberger_interreduces_tails():
     assert [g.render() for g in G] == ["x^2", "y"]
 
 
+def test_buchberger_refuses_generators_of_several_rings():
+    F = [mk("p=101; vars=x,y; x^2 + y")[0], mk("p=7; vars=x,y,z; x*z + 5")[0]]
+    with pytest.raises(DimensionError):
+        buchberger_reduced(F)
+
+
 def test_buchberger_cap():
     F = gen_fk(5, 101)
     with pytest.raises(CapExceeded):
@@ -127,7 +141,8 @@ def test_pair_update_gives_the_basis_of_plain_buchberger(p, order):
         F = gen_random(RandomSpec(seed=seed, n=n, k=len(degs), deg_bounds=degs, density=0.6, p=p))
         pack = F.ring.packing(order)
         polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
-        plain = _reduced_basis(F.ring, _plain_buchberger(polys, pack, p), order, check=True)
+        plain = _reduced_basis(F.ring, _plain_buchberger(polys, pack, p), order)
+        check_basis(plain)
         assert buchberger_reduced(F, order).polys == plain.polys, (seed, n, degs)
 
 
@@ -191,7 +206,7 @@ def test_post_check_rejects_exactly_when_the_full_check_does(p, order, data):
     reduced = _packed_basis(G, pack)
     full_rejects = _all_pairs_reject(reduced, pack, p)
     try:
-        _reduced_basis(ring, polys, order, check=True)
+        check_basis(G)
         pruned_rejects = False
     except InconsistencyError:
         pruned_rejects = True

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import deque
 
 import pytest
@@ -301,9 +302,11 @@ def test_representatives_refuse_oversized_inputs():
 
 
 def test_representatives_detect_wrong_regularity_degree():
-    F = mk("p=101; vars=x,y; x*y")
-    with pytest.raises(InconsistencyError):
-        construct_top_representatives(F, 2)  # x^2 is unreachable
+    # the error names the largest monomial that is no pivot; in x^2 + y^2,
+    # x^2 is a pivot whose row tops out in x^2 + y^2
+    for text, missing in [("p=101; vars=x,y; x*y", "x^2"), ("p=101; vars=x,y; x^2 + y^2", "x*y")]:
+        with pytest.raises(InconsistencyError, match=rf"monomial {re.escape(missing)} has no"):
+            construct_top_representatives(mk(text), 2)
 
 
 # --- reduction against representatives ----------------------------------------
