@@ -78,23 +78,28 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     x_a*r starts at a, a top at 0. By v_space_closure's induction one degree
     at a time, if x_a*g = s + R and x_i*g = t + T in slice d - 1 with i < a,
     then t, R, T precede s in (degree, adoption) order, so x_i*s = x_a*t +
-    x_a*T - x_i*R lies in slice d.
+    x_a*T - x_i*R lies in slice d. A slice multiplies the stored rows of the
+    one before without a copy: no slice is read through `rows` or `_rows`,
+    the only reads that rewrite stored rows (see linalg.RowBasis).
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
     if len(F) < n and min(F.degrees()) > 0:
         return InfiniteDegree(cap)
     pack = F.ring.packing(GREVLEX)
-    adopted = []  # (start, residual) of each row adopted in the last slice
+    adopted = []  # (start, pivot, stored tail) of each row adopted in the last slice
     for d in range(max(1, cap - 2) + 1):  # Lazard's degree, two below the cap
         pack.check(d)  # every product has degree d
         basis, previous, adopted = RowBasis(F.ring, GREVLEX), adopted, []
-        products = ((a, {k + x: c for k, c in r.items()})
-                    for start, r in previous for a, x in enumerate(pack.variables[start:], start))
-        tops = ((0, dict(f.top()._packed(pack))) for f in F if f._degree == d)
-        for a, work in chain(products, tops):
-            if residual := basis._insert(work):
-                adopted.append((a, residual))
+        products = ((a, {k + x: c for k, c in tail.items()}, pivot + x)
+                    for start, pivot, tail in previous
+                    for a, x in enumerate(pack.variables[start:], start))
+        tops = ((0, dict(f.top()._packed(pack)), None) for f in F if f._degree == d)
+        for a, work, lead in chain(products, tops):
+            if lead is not None:
+                work[lead] = 1
+            if (pivot := basis._insert(work)) is not None:
+                adopted.append((a, pivot, basis._tails[pivot]))
         if d and basis.span_dim() == math.comb(d + n - 1, d):  # slice 0: constant tops
             return d
     return InfiniteDegree(cap)

@@ -41,7 +41,8 @@ class RowBasis:
     Single-writer: mutate the rows through insert_reduce only, and treat a
     `rows` read as a write too, since it rewrites the stored tails to the
     reduced form. reduce and span_contains leave the rows unchanged but add
-    to mult_count, so concurrent readers race on that counter.
+    to mult_count, so concurrent readers race on that counter. Until such a
+    read each stored tail is its adopted residual less the pivot (_insert).
     """
 
     __slots__ = ("ring", "order", "_pack", "_tails", "_reduced", "mult_count")
@@ -65,9 +66,9 @@ class RowBasis:
     def _reduce_terms(self, work: dict[int, int]) -> dict[int, int]:
         """Eliminate every pivot monomial from `work` in place, largest first."""
         tails = self._tails
-        heap = [-m for m in work.keys() & tails.keys()]  # max-heap of hit pivots
-        if not heap:
+        if not (hit := work.keys() & tails.keys()):
             return work
+        heap = [-m for m in hit]  # max-heap of hit pivots
         heapify(heap)
         p = self.ring.p
         while heap:
@@ -89,12 +90,15 @@ class RowBasis:
                     del work[m]
         return work
 
-    def _insert(self, work: dict[int, int]) -> dict[int, int]:
-        """insert_reduce on packed terms, which it consumes: the monic
-        residual as a new map, empty when `work` lay in the span."""
+    def _insert(self, work: dict[int, int]) -> int | None:
+        """insert_reduce on packed terms, which it consumes: the pivot of the
+        adopted row, or None when `work` lay in the span (the pivot may be 0,
+        the unit monomial, so test it against None). `_tails[pivot]` is the
+        stored row itself, not a copy; it is the monic residual's tail until
+        a read of `rows` or `_rows` rewrites it to the reduced form."""
         work = self._reduce_terms(work)
         if not work:
-            return work
+            return None
         pivot = max(work)
         c = work.pop(pivot)
         if c != 1:
@@ -104,9 +108,7 @@ class RowBasis:
             work = {m: v * inv % p for m, v in work.items()}
         self._tails[pivot] = work
         self._reduced = False
-        residual = dict(work)
-        residual[pivot] = 1
-        return residual
+        return pivot
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Full reduction of f against the basis; the basis is unchanged."""
@@ -118,7 +120,9 @@ class RowBasis:
         Returns the monic residual (zero if f was already in the span). The
         stored rows are left as they are; see the class docstring.
         """
-        return Polynomial._from_packed(self.ring, self._pack, self._insert(self._encode(f)))
+        pivot = self._insert(self._encode(f))
+        terms = {} if pivot is None else {pivot: 1, **self._tails[pivot]}
+        return Polynomial._from_packed(self.ring, self._pack, terms)
 
     def span_contains(self, f: Polynomial) -> bool:
         return not self._reduce_terms(self._encode(f))

@@ -75,10 +75,12 @@ def v_space_closure(
     """Compute the reduced echelon basis of V(F, d) by worklist closure.
 
     Each adopted row of degree < d is multiplied, as it was at adoption, by
-    every variable from its start index on. Multiplying by every variable
-    would reach all of V(F, d): under a degree-compatible order a row of
-    degree < d is a combination of adopted rows of degree < d, since the
-    basis stores each row as adopted and its reduced form only subtracts
+    every variable from its start index on. That is the basis's stored row,
+    used without a copy: only a `rows` or `_rows` read rewrites stored rows,
+    and none happens before the basis is returned. Multiplying by every
+    variable would reach all of V(F, d): under a degree-compatible order a
+    row of degree < d is a combination of adopted rows of degree < d, since
+    the basis stores each row as adopted and its reduced form only subtracts
     rows with smaller pivots (see linalg.RowBasis).
 
     Start indices. A row s adopted from the product x_a*g of degree < d
@@ -111,44 +113,47 @@ def v_space_closure(
     pack.check(d)  # no product formed below exceeds degree d
     below_d = pack.degree_floor(d)
     below_d_minus_1 = pack.degree_floor(d - 1)
-    stats = basis.stats
-    # (row id, snapshot at adoption, start index)
-    queue: deque[tuple[str, dict[int, int], int]] = deque()
+    insert, tails, stats = basis._insert, basis._tails, basis.stats
+    insertions = adoptions = passes = 0
+    # (row index, pivot, stored tail, start index) of each adopted row of degree < d
+    queue: deque[tuple[int, int, dict[int, int], int]] = deque()
 
-    def insert(work: dict[int, int], source: str, multiplier: str, start: int = 0):
-        stats.insertions += 1
-        residual = basis._insert(work)
-        if not residual:
-            return
-        row_id = f"r{stats.adoptions}"
-        stats.adoptions += 1
-        pivot = max(residual)
-        if trace is not None:
-            trace.write(
-                f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
-                f"\t{source}\t{multiplier}\n"
-            )
-        if basis.span_dim() > max_rows:
-            stats.field_mults = basis.mult_count
-            raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
-        if pivot < below_d:
-            queue.append((row_id, residual, start))
+    def candidates():  # (row index, None for an input; multiplier or input index; terms; start)
+        nonlocal passes
+        for i, f in enumerate(F):
+            if f._degree <= d:  # inputs above the bound are excluded, not truncated
+                yield None, i, dict(f._packed(pack)), 0
+        while queue:
+            row, pivot, tail, start = queue.popleft()
+            passes += 1
+            # products of degree < d pass their multiplier's index on as a start
+            below = pivot < below_d_minus_1
+            for a, x in enumerate(pack.variables[start:], start):
+                work = {k + x: c for k, c in tail.items()}
+                work[pivot + x] = 1
+                yield row, a, work, a if below else 0
 
-    for i, f in enumerate(F):
-        if f._degree <= d:  # inputs above the bound are excluded, not truncated
-            insert(dict(f._packed(pack)), f"f{i}", "1")
-
-    variables = list(enumerate(zip(pack.variables, names)))
-    while queue:
-        row_id, g, start = queue.popleft()
-        stats.closure_passes += 1
-        # products of degree < d pass their multiplier's index on as a start
-        product_below_d = max(g) < below_d_minus_1
-        for a, (x, name) in variables[start:]:
-            insert({k + x: c for k, c in g.items()}, row_id, name, a if product_below_d else 0)
-
-    stats.field_mults = basis.mult_count
-    return basis
+    try:
+        for row, a, work, start in candidates():
+            insertions += 1
+            pivot = insert(work)
+            if pivot is None:
+                continue
+            if trace is not None:
+                source, multiplier = (f"f{a}", "1") if row is None else (f"r{row}", names[a])
+                trace.write(
+                    f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+                    f"\t{source}\t{multiplier}\n"
+                )
+            if pivot < below_d:
+                queue.append((adoptions, pivot, tails[pivot], start))
+            adoptions += 1
+            if adoptions > max_rows:
+                raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
+        return basis
+    finally:  # the counters, also those CapExceeded carries
+        stats.insertions, stats.adoptions = insertions, adoptions
+        stats.closure_passes, stats.field_mults = passes, basis.mult_count
 
 
 def construct_top_representatives(

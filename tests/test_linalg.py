@@ -15,6 +15,7 @@ from soldeg import (
     v_space_closure,
 )
 
+from helpers import mk
 from oracle_vspace import monomials_at_most
 
 RING = Ring(101, ("x", "y"))
@@ -153,6 +154,45 @@ def test_reduce_leaves_basis_unchanged():
     r = basis.reduce(poly({(2, 0): 3, (1, 0): 1}))
     assert r == poly({(1, 0): 1, (0, 1): -15})
     assert basis.rows == before
+
+
+# --- the packed insertion contract: the pivot, and the stored row -------------
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.kind)
+def test_insert_returns_the_pivot_and_stores_the_monic_tail(order):
+    basis = RowBasis(RING, order)
+    enc = basis._pack.encode
+    x, one = enc((1, 0)), enc((0, 0))
+    assert one == 0  # the unit monomial packs to 0 in both orders
+    pivot = basis._insert({x: 7, one: 14})
+    assert pivot == x
+    assert basis._tails[pivot] == {one: 2}  # monic: 7*x + 14 -> x + 2
+    assert basis._insert({x: 3, one: 6}) is None  # 3*(x + 2) reduces to zero
+    # x reduces to -2, which is adopted with pivot 0, not taken for zero
+    assert basis._insert({x: 1}) == 0
+    assert basis._tails[0] == {}
+    assert basis.span_dim() == 2
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.kind)
+def test_insert_reduce_residual_is_a_copy_of_the_stored_row(order):
+    basis = RowBasis(RING, order)
+    first = basis.insert_reduce(poly({(1, 0): 1, (0, 1): 3}))
+    assert first == poly({(1, 0): 1, (0, 1): 3})
+    assert basis.insert_reduce(poly({(1, 0): 2, (0, 1): 6})).is_zero
+    assert basis.insert_reduce(poly({(0, 1): 5})) == poly({(0, 1): 1})
+    # reading the rows rewrites the stored tail of x; the residual handed out keeps its terms
+    assert basis.rows == [poly({(1, 0): 1}), poly({(0, 1): 1})]
+    assert first == poly({(1, 0): 1, (0, 1): 3})
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.kind)
+def test_closure_multiplies_an_adopted_constant(order):
+    # x reduces against x + 1 to a constant, whose products x and y fill degree 1
+    V = v_space_closure(mk("p=101; vars=x,y; x + 1; x"), 2, order)
+    assert V.span_dim() == 6
+    assert V.pivots == set(monomials_at_most(2, 2))
 
 
 class _FullScanBasis:

@@ -253,6 +253,22 @@ def test_closure_cap_carries_partial_stats():
     assert err.value.stats.adoptions >= 2
 
 
+@pytest.mark.parametrize("max_rows", [1, 5, 10])
+def test_closure_cap_carries_the_counters_at_the_cap(max_rows):
+    from soldeg import CapExceeded
+
+    F = gen_random(RandomSpec(seed=2, n=3, k=3, deg_bounds=(2, 2, 2), density=1.0, p=101))
+    assert v_space_closure(F, 3).span_dim() > max_rows
+    with pytest.raises(CapExceeded) as err:
+        v_space_closure(F, 3, max_rows=max_rows)
+    stats = err.value.stats
+    assert stats.adoptions == max_rows + 1
+    assert stats.insertions >= stats.adoptions
+    assert stats.field_mults > 0
+    # the three inputs are adopted before the first row is multiplied
+    assert (stats.closure_passes > 0) == (max_rows >= 3)
+
+
 # --- top representatives ------------------------------------------------------
 
 
