@@ -79,8 +79,7 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     at a time, if x_a*g = s + R and x_i*g = t + T in slice d - 1 with i < a,
     then t, R, T precede s in (degree, adoption) order, so x_i*s = x_a*t +
     x_a*T - x_i*R lies in slice d. A slice multiplies the stored rows of the
-    one before without a copy: no slice is read through `rows` or `_rows`,
-    the only reads that rewrite stored rows (see linalg.RowBasis).
+    one before without a copy.
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars

@@ -4,9 +4,9 @@ A RowBasis stores each row as it was adopted: monic, free of the pivots that
 existed then, but free to hold pivots adopted later. Reducing an incoming
 polynomial therefore removes pivot monomials largest first, since a
 subtracted row can bring in smaller pivots. The reduced echelon form, where
-each pivot occurs in exactly one row, is built by one back-substitution pass
-when the rows are read. Columns are packed monomials (see rings.Packing)
-under the basis's order.
+each pivot occurs in exactly one row, is built beside the stored rows by one
+back-substitution pass when the rows are read. Columns are packed monomials
+(see rings.Packing) under the basis's order.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ class RowBasis:
     row leaves the stored rows as they are: each tail is free of the pivots
     that existed at its adoption, and may hold pivots adopted since (row
     echelon form, as in Gaussian elimination). Reading `rows` or `_rows`
-    first reduces every tail against the rows with smaller pivots, in
-    ascending pivot order (Gauss-Jordan back-substitution), once per batch of
-    adoptions; the rows read are the canonical reduced ones, so they depend
-    only on the span, not on insertion order.
+    builds fresh copies of the tails, each reduced against the reduced rows
+    with smaller pivots, in ascending pivot order (Gauss-Jordan
+    back-substitution); the rows read are the canonical reduced ones, so
+    they depend only on the span, not on insertion order.
 
     Residuals do not depend on the stored form. Every nonzero element of the
     span leads with a pivot, so v + span holds exactly one element that
@@ -38,21 +38,19 @@ class RowBasis:
     span_contains, insert_reduce and the adoption order are those of a basis
     kept fully reduced.
 
-    Single-writer: mutate the rows through insert_reduce only, and treat a
-    `rows` read as a write too, since it rewrites the stored tails to the
-    reduced form. reduce and span_contains leave the rows unchanged but add
-    to mult_count, so concurrent readers race on that counter. Until such a
-    read each stored tail is its adopted residual less the pivot (_insert).
+    Single-writer: add rows through insert_reduce only. A stored row never
+    changes after adoption: each tail is its adopted residual less the pivot
+    (_insert). reduce, span_contains and row reads add to mult_count, the
+    only shared state, so concurrent readers race on that counter alone.
     """
 
-    __slots__ = ("ring", "order", "_pack", "_tails", "_reduced", "mult_count")
+    __slots__ = ("ring", "order", "_pack", "_tails", "mult_count")
 
     def __init__(self, ring: Ring, order: TermOrder = GREVLEX):
         self.ring = ring
         self.order = order
         self._pack = ring.packing(order)
         self._tails: dict[int, dict[int, int]] = {}  # pivot coefficient implicitly 1
-        self._reduced = True  # no tail holds a pivot
         self.mult_count = 0  # field multiplications performed so far
 
     def _encode(self, f: Polynomial) -> dict[int, int]:
@@ -63,9 +61,10 @@ class RowBasis:
             )
         return dict(f._packed(self._pack))
 
-    def _reduce_terms(self, work: dict[int, int]) -> dict[int, int]:
-        """Eliminate every pivot monomial from `work` in place, largest first."""
-        tails = self._tails
+    def _reduce_terms(self, work: dict[int, int], tails=None) -> dict[int, int]:
+        """Eliminate every pivot of `tails` (default: the stored rows) from
+        `work` in place, largest first."""
+        tails = self._tails if tails is None else tails
         if not (hit := work.keys() & tails.keys()):
             return work
         heap = [-m for m in hit]  # max-heap of hit pivots
@@ -94,8 +93,8 @@ class RowBasis:
         """insert_reduce on packed terms, which it consumes: the pivot of the
         adopted row, or None when `work` lay in the span (the pivot may be 0,
         the unit monomial, so test it against None). `_tails[pivot]` is the
-        stored row itself, not a copy; it is the monic residual's tail until
-        a read of `rows` or `_rows` rewrites it to the reduced form."""
+        stored row itself, not a copy, and it never changes: the monic
+        residual's tail."""
         work = self._reduce_terms(work)
         if not work:
             return None
@@ -107,7 +106,6 @@ class RowBasis:
             self.mult_count += len(work)
             work = {m: v * inv % p for m, v in work.items()}
         self._tails[pivot] = work
-        self._reduced = False
         return pivot
 
     def reduce(self, f: Polynomial) -> Polynomial:
@@ -141,15 +139,15 @@ class RowBasis:
 
     def _rows(self) -> list[tuple[int, dict[int, int]]]:
         """(pivot, row) pairs of the reduced echelon form, by descending
-        pivot; each row is a fresh packed term map, pivot included."""
-        tails = self._tails
-        pivots = sorted(tails)
-        if not self._reduced:
-            # ascending: the rows a tail is reduced against are already final
-            for pm in pivots:
-                self._reduce_terms(tails[pm])
-            self._reduced = True
-        return [(pm, {**tails[pm], pm: 1}) for pm in reversed(pivots)]
+        pivot; each row is a packed term map, pivot included, built anew."""
+        reduced: dict[int, dict[int, int]] = {}
+        # ascending: a tail holds only smaller pivots, whose rows are already
+        # reduced; the copy compacts what the pops and deletions left sparse
+        for pm, tail in sorted(self._tails.items()):
+            reduced[pm] = {**self._reduce_terms(dict(tail), reduced)}
+        for pm, row in reduced.items():  # every reduction is done: add the pivots
+            row[pm] = 1
+        return list(reversed(reduced.items()))
 
     @property
     def rows(self) -> list[Polynomial]:

@@ -76,8 +76,7 @@ def v_space_closure(
 
     Each adopted row of degree < d is multiplied, as it was at adoption, by
     every variable from its start index on. That is the basis's stored row,
-    used without a copy: only a `rows` or `_rows` read rewrites stored rows,
-    and none happens before the basis is returned. Multiplying by every
+    used without a copy, since stored rows never change. Multiplying by every
     variable would reach all of V(F, d): under a degree-compatible order a
     row of degree < d is a combination of adopted rows of degree < d, since
     the basis stores each row as adopted and its reduced form only subtracts

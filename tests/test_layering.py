@@ -38,15 +38,3 @@ def test_the_closure_is_its_echelon_basis():
     assert isinstance(V, RowBasis)
     assert not hasattr(V, "basis")
 
-
-@pytest.mark.parametrize("module, name", [("vspace", "v_space_closure"),
-                                          ("invariants", "degree_of_regularity")])
-def test_stored_rows_are_not_read_back_while_they_are_multiplied(module, name):
-    # Both multiply the basis's stored rows without a copy, which holds only
-    # while nothing rewrites them: a `rows` or `_rows` read is the one rewrite.
-    tree = ast.parse(Path(getattr(soldeg, module).__file__).read_text(encoding="utf-8"))
-    func = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == name)
-    reads = [(node.attr, node.lineno) for node in ast.walk(func)
-             if isinstance(node, ast.Attribute) and node.attr in ("rows", "_rows")]
-    assert reads == []

@@ -182,7 +182,7 @@ def test_insert_reduce_residual_is_a_copy_of_the_stored_row(order):
     assert first == poly({(1, 0): 1, (0, 1): 3})
     assert basis.insert_reduce(poly({(1, 0): 2, (0, 1): 6})).is_zero
     assert basis.insert_reduce(poly({(0, 1): 5})) == poly({(0, 1): 1})
-    # reading the rows rewrites the stored tail of x; the residual handed out keeps its terms
+    # the rows read are reduced; the residual handed out, like the stored row, keeps its terms
     assert basis.rows == [poly({(1, 0): 1}), poly({(0, 1): 1})]
     assert first == poly({(1, 0): 1, (0, 1): 3})
 
@@ -253,7 +253,7 @@ class _LargestFirstBasis:
     """Reference row-echelon basis on exponent-tuple keys, counting field
     multiplications like RowBasis: rows are stored as adopted, an incoming
     row loses its largest pivot monomial until none is left, and reading
-    the rows back-substitutes them in ascending pivot order."""
+    the rows back-substitutes copies of them in ascending pivot order."""
 
     def __init__(self, ring, order):
         self.p = ring.p
@@ -261,12 +261,13 @@ class _LargestFirstBasis:
         self.tails = {}  # pivot -> tail as adopted
         self.mult_count = 0
 
-    def _reduce(self, work):
+    def _reduce(self, work, tails=None):
+        tails = self.tails if tails is None else tails
         p = self.p
-        while hits := work.keys() & self.tails.keys():
+        while hits := work.keys() & tails.keys():
             pm = max(hits, key=self.key)
             c = work.pop(pm)
-            tail = self.tails[pm]
+            tail = tails[pm]
             self.mult_count += len(tail)
             for m, rc in tail.items():
                 work[m] = (work.get(m, 0) - c * rc) % p
@@ -288,8 +289,9 @@ class _LargestFirstBasis:
             self.tails[pivot] = work
 
     def read_rows(self):
+        reduced = {}  # the tails stay as adopted
         for pivot in sorted(self.tails, key=self.key):
-            self.tails[pivot] = self._reduce(self.tails[pivot])
+            reduced[pivot] = self._reduce(dict(self.tails[pivot]), reduced)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -314,6 +316,20 @@ def test_largest_pivot_first_matches_a_full_scan(seed, order):
     assert unread.rows == reference.polys()
     counter.read_rows()
     assert unread.mult_count == counter.mult_count
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.kind)
+def test_a_rows_read_leaves_the_stored_rows_as_adopted(seed, order):
+    rng = random.Random(500 + seed)
+    ring = Ring(rng.choice([2, 3, 101]), ("x", "y", "z"))
+    read, unread = RowBasis(ring, order), RowBasis(ring, order)  # read after every insertion; never
+    for f in _random_polys(rng, ring, 25):
+        assert read.insert_reduce(f) == unread.insert_reduce(f)
+        stored = [(pm, tail, dict(tail)) for pm, tail in read._tails.items()]
+        assert read._rows() == read._rows()  # each read rebuilds the same rows
+        assert all(read._tails[pm] is tail and tail == copy for pm, tail, copy in stored)
+    assert read._tails == unread._tails and not hasattr(read, "_reduced")
 
 
 _OPS = st.sampled_from(["insert", "insert", "insert", "reduce", "contains", "rows", "pivots"])
