@@ -63,7 +63,9 @@ class RandomSpec:
     set, whole systems are rejection-sampled until the maximum degree stays
     at or below a finite regularity degree, up to retry_limit extra attempts.
     A spec whose C(n + max bound, n) candidate monomials exceed
-    MAX_RANDOM_MONOMIALS is refused.
+    MAX_RANDOM_MONOMIALS is refused, and so is a density at which a
+    polynomial of the smallest bound takes more draws than that, on average,
+    to come out nonzero.
     """
 
     seed: int
@@ -93,6 +95,15 @@ class RandomSpec:
             raise DomainError(
                 f"{count} candidate monomials exceed the limit of {MAX_RANDOM_MONOMIALS}"
             )
+        if self.density < 1:
+            # P(nonzero draw) = 1 - (1 - density)^N, without rounding 1 - density to 1
+            b = min(self.deg_bounds)
+            nonzero = -math.expm1(math.comb(self.n + b, self.n) * math.log1p(-self.density))
+            if nonzero * MAX_RANDOM_MONOMIALS < 1:
+                raise DomainError(
+                    f"density {self.density} is too small: a polynomial of degree bound {b} "
+                    f"would take more than {MAX_RANDOM_MONOMIALS} draws on average to be nonzero"
+                )
 
 
 def _random_poly(ring: Ring, rng: random.Random, bound: int, density: float) -> Polynomial:

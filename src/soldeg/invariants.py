@@ -63,14 +63,17 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
 
     InfiniteDegree is a proof, not a give-up. The slices are those of the
     ideal I generated by the top parts, and their dimensions do not change
-    under field extension, so both arguments below hold over GF(2) and GF(3)
+    under field extension, so the arguments below hold over GF(2) and GF(3)
     too. With k < n forms all of positive degree, I is proper and has height
     <= k < n (Krull's height theorem), so no slice ever fills and the scan is
     skipped; a constant member makes I the whole ring, and the scan finds
-    d_reg = 1. With k >= n, a slice fills at some degree only if I is
-    primary to the irrelevant ideal or the whole ring, and then (Lazard,
-    1983) it fills by degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n
-    largest degrees, two below the cap; the scan stops there.
+    d_reg = 1. When for some i no top holds the pure power x_i^deg f, the
+    point e_i is a common zero of the tops: every element of slice d vanishes
+    there and x_i^d does not, so no slice fills and the scan is skipped too.
+    With k >= n, a slice fills at some degree only if I is primary to the
+    irrelevant ideal or the whole ring, and then (Lazard, 1983) it fills by
+    degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n largest degrees, two
+    below the cap; the scan stops there.
 
     The tops are homogeneous: slice d is x_1..x_n times slice d - 1 plus the
     tops of degree d, each slice a fresh basis fed x_a*r, a >= start(r), for
@@ -85,7 +88,9 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     n = F.ring.nvars
     if len(F) < n and min(F.degrees()) > 0:
         return InfiniteDegree(cap)
-    pack = F.ring.packing(GREVLEX)
+    pack = F.ring.packing(GREVLEX)  # the polynomials' own keys
+    if any(all(f._degree * x not in f._t for f in F) for x in pack.variables):
+        return InfiniteDegree(cap)  # a coordinate point zeroes every top
     adopted = []  # (start, pivot, stored tail) of each row adopted in the last slice
     for d in range(max(1, cap - 2) + 1):  # Lazard's degree, two below the cap
         pack.check(d)  # every product has degree d

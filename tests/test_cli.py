@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soldeg import cli
 from soldeg.cli import main
-from soldeg import gen_fk, render_system, SystemFile, GREVLEX, InconsistencyError
+from soldeg import gen_fk, render_system, PolySystem, SystemFile, GREVLEX, InconsistencyError
 
 
 @pytest.fixture
@@ -77,6 +78,14 @@ def test_gen_random_refuses_oversized_spec(capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "candidate monomials" in err
+
+
+def test_gen_random_refuses_a_density_that_would_redraw_without_end(capsys):
+    args = ["gen", "random", "--seed", "1", "--n", "1", "--k", "1", "--deg-bound", "1",
+            "--density", "1e-300"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: density 1e-300 is too small") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", ["0", "17", "-3"])
@@ -199,6 +208,15 @@ def test_oracle_diff(fk_file, capsys):
     assert "agreement: yes" in out
     assert "stats: bound=3 N=10 insertions=" in out
     assert " adoptions=" in out and " field_mults=" in out
+
+
+def test_oracle_diff_reports_a_disagreement(fk_file, capsys, monkeypatch):
+    buchberger = cli.buchberger_reduced
+    # the basis of the first input alone, which the whole family's basis is not
+    monkeypatch.setattr(cli, "buchberger_reduced",
+                        lambda F, order: buchberger(PolySystem(F.ring, F.polys[:1]), order))
+    assert main(["oracle-diff", fk_file]) == 1
+    assert "agreement: NO" in capsys.readouterr().out.splitlines()
 
 
 def test_oracle_diff_precondition(tmp_path, capsys):

@@ -91,6 +91,16 @@ def test_oversized_spec_is_refused_before_enumerating(monkeypatch):
         gen_random(RandomSpec(seed=1, n=16, k=2, deg_bounds=(1, 9)))  # C(25, 16)
 
 
+def test_a_density_that_would_redraw_without_end_is_refused():
+    # C(2, 1) = 2 candidates: a nonzero draw takes about 1 / (2 * density) tries
+    with pytest.raises(DomainError, match="density 1e-300 is too small"):
+        RandomSpec(seed=1, n=1, k=1, deg_bounds=(1,), density=1e-300)
+    with pytest.raises(DomainError, match="degree bound 1 "):
+        RandomSpec(seed=1, n=1, k=2, deg_bounds=(4, 1), density=4e-7)
+    RandomSpec(seed=1, n=1, k=2, deg_bounds=(4, 1), density=6e-7)
+    assert gen_random(RandomSpec(seed=1, n=2, k=1, deg_bounds=(1,), density=0.01)).degrees() == (1,)
+
+
 def test_hypothesis_constraint_is_enforced():
     spec = RandomSpec(
         seed=3, n=2, k=3, deg_bounds=(2, 2, 2), density=0.6, p=3,

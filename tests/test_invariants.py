@@ -55,8 +55,9 @@ def test_regularity_linear_full_rank():
 @pytest.mark.parametrize(
     "text, d_reg",
     [
-        ("p=2; vars=x,y; x*y; x^2 + x*y + y", InfiniteDegree(5)),
-        ("p=3; vars=x,y,z; x*y; y*z; x*z; x^2 + y^2", InfiniteDegree(6)),
+        # common zeros (1, 1) and (1, 1, 1), but no coordinate point, so the scan runs
+        ("p=2; vars=x,y; x^2 + y^2; x*y + y^2 + y", InfiniteDegree(5)),
+        ("p=3; vars=x,y,z; x^2 - y^2; y^2 - z^2; x*y - z^2; x*z - y^2 + x", InfiniteDegree(6)),
         ("p=101; vars=x; 1", 1),  # cap 2
         # three constants among the four largest degrees put the cap at 0;
         # the scan still reaches degree 1, which the constants fill
@@ -443,6 +444,26 @@ def test_fewer_forms_than_variables_need_no_regularity_scan(monkeypatch):
     assert degree_of_regularity(mk("p=2; vars=x,y,z; x*y + z; y^2 + x*z")) == InfiniteDegree(5)
     with pytest.raises(AssertionError, match="k < n"):
         degree_of_regularity(mk("p=101; vars=x,y,z; x*y; 1"))  # constant member: I is not proper
+
+
+def test_a_coordinate_common_zero_of_the_tops_needs_no_regularity_scan(monkeypatch):
+    # x^a*y^(a-1) and y both vanish at (1, 0), and no slice ever fills
+    family = "p=101; vars=x,y; x^{a}*y^{b}; y"
+    for a in range(2, 6):
+        F = mk(family.format(a=a, b=a - 1))
+        assert degree_of_regularity(F) == _reference_regularity(F) == InfiniteDegree(2 * a + 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coordinate common zero must not build degree slices")
+
+    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    for a in (1000, 16384):
+        assert degree_of_regularity(mk(family.format(a=a, b=a - 1))) == InfiniteDegree(2 * a + 1)
+    # the tops vanish at (0, 1) and at (0, 0, 1)
+    assert degree_of_regularity(mk("p=2; vars=x,y; x*y; x^2 + x*y + y")) == InfiniteDegree(5)
+    assert degree_of_regularity(mk("p=3; vars=x,y,z; x*y; y*z; x*z; x^2 + y^2")) == InfiniteDegree(6)
+    with pytest.raises(AssertionError, match="coordinate"):
+        degree_of_regularity(mk("p=101; vars=x,y; x^3*y + y^4; x"))  # y^4 rules out (0, 1)
 
 
 def test_constant_member_fills_degree_one_with_fewer_forms_than_variables():
