@@ -98,7 +98,6 @@ def test_a_density_that_would_redraw_without_end_is_refused():
     with pytest.raises(DomainError, match="degree bound 1 "):
         RandomSpec(seed=1, n=1, k=2, deg_bounds=(4, 1), density=4e-7)
     RandomSpec(seed=1, n=1, k=2, deg_bounds=(4, 1), density=6e-7)
-    assert gen_random(RandomSpec(seed=1, n=2, k=1, deg_bounds=(1,), density=0.01)).degrees() == (1,)
 
 
 def test_hypothesis_constraint_is_enforced():
