@@ -22,7 +22,7 @@ from .errors import CapExceeded, DomainError, PreconditionError
 from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
                        ideal_dim_le, ideal_dims)
 from .linalg import RowBasis
-from .rings import GREVLEX, PolySystem, TermOrder
+from .rings import GREVLEX, MAX_DEGREE, PolySystem, TermOrder
 from .vspace import VSpaceBasis, v_space_closure
 
 LFD_RATIONALE = (
@@ -136,12 +136,13 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
     return _reduced_basis(F.ring, V._rows(), order), V
 
 
-def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int, int]:
+def _scan(F, order, G, cap, closures, trace=None) -> tuple[int, int, int]:
     """(sd, Lfd, certified) from the closures V(F, d), kept in `closures` by
     degree.
 
     sd is the first d >= max(1, Gbd) whose span contains G; a `cap` below
-    1 is a DomainError, and past `cap` (default: derived from d_reg)
+    1 is a DomainError, and past `cap` (default: one past the Macaulay
+    bound, as in InfiniteDegree, so read off the input and not off d_reg)
     CapExceeded carries the scanned span dimensions. Lfd is one past the
     last e <= sd whose span is smaller than the ideal's elements of degree
     <= e, found by walking down from sd over ideal dimensions counted in one
@@ -152,13 +153,8 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int, int]
     """
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be at least 1, got {cap}")
-    if cap is None:
-        if isinstance(d_reg, int):
-            cap = max(d_reg + 1, F.max_degree())
-        else:
-            # no finite regularity degree: fall back to the Macaulay bound,
-            # stretched to keep the scan non-empty
-            cap = max(_macaulay_bound(F), G.max_degree)
+    if cap is None:  # >= 1 even when constants push the Macaulay bound below 1
+        cap = min(MAX_DEGREE, max(_macaulay_bound(F) + 1, G.max_degree, 1))
 
     def closure(d, traced):
         if d not in closures:
@@ -187,7 +183,7 @@ def _scan(F, order, G, d_reg, cap, closures, trace=None) -> tuple[int, int, int]
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
     """Smallest d whose degree-d span contains the reduced Groebner basis."""
     G = buchberger_reduced(F, order)
-    return _scan(F, order, G, degree_of_regularity(F), cap, {})[0]
+    return _scan(F, order, G, cap, {})[0]
 
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -196,7 +192,7 @@ def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None 
     bounded dimensions, walking down from the solving degree and stopping
     at the last fall."""
     G = buchberger_reduced(F, order)
-    return _scan(F, order, G, degree_of_regularity(F), cap, {})[1]
+    return _scan(F, order, G, cap, {})[1]
 
 
 @dataclass
@@ -271,10 +267,12 @@ def verify_bounds(
 ) -> DegreeReport:
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
 
-    `cap` bounds the solving-degree scan (default: max(d_reg + 1, max
-    deg(F))); a cap below 1 is a DomainError. The d_reg scan is never
-    capped. `trace` receives the lines of the sd-scan and identity closures
-    (see v_space_closure).
+    `cap` bounds the solving-degree scan (default: one past the Macaulay
+    bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
+    so the scan stops at sd and the upper bounds below can fail); a cap
+    below 1 is a DomainError. The d_reg scan is never capped. `trace`
+    receives the lines of the sd-scan and identity closures (see
+    v_space_closure).
 
     Buchberger runs unchecked, and its basis G is checked after the sd scan,
     before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
@@ -321,7 +319,7 @@ def verify_bounds(
     certified = 0
     try:
         G = buchberger_reduced(F, order, check=False)
-        sd, lfd, certified = _scan(F, order, G, d_reg, cap, closures, trace)
+        sd, lfd, certified = _scan(F, order, G, cap, closures, trace)
     except CapExceeded as exc:
         cap_notes["gbd" if G is None else "sd"] = str(exc)
     if G is not None:

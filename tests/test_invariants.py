@@ -529,7 +529,7 @@ def test_sd_scan_keys_each_basis_member_once(monkeypatch):
         return packed(self, pack)
 
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    assert invariants._scan(F, GRLEX, G, degree_of_regularity(F), None, {}) == (7, 7, 7)
+    assert invariants._scan(F, GRLEX, G, None, {}) == (7, 7, 7)
     # the sd scan tests membership at degrees 1..7; each member is keyed
     # under grlex once, not once per degree
     assert len(keyed) == len(G)
