@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Union
 
 from .errors import CapExceeded, DomainError, PreconditionError
@@ -56,6 +56,20 @@ def _macaulay_bound(F: PolySystem) -> int:
     return sum(degs) - len(degs) + 2
 
 
+def _rational_common_zero(F: PolySystem) -> bool:
+    """Whether some point of P^{n-1}(GF(p)), scaled so that its first nonzero
+    coordinate is 1, zeroes the top part of every member of F."""
+    p, n = F.ring.p, F.ring.nvars
+    tops = [f.top().terms for f in F]
+    points = ((0,) * j + (1,) + rest
+              for j in range(n) for rest in product(range(p), repeat=n - j - 1))
+    return any(
+        all(sum(c * math.prod(pow(v, e, p) for v, e in zip(P, m)) for m, c in top.items()) % p == 0
+            for top in tops)
+        for P in points
+    )
+
+
 def degree_of_regularity(F: PolySystem) -> DegreeValue:
     """Smallest d at which the degree-d slice spanned by bounded multiples of
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
@@ -67,9 +81,12 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     too. With k < n forms all of positive degree, I is proper and has height
     <= k < n (Krull's height theorem), so no slice ever fills and the scan is
     skipped; a constant member makes I the whole ring, and the scan finds
-    d_reg = 1. When for some i no top holds the pure power x_i^deg f, the
-    point e_i is a common zero of the tops: every element of slice d vanishes
-    there and x_i^d does not, so no slice fills and the scan is skipped too.
+    d_reg = 1. If a point P of P^{n-1}(GF(p)) with P_i != 0 zeroes every
+    top, every element of slice d vanishes at P and x_i^d does not, so no
+    slice fills and the scan is skipped too. The point e_i is such a zero
+    when no top holds the pure power x_i^deg f; all (p^n - 1)/(p - 1) points
+    are tried only when they number no more than the monomials of degree
+    cap - 2, the last slice the scan would build.
     With k >= n, a slice fills at some degree only if I is primary to the
     irrelevant ideal or the whole ring, and then (Lazard, 1983) it fills by
     degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n largest degrees, two
@@ -91,6 +108,9 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     pack = F.ring.packing(GREVLEX)  # the polynomials' own keys
     if any(all(f._degree * x not in f._t for f in F) for x in pack.variables):
         return InfiniteDegree(cap)  # a coordinate point zeroes every top
+    p = F.ring.p
+    if (p**n - 1) // (p - 1) <= math.comb(cap + n - 3, n - 1) and _rational_common_zero(F):
+        return InfiniteDegree(cap)
     adopted = []  # (start, pivot, stored tail) of each row adopted in the last slice
     for d in range(max(1, cap - 2) + 1):  # Lazard's degree, two below the cap
         pack.check(d)  # every product has degree d
@@ -301,7 +321,8 @@ def verify_bounds(
                                has a constant member: k < n forms never fill
                                a degree slice) and those m degrees positive
       vspace_dim_identity      dim V(F, d_reg+1) == dim of ideal elements
-                               of degree <= d_reg + 1, needs the hypothesis
+                               of degree <= d_reg + 1, needs the hypothesis;
+                               a cap skip when d_reg + 1 > MAX_DEGREE
     """
     ring = F.ring
     maxdeg = F.max_degree()
@@ -354,6 +375,8 @@ def verify_bounds(
 
     def identity():
         d = d_reg + 1
+        if d > MAX_DEGREE:
+            raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
         V = closures[d] if d in closures else v_space_closure(F, d, order, trace=trace)
         return V.span_dim(), ideal_dim_le(G, d)
 

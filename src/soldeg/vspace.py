@@ -243,6 +243,4 @@ def interreduce_tops(F: PolySystem, order: TermOrder = GREVLEX) -> PolySystem:
             del polys[i]
         else:
             polys[i] = replacement
-    if not polys:
-        raise InconsistencyError("interreduction emptied a system of nonzero polynomials")
     return PolySystem(F.ring, [f.monic(order) for f in polys])

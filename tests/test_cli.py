@@ -47,6 +47,20 @@ def test_verify_bounds_json(fk_file, capsys):
     assert len(doc["certificates"]) == 7
 
 
+def test_verify_bounds_text(fk_file, capsys):
+    assert main(["verify-bounds", fk_file]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "certificates:",
+        "  pass    sd_le_dreg_plus_1        lhs=3 rhs=3",
+        "  pass    gbd_le_dreg              lhs=1 rhs=2",
+        "  pass    sd_eq_max_lfd_gbd        lhs=3 rhs=3",
+        "  pass    sd_generalized_bound     lhs=3 rhs=3",
+        "  pass    lfd_upper_bound          lhs=3 rhs=3",
+        "  pass    sd_macaulay_bound        lhs=3 rhs=4",
+        "  pass    vspace_dim_identity      lhs=9 rhs=9",
+    ]
+
+
 def test_gen_fk_roundtrips_through_analyze(tmp_path, capsys):
     assert main(["gen", "fk", "--k", "3", "--p", "101"]) == 0
     text = capsys.readouterr().out
@@ -185,6 +199,35 @@ def test_a_constant_among_the_largest_degrees_skips_the_macaulay_bound(text, tmp
     assert all(verdict == "pass" for verdict, _ in verdicts.values())
 
 
+def test_a_failing_certificate_exits_1(tmp_path, monkeypatch, capsys):
+    # one below fk(3)'s true d_reg 3: sd = 4 then breaks max(d_reg + 1, max deg) = 3
+    from soldeg import invariants
+
+    real = invariants.degree_of_regularity
+    monkeypatch.setattr(invariants, "degree_of_regularity", lambda F: real(F) - 1)
+    path = tmp_path / "f3.txt"
+    F = gen_fk(3, 101)
+    path.write_text(render_system(SystemFile(F.ring, GREVLEX, F)))
+    assert main(["analyze", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "d_reg: 2" in lines and "sd: 4" in lines
+    assert "  fail    sd_generalized_bound     lhs=4 rhs=3" in lines
+    assert "  fail    lfd_upper_bound          lhs=4 rhs=3" in lines
+
+
+def test_a_report_at_the_largest_supported_degree_prints_and_exits_3(tmp_path, capsys):
+    # d_reg = 32767, so the identity closure at 32768 cannot be formed
+    path = tmp_path / "top.txt"
+    path.write_text("p=2; vars=x; x^32767")
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert "d_reg: 32767" in lines and "sd: 32767" in lines and "lfd: 1" in lines
+    assert ("  skipped vspace_dim_identity      "
+            "(cap: degree 32768 exceeds the largest supported degree 32767)") in lines
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_nonpositive_cap_is_a_usage_error(fk_file, cap, capsys):
     assert main(["analyze", fk_file, "--cap", cap]) == 2
@@ -219,6 +262,18 @@ def test_oracle_diff_reports_a_disagreement(fk_file, capsys, monkeypatch):
     assert "agreement: NO" in capsys.readouterr().out.splitlines()
 
 
+def test_a_capped_oracle_diff_is_one_line_and_exit_3(fk_file, monkeypatch, capsys):
+    from soldeg import invariants
+
+    closure = invariants.v_space_closure
+    monkeypatch.setattr(invariants, "v_space_closure",
+                        lambda F, d, order: closure(F, d, order, max_rows=3))
+    assert main(["oracle-diff", fk_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closure exceeded 3 rows\n"
+
+
 def test_oracle_diff_precondition(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("p=101; vars=x,y; x*y")
@@ -251,6 +306,11 @@ def test_sweep_cap_exit_code(capsys):
     # k = 3 and 4 need sd = 4 and 5: both scans stop at cap 2
     assert main(["sweep", "fk", "--from", "3", "--to", "4", "--cap", "2", "--workers", "1"]) == 3
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_sweep_refuses_a_reversed_range(capsys):
+    assert main(["sweep", "fk", "--from", "5", "--to", "3"]) == 2
+    assert capsys.readouterr().err == "error: need 2 <= --from <= --to\n"
 
 
 def test_sweep_refuses_a_degree_above_the_largest_up_front(monkeypatch, capsys):

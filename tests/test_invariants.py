@@ -55,9 +55,10 @@ def test_regularity_linear_full_rank():
 @pytest.mark.parametrize(
     "text, d_reg",
     [
-        # common zeros (1, 1) and (1, 1, 1), but no coordinate point, so the scan runs
-        ("p=2; vars=x,y; x^2 + y^2; x*y + y^2 + y", InfiniteDegree(5)),
-        ("p=3; vars=x,y,z; x^2 - y^2; y^2 - z^2; x*y - z^2; x*z - y^2 + x", InfiniteDegree(6)),
+        # common zeros (1, +-i) and (1, +-i, 0) over GF(9), but none over
+        # GF(3), so the point search finds nothing and the scan runs
+        ("p=3; vars=x,y; x^2 + y^2; x^3*y + x*y^3", InfiniteDegree(7)),
+        ("p=3; vars=x,y,z; x^2 + y^2; x*z; y*z; z^2", InfiniteDegree(6)),
         ("p=101; vars=x; 1", 1),  # cap 2
         # three constants among the four largest degrees put the cap at 0;
         # the scan still reaches degree 1, which the constants fill
@@ -172,6 +173,31 @@ def test_report_checks_the_basis_it_is_handed(monkeypatch):
     monkeypatch.setattr("soldeg.invariants.buchberger_reduced", unchecked)
     with pytest.raises(InconsistencyError):
         verify_bounds(F)
+
+
+def test_solving_and_last_fall_degrees_build_no_regularity_slice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sd scan must not walk the regularity slices")
+
+    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    F = gen_fk(3, 101)
+    assert (solving_degree(F), last_fall_degree(F)) == (4, 4)
+    F = mk("p=101; vars=x,y; x^999 + y^999; x + y")
+    assert (solving_degree(F), last_fall_degree(F)) == (1, 1)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_the_upper_bounds_fail_under_a_regularity_degree_too_small(k, monkeypatch):
+    # the sd scan's cap comes from the input, so a wrong d_reg cannot cap
+    # the scan below sd: the bounds it breaks fail instead of being skipped
+    from soldeg import invariants
+
+    monkeypatch.setattr(invariants, "degree_of_regularity", lambda F: k - 1)
+    report = verify_bounds(gen_fk(k, 101))
+    assert (report.d_reg, report.sd, report.lfd) == (k - 1, k + 1, k + 1)
+    assert cert(report, "sd_generalized_bound").verdict == "fail"
+    assert cert(report, "lfd_upper_bound").verdict == "fail"
+    assert not report.all_pass
 
 
 def test_solving_degree_with_infinite_regularity():
@@ -360,6 +386,23 @@ def test_report_when_only_the_identity_closure_hits_the_row_cap(monkeypatch):
     ]
 
 
+def test_report_when_the_identity_degree_passes_the_largest_supported_degree():
+    # d_reg = 32767 = MAX_DEGREE, so V(F, d_reg + 1) cannot be formed
+    report = verify_bounds(mk("p=2; vars=x; x^32767"))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (32767, 32767, 32767, 1)
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "pass", None),
+        ("gbd_le_dreg", "pass", None),
+        ("sd_eq_max_lfd_gbd", "pass", None),
+        ("sd_generalized_bound", "pass", None),
+        ("lfd_upper_bound", "pass", None),
+        ("sd_macaulay_bound", "pass", None),
+        ("vspace_dim_identity", "skipped",
+         "cap: degree 32768 exceeds the largest supported degree 32767"),
+    ]
+    assert report.any_capped
+
+
 @pytest.mark.parametrize("cap", [2, 3])
 def test_report_when_the_sd_scan_hits_the_user_cap(cap):
     # sd = 4 lies past either cap; d_reg = 3 stays finite under both
@@ -464,6 +507,29 @@ def test_a_coordinate_common_zero_of_the_tops_needs_no_regularity_scan(monkeypat
     assert degree_of_regularity(mk("p=3; vars=x,y,z; x*y; y*z; x*z; x^2 + y^2")) == InfiniteDegree(6)
     with pytest.raises(AssertionError, match="coordinate"):
         degree_of_regularity(mk("p=101; vars=x,y; x^3*y + y^4; x"))  # y^4 rules out (0, 1)
+
+
+def test_a_rational_common_zero_of_the_tops_needs_no_regularity_scan(monkeypatch):
+    # x^(2a-1) + y^(2a-1) and x + y both vanish at (1, -1), not a coordinate point
+    family = "p=101; vars=x,y; x^{e} + y^{e}; x + y"
+    for a in range(2, 6):
+        F = mk(family.format(e=2 * a - 1))
+        assert degree_of_regularity(F) == _reference_regularity(F) == InfiniteDegree(2 * a + 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational common zero must not build degree slices")
+
+    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    for a in (1000, 16384):
+        assert degree_of_regularity(mk(family.format(e=2 * a - 1))) == InfiniteDegree(2 * a + 1)
+    # the tops vanish at (1, 1) and at (1, 1, 1)
+    assert degree_of_regularity(mk("p=2; vars=x,y; x^2 + y^2; x*y + y^2 + y")) == InfiniteDegree(5)
+    assert degree_of_regularity(
+        mk("p=3; vars=x,y,z; x^2 - y^2; y^2 - z^2; x*y - z^2; x*z - y^2 + x")
+    ) == InfiniteDegree(6)
+    # the tops vanish at (1, 1), but 102 points outnumber the 4 monomials of degree 3
+    with pytest.raises(AssertionError, match="rational"):
+        degree_of_regularity(mk("p=101; vars=x,y; x^2 - y^2; x*y - y^2"))
 
 
 def test_constant_member_fills_degree_one_with_fewer_forms_than_variables():
