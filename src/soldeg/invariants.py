@@ -3,9 +3,9 @@ certificates for every bound that relates them.
 
 All four invariants are exact integers (the regularity degree may be an
 InfiniteDegree marker carrying its cap, one past the Macaulay bound).
-verify_bounds computes everything once: one scan over shared closures gives
-sd and Lfd, and one rule turns each bound into a certificate with lhs, rhs,
-and a pass/fail/skipped verdict. Resource caps never produce wrong numbers:
+verify_bounds computes everything once: one scan gives sd, and Lfd from
+the rung dimensions of its last closure, and one rule turns each bound into
+a certificate with lhs, rhs, and a pass/fail/skipped verdict. Resource caps never produce wrong numbers:
 a capped computation turns the certificates that need it into skips with a
 "cap:" reason. mutantxl_gb reads the reduced Groebner basis off the closure
 at d_reg + 1, which contains it when max deg(F) <= d_reg.
@@ -90,7 +90,11 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     With k >= n, a slice fills at some degree only if I is primary to the
     irrelevant ideal or the whole ring, and then (Lazard, 1983) it fills by
     degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n largest degrees, two
-    below the cap; the scan stops there.
+    below the cap; the scan stops there. With k = n forms all of positive
+    degree, a filled slice makes them a regular sequence, whose Hilbert
+    series (1 - t^d_1)...(1 - t^d_n)/(1 - t)^n ends at degree Lazard's - 1,
+    so d_reg is Lazard's degree or infinite: past MAX_DEGREE either answer
+    ends in a DomainError, raised before any slice is built.
 
     The tops are homogeneous: slice d is x_1..x_n times slice d - 1 plus the
     tops of degree d, each slice a fresh basis fed x_a*r, a >= start(r), for
@@ -111,6 +115,9 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     p = F.ring.p
     if (p**n - 1) // (p - 1) <= math.comb(cap + n - 3, n - 1) and _rational_common_zero(F):
         return InfiniteDegree(cap)
+    if len(F) == n and min(F.degrees()) > 0 and cap - 2 > MAX_DEGREE:
+        raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "
+                          f"exceeds the largest supported degree {MAX_DEGREE}")
     adopted = []  # (start, pivot, stored tail) of each row adopted in the last slice
     for d in range(max(1, cap - 2) + 1):  # Lazard's degree, two below the cap
         pack.check(d)  # every product has degree d
@@ -156,48 +163,39 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
     return _reduced_basis(F.ring, V._rows(), order), V
 
 
-def _scan(F, order, G, cap, closures, trace=None) -> tuple[int, int, int]:
-    """(sd, Lfd, certified) from the closures V(F, d), kept in `closures` by
-    degree.
+def _scan(F, order, G, cap, closures, trace=None) -> tuple[int, int, int, list[int]]:
+    """(sd, Lfd, certified, ideal) from the closures V(F, d), kept in
+    `closures` by degree.
 
     sd is the first d >= max(1, Gbd) whose span contains G; a `cap` below
     1 is a DomainError, and past `cap` (default: one past the Macaulay
     bound, as in InfiniteDegree, so read off the input and not off d_reg)
-    CapExceeded carries the scanned span dimensions. Lfd is one past the
-    last e <= sd whose span is smaller than the ideal's elements of degree
-    <= e, found by walking down from sd over ideal dimensions counted in one
-    pass. `certified` is sd when dim V(F, sd) equals the count of multiples
-    of LM(G) of degree <= sd, else 0: then every S-pair of G with lcm degree
-    <= sd reduces to zero (see verify_bounds). Only the sd scan's closures
-    are traced.
+    CapExceeded carries the scanned span dimensions. `ideal[e]` counts the
+    ideal's elements of degree <= e for e = 0..sd, in one pass. Lfd is one
+    past the last e <= sd with dim V(F, e) < ideal[e], found by walking down
+    from sd over the rung dimensions of V(F, sd), so the walk builds no
+    closure. `certified` is sd when dim V(F, sd) equals ideal[sd], the count
+    of multiples of LM(G) of degree <= sd, else 0: then every S-pair of G
+    with lcm degree <= sd reduces to zero (see verify_bounds).
     """
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be at least 1, got {cap}")
     if cap is None:  # >= 1 even when constants push the Macaulay bound below 1
         cap = min(MAX_DEGREE, max(_macaulay_bound(F) + 1, G.max_degree, 1))
-
-    def closure(d, traced):
-        if d not in closures:
-            closures[d] = v_space_closure(F, d, order, trace=trace if traced else None)
-        return closures[d]
-
     pack = F.ring.packing(order)
     goals = [g._packed(pack) for g in G.polys]  # keyed once, as the closures key rows
     partial: dict[int, int] = {}
     for sd in range(max(1, G.max_degree), cap + 1):
-        V = closure(sd, traced=True)
+        V = closures[sd] = v_space_closure(F, sd, order, trace=trace)
         partial[sd] = V.span_dim()
         if all(V._contains(t) for t in goals):
             break
     else:
         raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
-    # V(F, e) lies in V(F, sd) for e <= sd, so these closures fit the row cap;
+    ideal, dims = ideal_dims(G, sd), V.dims
     # going down, the first fall is the last one
-    dims = ideal_dims(G, sd)
-    lfd = 1 + next(
-        (e for e in range(sd, 0, -1) if closure(e, traced=False).span_dim() < dims[e]), 0
-    )
-    return sd, lfd, sd if closures[sd].span_dim() == dims[sd] else 0
+    lfd = 1 + next((e for e in range(sd, 0, -1) if dims[e] < ideal[e]), 0)
+    return sd, lfd, sd if dims[sd] == ideal[sd] else 0, ideal
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -290,9 +288,12 @@ def verify_bounds(
     `cap` bounds the solving-degree scan (default: one past the Macaulay
     bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
     so the scan stops at sd and the upper bounds below can fail); a cap
-    below 1 is a DomainError. The d_reg scan is never capped. `trace`
-    receives the lines of the sd-scan and identity closures (see
-    v_space_closure).
+    below 1 is a DomainError. The d_reg scan is never capped. Closures are
+    built only at the scanned degrees max(1, Gbd)..sd, and at d_reg + 1
+    for the identity certificate when the scan built none there: Lfd reads
+    the rung dimensions of V(F, sd), and when d_reg + 1 <= sd the identity
+    reads the scan's closure and its count of ideal elements. `trace`
+    receives the lines of the closures built (see v_space_closure).
 
     Buchberger runs unchecked, and its basis G is checked after the sd scan,
     before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
@@ -337,10 +338,10 @@ def verify_bounds(
     closures: dict[int, VSpaceBasis] = {}
     G = gbd_v = sd = lfd = None
     cap_notes: dict[str, str] = {}
-    certified = 0
+    certified, ideal = 0, []
     try:
         G = buchberger_reduced(F, order, check=False)
-        sd, lfd, certified = _scan(F, order, G, cap, closures, trace)
+        sd, lfd, certified, ideal = _scan(F, order, G, cap, closures, trace)
     except CapExceeded as exc:
         cap_notes["gbd" if G is None else "sd"] = str(exc)
     if G is not None:
@@ -378,7 +379,7 @@ def verify_bounds(
         if d > MAX_DEGREE:
             raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
         V = closures[d] if d in closures else v_space_closure(F, d, order, trace=trace)
-        return V.span_dim(), ideal_dim_le(G, d)
+        return V.span_dim(), ideal[d] if d < len(ideal) else ideal_dim_le(G, d)
 
     certs = [
         certify("sd_le_dreg_plus_1", ("sd",), lambda: (sd, d_reg + 1), trivial=True,

@@ -2,18 +2,23 @@
 
 V(F, d) is the smallest linear space that contains every member of F of
 degree <= d and is closed under multiplication by monomials, or equivalently
-by single variables, while the product stays within degree d. The closure is
-a FIFO worklist (the variable-only step of MutantXL): seed with the inputs of
-degree <= d, then multiply every adopted row of degree < d (a "mutant" when
-its degree fell below the degree it was generated at) by the variables from
-its start index on. A row adopted from x_a*g with deg g <= d - 2 starts at
-x_a, since x_i*x_a*g = x_a*(x_i*g) for i < a was already produced (the
-MutantXL and Matrix-F5 rule); every other row starts at x_1. Each skipped
-product already lies in the span (proof at v_space_closure), so adoption
-order, traces and rows are those of multiplying by every variable. Adoption
-order makes traces and counters reproducible; the resulting basis is
-canonical regardless. Every span the library hands out is such a closure,
-returned as its own echelon basis (a VSpaceBasis is a RowBasis).
+by single variables, while the product stays within degree d. The closure
+climbs to V(F, d) in rungs e = 0..d in one basis, so V(F, e - 1) lies in
+the basis when rung e starts and rung e leaves V(F, e). Each rung is a FIFO
+worklist (the variable-only step of MutantXL): re-queue the rows of degree
+e - 1 left from the rung before, insert the inputs of degree e, then
+multiply every row of degree < e (a "mutant" when its degree fell below the
+product it came from) by the variables from its start index on. A row from
+x_a*g starts at x_a when deg(x_a*g) < e, or when it has the rung's own
+degree and so waits for the next rung, since x_i*x_a*g = x_a*(x_i*g) for
+i < a was already produced (the MutantXL and Matrix-F5 rule); every other
+row starts at x_1. Each skipped product already lies in the span (proof at
+v_space_closure), so adoption order, traces and rows are those of the
+climb that multiplies by every variable. The basis keeps dim V(F, e) of
+every rung in `dims`. Adoption order makes traces and counters
+reproducible; the resulting basis is canonical regardless. Every span the
+library hands out is such a closure, returned as its own echelon basis (a
+VSpaceBasis is a RowBasis).
 """
 
 from __future__ import annotations
@@ -48,20 +53,22 @@ class ClosureStats:
     adoptions: int = 0
     field_mults: int = 0
     # adopted rows of degree < d, each multiplied by the variables from its
-    # start index on: a for a row adopted from x_a*g with deg g <= d - 2, else 0
+    # start index on (see v_space_closure)
     closure_passes: int = 0
 
 
 class VSpaceBasis(RowBasis):
     """Echelon basis of V(F, d), read in reduced form, plus the degree bound
-    `d` and the counters of its closure."""
+    `d`, the counters of its closure, and `dims[e]` = dim V(F, e) for every
+    rung e <= d of its climb."""
 
-    __slots__ = ("d", "stats")
+    __slots__ = ("d", "stats", "dims")
 
     def __init__(self, ring: Ring, order: TermOrder, d: int):
         super().__init__(ring, order)
         self.d = d
         self.stats = ClosureStats()
+        self.dims: list[int] = []
 
 
 def v_space_closure(
@@ -72,32 +79,40 @@ def v_space_closure(
     max_rows: int = DEFAULT_MAX_ROWS,
     trace=None,
 ) -> VSpaceBasis:
-    """Compute the reduced echelon basis of V(F, d) by worklist closure.
+    """Compute the reduced echelon basis of V(F, d) by climbing rungs e = 0..d.
 
-    Each adopted row of degree < d is multiplied, as it was at adoption, by
-    every variable from its start index on. That is the basis's stored row,
-    used without a copy, since stored rows never change. Multiplying by every
-    variable would reach all of V(F, d): under a degree-compatible order a
-    row of degree < d is a combination of adopted rows of degree < d, since
-    the basis stores each row as adopted and its reduced form only subtracts
-    rows with smaller pivots (see linalg.RowBasis).
+    Rung e re-queues, in adoption order, the rows of degree e - 1 that rung
+    e - 1 adopted, inserts the members of F of degree e, and then multiplies
+    each row of degree < e, in FIFO order, by every variable from its start
+    index on. That is the basis's stored row, used without a copy, since
+    stored rows never change. When rung e ends, dims[e] is the basis's
+    dimension. Multiplying by every variable would make rung e end at
+    V(F, e): every row of degree < e has then been popped, at rung e or
+    before, and under a degree-compatible order an element of degree < e of
+    the span is a combination of rows of degree < e, since the basis stores
+    each row as adopted and its reduced form only subtracts rows with
+    smaller pivots (see linalg.RowBasis).
 
-    Start indices. A row s adopted from the product x_a*g of degree < d
-    (deg g <= d - 2) starts at a; inputs, and rows adopted from products of
-    degree d (mutants), start at 0. Every skipped product x_i*s, i < a,
-    already lies in the span when s is popped, so skipping it changes
-    neither the basis nor the adoption sequence. By induction over pop
-    order, assume every product x_j*r of every row r popped before s is in
-    the span once r's pass ends. Write x_a*g = s + R and x_i*g = t + T,
-    where R and T are combinations of basis rows, those subtracted at
-    insertion, and t is the residual (zero when x_i*g reduced to zero, or
-    was skipped and so lay in the span by induction). The rows in R and T
-    have pivots of degree < d, so they are combinations of rows of degree
-    < d adopted before s; FIFO order pops them before s. The row t,
-    if nonzero, was adopted from x_i*g, which came before x_a*g in g's pass
-    (i < a, fixed variable order), so it too is popped before s. Then
+    Start indices. A row s adopted at rung e from the product x_a*g starts
+    at a when deg(x_a*g) < e, or when deg s = e, so that s is re-queued at
+    rung e + 1; either way deg g <= e' - 2 at the rung e' that pops s.
+    Inputs, and rows of degree < e from products of degree e (mutants),
+    start at 0. Every skipped product x_i*s, i < a, already lies in the span
+    when s is popped, so skipping it changes neither the basis nor the
+    adoption sequence. By induction over pop order, assume every product
+    x_j*r of every row r popped before s is in the span once r's pass ends.
+    Write x_a*g = s + R and x_i*g = t + T, where R and T are combinations
+    of basis rows, those subtracted at insertion, and t is the residual
+    (zero when x_i*g reduced to zero, or was skipped and so lay in the span
+    by induction). The rows in R and T have degree <= deg(x_a*g) <= e' - 1
+    and were adopted before s. So was t, if nonzero: it was adopted from
+    x_i*g, which came before x_a*g in g's pass (i < a, fixed variable order).
+    Every row of degree <= e' - 1 adopted before s is popped before s: a
+    row of degree < e' - 1 at an earlier rung, and a row of degree e' - 1,
+    adopted at rung e' - 1 or e', at rung e' ahead of s, since rung e' pops
+    the re-queued rows first and then its own, each in adoption order. Then
     x_i*s = x_a*t + x_a*T - x_i*R is a sum of products of rows popped
-    before s, all in the span.
+    before s, all of degree <= e' and in the span.
 
     `trace`, when given, is a writable text stream receiving one
     tab-separated line per adopted row: degree, pivot, source id ("f<i>" an
@@ -110,27 +125,35 @@ def v_space_closure(
     basis = VSpaceBasis(F.ring, order, d)
     pack = basis._pack
     pack.check(d)  # no product formed below exceeds degree d
-    below_d = pack.degree_floor(d)
-    below_d_minus_1 = pack.degree_floor(d - 1)
-    insert, tails, stats = basis._insert, basis._tails, basis.stats
+    insert, tails, dims, stats = basis._insert, basis._tails, basis.dims, basis.stats
     insertions = adoptions = passes = 0
-    # (row index, pivot, stored tail, start index) of each adopted row of degree < d
+    # (row index, pivot, stored tail, start index) of each adopted row to
+    # multiply: in the queue below the rung's degree, in `tops` at it
     queue: deque[tuple[int, int, dict[int, int], int]] = deque()
+    tops: deque[tuple[int, int, dict[int, int], int]] = deque()
+    below_e = pack.degree_floor(0)  # keys of degree < e lie below it (rung 0 pops no row)
+    inputs = [[] for _ in range(d + 1)]  # (index, terms) of the inputs of each degree
+    for i, f in enumerate(F):
+        if f._degree <= d:  # inputs above the bound are excluded, not truncated
+            inputs[f._degree].append((i, dict(f._packed(pack))))
 
     def candidates():  # (row index, None for an input; multiplier or input index; terms; start)
-        nonlocal passes
-        for i, f in enumerate(F):
-            if f._degree <= d:  # inputs above the bound are excluded, not truncated
-                yield None, i, dict(f._packed(pack)), 0
-        while queue:
-            row, pivot, tail, start = queue.popleft()
-            passes += 1
-            # products of degree < d pass their multiplier's index on as a start
-            below = pivot < below_d_minus_1
-            for a, x in enumerate(pack.variables[start:], start):
-                work = {k + x: c for k, c in tail.items()}
-                work[pivot + x] = 1
-                yield row, a, work, a if below else 0
+        nonlocal passes, below_e, queue, tops
+        for e in range(d + 1):
+            below_e_minus_1, below_e = below_e, pack.degree_floor(e)
+            queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
+            for i, terms in inputs[e]:
+                yield None, i, terms, 0
+            while queue:
+                row, pivot, tail, start = queue.popleft()
+                passes += 1
+                # products of degree < e pass their multiplier's index on as a start
+                below = pivot < below_e_minus_1
+                for a, x in enumerate(pack.variables[start:], start):
+                    work = {k + x: c for k, c in tail.items()}
+                    work[pivot + x] = 1
+                    yield row, a, work, a if below else 0
+            dims.append(len(tails))
 
     try:
         for row, a, work, start in candidates():
@@ -144,8 +167,10 @@ def v_space_closure(
                     f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
                     f"\t{source}\t{multiplier}\n"
                 )
-            if pivot < below_d:
+            if pivot < below_e:
                 queue.append((adoptions, pivot, tails[pivot], start))
+            else:  # the rung's degree: a product's row starts at its multiplier next rung
+                tops.append((adoptions, pivot, tails[pivot], 0 if row is None else a))
             adoptions += 1
             if adoptions > max_rows:
                 raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)

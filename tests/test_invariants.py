@@ -14,9 +14,11 @@ from soldeg import (
     InfiniteDegree,
     Polynomial,
     PolySystem,
+    RandomSpec,
     Ring,
     degree_of_regularity,
     gen_fk,
+    gen_random,
     ideal_dim_le,
     last_fall_degree,
     render_report,
@@ -532,6 +534,25 @@ def test_a_rational_common_zero_of_the_tops_needs_no_regularity_scan(monkeypatch
         degree_of_regularity(mk("p=101; vars=x,y; x^2 - y^2; x*y - y^2"))
 
 
+def test_a_lazard_degree_past_the_largest_supported_degree_is_refused_up_front(monkeypatch):
+    # with k = n forms of positive degree, d_reg is Lazard's degree or
+    # infinite, so past MAX_DEGREE no walk can end in a number
+    assert degree_of_regularity(mk("p=101; vars=x,y; x^20000; 1")) == 1  # a constant member
+    assert degree_of_regularity(mk("p=101; vars=x,y; x^20000; y^20000; x; y")) == 1  # k > n
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Lazard degree past MAX_DEGREE must not build degree slices")
+
+    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    for text, lazard in [("p=101; vars=x,y; x^20000; y^20000", 39999),
+                         ("p=2; vars=x,y; x^16384 + y; y^16385", 32768)]:
+        with pytest.raises(DomainError, match=rf"Lazard's degree {lazard} or infinite, and "
+                                              rf"{lazard} exceeds the largest supported degree"):
+            degree_of_regularity(mk(text))
+    # a common zero of the tops is still proved first: (1, -1) here
+    assert degree_of_regularity(mk("p=101; vars=x,y; x^20001 + y^20001; x + y")) == InfiniteDegree(20003)
+
+
 def test_constant_member_fills_degree_one_with_fewer_forms_than_variables():
     assert degree_of_regularity(mk("p=101; vars=x,y,z; x*y; 1")) == 1
     assert degree_of_regularity(mk("p=2; vars=x,y,z,w; x + 1; 1; y*z")) == 1
@@ -550,7 +571,54 @@ def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
     report = verify_bounds(gen_fk(10, 101))
     assert (report.sd, report.lfd) == (11, 11)
     assert all(c.verdict == "pass" for c in report.certificates)
-    assert len(calls) <= 3  # sd and sd - 1 in the scan, d_reg + 1 in the identity
+    assert calls == []  # the walk and the identity read the scan's one ideal_dims pass
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_fk(6, 101),
+        lambda: mk(UNDERDETERMINED),  # Gbd = sd = 3 and Lfd = 1, d_reg infinite
+        lambda: gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4)),
+        lambda: gen_random(RandomSpec(seed=5, n=3, k=3, deg_bounds=(3, 2, 2), p=3)),
+    ],
+    ids=["fk6", "underdetermined", "n4-quadrics", "n3-p3"],
+)
+def test_verify_bounds_builds_closures_only_at_the_scanned_and_identity_degrees(
+    monkeypatch, make
+):
+    from soldeg import invariants
+
+    F, built = make(), []
+
+    def counted(F, d, *args, **kwargs):
+        built.append(d)
+        return v_space_closure(F, d, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "v_space_closure", counted)
+    report = verify_bounds(F)
+    scanned = list(range(max(1, report.gbd), report.sd + 1))
+    identity = [report.d_reg + 1] if report.hypothesis["satisfied"] and report.d_reg >= report.sd else []
+    assert built == scanned + identity  # no closure below max(1, Gbd), none built twice
+
+
+def test_verify_bounds_counts_the_ideal_once_on_the_family(monkeypatch):
+    from soldeg import invariants
+    from soldeg.groebner import ideal_dims
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(G, e):
+            calls.append((fn.__name__, e))
+            return fn(G, e)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "ideal_dim_le", counted(ideal_dim_le))
+    monkeypatch.setattr(invariants, "ideal_dims", counted(ideal_dims))
+    report = verify_bounds(gen_fk(6, 101))
+    assert (report.d_reg, report.sd, report.lfd) == (6, 7, 7)
+    assert calls == [("ideal_dims", 7)]  # the identity at d_reg + 1 = sd reads the scan's count
 
 
 def test_last_fall_scan_counts_ideal_dimensions_in_one_pass(monkeypatch):
@@ -595,7 +663,7 @@ def test_sd_scan_keys_each_basis_member_once(monkeypatch):
         return packed(self, pack)
 
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    assert invariants._scan(F, GRLEX, G, None, {}) == (7, 7, 7)
+    assert invariants._scan(F, GRLEX, G, None, {}) == (7, 7, 7, dims)
     # the sd scan tests membership at degrees 1..7; each member is keyed
     # under grlex once, not once per degree
     assert len(keyed) == len(G)

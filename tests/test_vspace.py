@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import re
 from collections import deque
@@ -27,6 +28,7 @@ from soldeg import (
 )
 
 from helpers import mk
+from oracle_vspace import BruteForceSpan
 
 
 # --- closure ------------------------------------------------------------------
@@ -97,18 +99,26 @@ def traced_closure(F, d, order=GREVLEX):
 
 def assert_variable_only_counters(F, V, text):
     # inputs of degree <= d are inserted once; every row of degree < d is
-    # passed over once and multiplied by the variables from its start index
-    # on: the multiplier's index when its source r<k> has degree <= d - 2,
-    # else 0 (inputs, and products of degree d that fell below it)
+    # passed over once, at the rung that adopted it or, when it has that
+    # rung's degree, at the next one, and multiplied by the variables from
+    # its start index on: the multiplier's index when its product x_a*r<k>
+    # had degree below the rung or the row has the rung's degree, else 0
+    # (inputs, and mutants of products of the rung's degree)
     d, names = V.d, F.ring.names
     lines = [line.split("\t") for line in text.splitlines()]
-    starts = [
-        names.index(multiplier)
-        if source.startswith("r") and int(lines[int(source[1:])][0]) <= d - 2
-        else 0
-        for degree, _, source, multiplier in lines
-        if int(degree) < d
-    ]
+    passed_at, starts = [], []  # the rung that passes over each row; start indices
+    for degree, _, source, multiplier in lines:
+        degree = int(degree)
+        if source.startswith("f"):
+            rung, start = F[int(source[1:])].degree, 0
+        else:
+            k = int(source[1:])
+            rung = passed_at[k]
+            below = int(lines[k][0]) + 1 < rung or degree == rung
+            start = names.index(multiplier) if below else 0
+        passed_at.append(max(rung, degree + 1))
+        if degree < d:
+            starts.append(start)
     seeds = sum(1 for f in F if f.degree <= d)
     assert len(starts) == sum(1 for row in V.rows if row.degree < d)
     assert V.stats.closure_passes == len(starts)
@@ -154,16 +164,18 @@ def test_closure_work_counters_are_pinned(make, d, counters):
 
 
 def reference_closure(F, d, order):
-    """The closure without the start-index skip, on a RowBasis: every queued
-    row times every variable. Returns the basis, the trace text, the
-    insertion and pass counts, and the residual of every product that the
-    start-index rule skips (the variables before the row's start)."""
+    """The climb without the start-index skip, on a RowBasis: rung e = 0..d
+    re-queues the rows of degree e - 1, inserts the inputs of degree e and
+    multiplies every queued row by every variable. Returns the basis, the
+    trace text, the insertion and pass counts, the dimension after each
+    rung, and the residual of every product that the start-index rule skips
+    (the variables before the row's start)."""
     ring, n = F.ring, F.ring.nvars
     basis = RowBasis(ring, order)
-    lines, queue, skipped = [], deque(), []
+    lines, queue, tops, skipped, dims = [], deque(), [], [], []
     insertions = passes = 0
 
-    def insert(f, source, multiplier, start):
+    def insert(f, source, multiplier, e, a=None):
         nonlocal insertions
         insertions += 1
         residual = basis.insert_reduce(f)
@@ -171,23 +183,27 @@ def reference_closure(F, d, order):
             pivot = ring.poly({residual.leading_monomial(order): 1}).render()
             row_id = f"r{len(lines)}"
             lines.append(f"{residual.degree}\t{pivot}\t{source}\t{multiplier}\n")
-            if residual.degree < d:
-                queue.append((row_id, residual, start))
+            # a product below the rung, or a row of the rung's degree, starts at x_a
+            start = 0 if a is None or f.degree == e > residual.degree else a
+            (queue if residual.degree < e else tops).append((row_id, residual, start))
         return residual
 
-    for i, f in enumerate(F):
-        if f.degree <= d:
-            insert(f, f"f{i}", "1", 0)
-    while queue:
-        row_id, g, start = queue.popleft()
-        passes += 1
-        for a in range(n):
-            x = tuple(int(j == a) for j in range(n))
-            residual = insert(g.mul_monomial(x), row_id, ring.names[a],
-                              a if g.degree <= d - 2 else 0)
-            if a < start:
-                skipped.append(residual)
-    return basis, "".join(lines), insertions, passes, skipped
+    for e in range(d + 1):
+        queue.extend(tops)
+        tops.clear()
+        for i, f in enumerate(F):
+            if f.degree == e:
+                insert(f, f"f{i}", "1", e)
+        while queue:
+            row_id, g, start = queue.popleft()
+            passes += 1
+            for a in range(n):
+                x = tuple(int(j == a) for j in range(n))
+                residual = insert(g.mul_monomial(x), row_id, ring.names[a], e, a)
+                if a < start:
+                    skipped.append(residual)
+        dims.append(basis.span_dim())
+    return basis, "".join(lines), insertions, passes, dims, skipped
 
 
 @st.composite
@@ -213,13 +229,45 @@ def closure_cases(draw):
 def test_closure_matches_the_closure_without_the_skip(case):
     F, d, order = case
     V, text = traced_closure(F, d, order)
-    basis, ref_text, insertions, passes, skipped = reference_closure(F, d, order)
+    basis, ref_text, insertions, passes, dims, skipped = reference_closure(F, d, order)
     assert text == ref_text
     assert V.rows == basis.rows
+    assert V.dims == dims
     assert V.stats.adoptions == basis.span_dim() == V.span_dim()
     assert V.stats.closure_passes == passes
     assert insertions - V.stats.insertions == len(skipped)
     assert all(residual.is_zero for residual in skipped)
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        ("p=101; vars=x,y; x^3 + y; y^3 + x; x*y", 5),
+        ("p=2; vars=x,y; x^2 + x*y + 1; y^2 + x", 4),
+        ("p=3; vars=x,y,z; x*y + z; y^2 + 2*x; x*z + y + 1", 4),
+        ("p=3; vars=x,y; x*y + 2; x^2 + y^2 + x", 4),
+        ("p=101; vars=x,y; x + 1; 2; x*y", 3),  # a constant enters at rung 0
+        ("p=2; vars=x,y,z; x^2 + y; y*z + x + 1; z^2", 4),
+    ],
+)
+def test_rung_dims_match_the_brute_force_span(text, d):
+    F = mk(text)
+    for order in (GREVLEX, GRLEX):
+        assert v_space_closure(F, d, order).dims == [BruteForceSpan(F, e).dim for e in range(d + 1)]
+
+
+def test_rung_dims_equal_the_closures_of_each_degree():
+    constants = 0
+    for seed, p, n in itertools.product(range(10), (2, 3, 101), (1, 2, 3)):
+        # a degree-1 member that draws only its constant term is a constant
+        spec = RandomSpec(seed=seed, n=n, k=n + 1, deg_bounds=(1,) + (2,) * n, density=0.4, p=p)
+        F = gen_random(spec)
+        constants += F.degrees().count(0)
+        for order in (GREVLEX, GRLEX):
+            d = F.max_degree() + 2
+            dims = v_space_closure(F, d, order).dims
+            assert dims[1:] == [v_space_closure(F, e, order).span_dim() for e in range(1, d + 1)]
+    assert constants
 
 
 def test_closure_log_and_trace():
