@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Union
 
 from .errors import CapExceeded, DomainError, PreconditionError
 from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
                        ideal_dim_le, ideal_dims)
-from .linalg import RowBasis
 from .rings import GREVLEX, MAX_DEGREE, PolySystem, TermOrder
-from .vspace import VSpaceBasis, v_space_closure
+from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
     "falls cannot occur past the solving degree: once the reduced basis lies in "
@@ -94,16 +93,13 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     degree, a filled slice makes them a regular sequence, whose Hilbert
     series (1 - t^d_1)...(1 - t^d_n)/(1 - t)^n ends at degree Lazard's - 1,
     so d_reg is Lazard's degree or infinite: past MAX_DEGREE either answer
-    ends in a DomainError, raised before any slice is built.
+    ends in a DomainError, raised before the walk climbs a rung.
 
-    The tops are homogeneous: slice d is x_1..x_n times slice d - 1 plus the
-    tops of degree d, each slice a fresh basis fed x_a*r, a >= start(r), for
-    each row r of slice d - 1 in adoption order, then the tops; a row from
-    x_a*r starts at a, a top at 0. By v_space_closure's induction one degree
-    at a time, if x_a*g = s + R and x_i*g = t + T in slice d - 1 with i < a,
-    then t, R, T precede s in (degree, adoption) order, so x_i*s = x_a*t +
-    x_a*T - x_i*R lies in slice d. A slice multiplies the stored rows of the
-    one before without a copy.
+    The walk climbs the closure of the tops (vspace._climb) under grevlex,
+    so it shares the closure's row cap (CapExceeded). The tops are
+    homogeneous, so each product of a top by a monomial is too, and
+    V(tops, e) is the direct sum of the slices of degree <= e: slice e has
+    dimension dims[e] - dims[e - 1].
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
@@ -118,21 +114,11 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     if len(F) == n and min(F.degrees()) > 0 and cap - 2 > MAX_DEGREE:
         raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "
                           f"exceeds the largest supported degree {MAX_DEGREE}")
-    adopted = []  # (start, pivot, stored tail) of each row adopted in the last slice
-    for d in range(max(1, cap - 2) + 1):  # Lazard's degree, two below the cap
-        pack.check(d)  # every product has degree d
-        basis, previous, adopted = RowBasis(F.ring, GREVLEX), adopted, []
-        products = ((a, {k + x: c for k, c in tail.items()}, pivot + x)
-                    for start, pivot, tail in previous
-                    for a, x in enumerate(pack.variables[start:], start))
-        tops = ((0, dict(f.top()._packed(pack)), None) for f in F if f._degree == d)
-        for a, work, lead in chain(products, tops):
-            if lead is not None:
-                work[lead] = 1
-            if (pivot := basis._insert(work)) is not None:
-                adopted.append((a, pivot, basis._tails[pivot]))
-        if d and basis.span_dim() == math.comb(d + n - 1, d):  # slice 0: constant tops
-            return d
+    tops = PolySystem(F.ring, [f.top() for f in F])
+    rungs = _climb(tops, max(1, cap - 2), GREVLEX, max_rows=DEFAULT_MAX_ROWS, trace=None)
+    for e, V in enumerate(rungs):  # up to Lazard's degree, two below the cap
+        if e and V.dims[e] - V.dims[e - 1] == math.comb(e + n - 1, e):  # rung 0: constant tops
+            return e
     return InfiniteDegree(cap)
 
 
@@ -288,7 +274,8 @@ def verify_bounds(
     `cap` bounds the solving-degree scan (default: one past the Macaulay
     bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
     so the scan stops at sd and the upper bounds below can fail); a cap
-    below 1 is a DomainError. The d_reg scan is never capped. Closures are
+    below 1 is a DomainError. `cap` does not bound the d_reg walk; the walk
+    shares the closure's row cap (see degree_of_regularity). Closures are
     built only at the scanned degrees max(1, Gbd)..sd, and at d_reg + 1
     for the identity certificate when the scan built none there: Lfd reads
     the rung dimensions of V(F, sd), and when d_reg + 1 <= sd the identity

@@ -15,10 +15,12 @@ i < a was already produced (the MutantXL and Matrix-F5 rule); every other
 row starts at x_1. Each skipped product already lies in the span (proof at
 v_space_closure), so adoption order, traces and rows are those of the
 climb that multiplies by every variable. The basis keeps dim V(F, e) of
-every rung in `dims`. Adoption order makes traces and counters
-reproducible; the resulting basis is canonical regardless. Every span the
-library hands out is such a closure, returned as its own echelon basis (a
-VSpaceBasis is a RowBasis).
+every rung in `dims`. The rungs come from _climb, the only code that
+multiplies rows by variables: v_space_closure runs it to d, the d_reg walk
+over the top parts until a slice fills. Adoption order makes traces and
+counters reproducible; the resulting basis is canonical regardless. Every
+span the library hands out is such a closure, returned as its own echelon
+basis (a VSpaceBasis is a RowBasis).
 """
 
 from __future__ import annotations
@@ -121,10 +123,18 @@ def v_space_closure(
     """
     if d < 1:
         raise DomainError("closure degree must be at least 1")
+    F.ring.packing(order).check(d)  # no product formed below exceeds degree d
+    *_, basis = _climb(F, d, order, max_rows=max_rows, trace=trace)
+    return basis
+
+
+def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
+    """The rungs of v_space_closure(F, d): yields its one basis after each
+    rung e = 0..d, holding V(F, e) with dims[e] set, and checks each rung's
+    degree as it reaches it. Closed early, it still writes its counters."""
     names = F.ring.names
     basis = VSpaceBasis(F.ring, order, d)
     pack = basis._pack
-    pack.check(d)  # no product formed below exceeds degree d
     insert, tails, dims, stats = basis._insert, basis._tails, basis.dims, basis.stats
     insertions = adoptions = passes = 0
     # (row index, pivot, stored tail, start index) of each adopted row to
@@ -132,49 +142,50 @@ def v_space_closure(
     queue: deque[tuple[int, int, dict[int, int], int]] = deque()
     tops: deque[tuple[int, int, dict[int, int], int]] = deque()
     below_e = pack.degree_floor(0)  # keys of degree < e lie below it (rung 0 pops no row)
-    inputs = [[] for _ in range(d + 1)]  # (index, terms) of the inputs of each degree
+    inputs: dict[int, list] = {}  # degree -> (index, terms); the walk's d may pass MAX_DEGREE
     for i, f in enumerate(F):
         if f._degree <= d:  # inputs above the bound are excluded, not truncated
-            inputs[f._degree].append((i, dict(f._packed(pack))))
+            inputs.setdefault(f._degree, []).append((i, dict(f._packed(pack))))
 
-    def candidates():  # (row index, None for an input; multiplier or input index; terms; start)
-        nonlocal passes, below_e, queue, tops
-        for e in range(d + 1):
-            below_e_minus_1, below_e = below_e, pack.degree_floor(e)
-            queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
-            for i, terms in inputs[e]:
-                yield None, i, terms, 0
-            while queue:
-                row, pivot, tail, start = queue.popleft()
-                passes += 1
-                # products of degree < e pass their multiplier's index on as a start
-                below = pivot < below_e_minus_1
-                for a, x in enumerate(pack.variables[start:], start):
-                    work = {k + x: c for k, c in tail.items()}
-                    work[pivot + x] = 1
-                    yield row, a, work, a if below else 0
-            dims.append(len(tails))
+    def candidates(e):  # (row index, None for an input; multiplier or input index; terms; start)
+        nonlocal passes
+        for i, terms in inputs.get(e, ()):
+            yield None, i, terms, 0
+        while queue:
+            row, pivot, tail, start = queue.popleft()
+            passes += 1
+            # products of degree < e pass their multiplier's index on as a start
+            below = pivot < below_e_minus_1
+            for a, x in enumerate(pack.variables[start:], start):
+                work = {k + x: c for k, c in tail.items()}
+                work[pivot + x] = 1
+                yield row, a, work, a if below else 0
 
     try:
-        for row, a, work, start in candidates():
-            insertions += 1
-            pivot = insert(work)
-            if pivot is None:
-                continue
-            if trace is not None:
-                source, multiplier = (f"f{a}", "1") if row is None else (f"r{row}", names[a])
-                trace.write(
-                    f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
-                    f"\t{source}\t{multiplier}\n"
-                )
-            if pivot < below_e:
-                queue.append((adoptions, pivot, tails[pivot], start))
-            else:  # the rung's degree: a product's row starts at its multiplier next rung
-                tops.append((adoptions, pivot, tails[pivot], 0 if row is None else a))
-            adoptions += 1
-            if adoptions > max_rows:
-                raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
-        return basis
+        for e in range(d + 1):
+            pack.check(e)  # every product of the rung has degree <= e
+            below_e_minus_1, below_e = below_e, pack.degree_floor(e)
+            queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
+            for row, a, work, start in candidates(e):
+                insertions += 1
+                pivot = insert(work)
+                if pivot is None:
+                    continue
+                if trace is not None:
+                    source, multiplier = (f"f{a}", "1") if row is None else (f"r{row}", names[a])
+                    trace.write(
+                        f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+                        f"\t{source}\t{multiplier}\n"
+                    )
+                if pivot < below_e:
+                    queue.append((adoptions, pivot, tails[pivot], start))
+                else:  # the rung's degree: a product's row starts at its multiplier next rung
+                    tops.append((adoptions, pivot, tails[pivot], 0 if row is None else a))
+                adoptions += 1
+                if adoptions > max_rows:
+                    raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
+            dims.append(len(tails))
+            yield basis
     finally:  # the counters, also those CapExceeded carries
         stats.insertions, stats.adoptions = insertions, adoptions
         stats.closure_passes, stats.field_mults = passes, basis.mult_count

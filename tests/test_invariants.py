@@ -34,6 +34,22 @@ from oracle_vspace import rref
 # --- degree of regularity -------------------------------------------------------
 
 
+def record_rungs(monkeypatch) -> list[int]:
+    """The rungs the d_reg walk climbs, in order, recorded by wrapping
+    invariants._climb; the closures climb vspace._climb and are not seen."""
+    from soldeg import invariants
+
+    rungs, climb = [], invariants._climb
+
+    def recording(*args, **kwargs):
+        for V in climb(*args, **kwargs):
+            rungs.append(len(V.dims) - 1)
+            yield V
+
+    monkeypatch.setattr(invariants, "_climb", recording)
+    return rungs
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_regularity_of_the_family(k):
     assert degree_of_regularity(gen_fk(k, 101)) == k
@@ -69,41 +85,44 @@ def test_regularity_linear_full_rank():
 )
 def test_regularity_scan_stops_at_lazards_degree(monkeypatch, text, d_reg):
     # with k >= n a slice fills by (d_1 - 1) + ... + (d_n - 1) + 1 = cap - 2
-    # if at all, so an infinite scan builds slices 0 .. cap - 2 and no more
-    from soldeg import invariants
-
-    slices = []
-
-    class Recording(invariants.RowBasis):
-        def __init__(self, *args, **kwargs):
-            slices.append(len(slices))  # one fresh basis per slice degree
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(invariants, "RowBasis", Recording)
+    # if at all, so an infinite walk climbs rungs 0 .. cap - 2 and no more
+    rungs = record_rungs(monkeypatch)
     assert degree_of_regularity(mk(text)) == d_reg
-    assert slices[-1] == (d_reg if isinstance(d_reg, int) else d_reg.cap - 2)
+    last = d_reg if isinstance(d_reg, int) else d_reg.cap - 2
+    assert rungs == list(range(last + 1))
+
+
+def _reference_cap(F: PolySystem) -> int:
+    """One past the Macaulay bound over the min(n, k) largest degrees."""
+    degs = sorted(F.degrees(), reverse=True)[: min(F.ring.nvars, len(F))]
+    return sum(degs) - len(degs) + 3
+
+
+def _reference_slice(F: PolySystem, d: int) -> tuple[int, int]:
+    """(rank, size) of the degree-d slice: the dense rank of every product of
+    exact degree d of the top parts, and the number of monomials of degree
+    d. Independent of the library's echelon kernel and of its closure."""
+    n, p = F.ring.nvars, F.ring.p
+    tops = [(f.degree, f.top().terms) for f in F]
+    cols = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+    pos = {m: i for i, m in enumerate(cols)}
+    rows = []
+    for e, top in tops:
+        for mult in itertools.product(range(d - e + 1), repeat=n):
+            if e <= d and sum(mult) == d - e:
+                row = [0] * len(cols)
+                for m, c in top.items():
+                    row[pos[tuple(map(sum, zip(m, mult)))]] = c
+                rows.append(row)
+    return len(rref(rows, p)), len(cols)
 
 
 def _reference_regularity(F: PolySystem):
-    """d_reg by ranking, at each degree d up to the cap, every product of
-    exact degree d of the top parts as a dense vector: independent of the
-    library's echelon kernel and of its slice-to-slice walk."""
-    n, p = F.ring.nvars, F.ring.p
-    degs = sorted(F.degrees(), reverse=True)[: min(n, len(F))]
-    cap = sum(degs) - len(degs) + 3
-    tops = [(f.degree, f.top().terms) for f in F]
+    """d_reg as the first degree d up to the cap whose dense slice is full."""
+    cap = _reference_cap(F)
     for d in range(1, max(1, cap) + 1):  # a constant fills degree 1 even when cap < 1
-        cols = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
-        pos = {m: i for i, m in enumerate(cols)}
-        rows = []
-        for e, top in tops:
-            for mult in itertools.product(range(d - e + 1), repeat=n):
-                if e <= d and sum(mult) == d - e:
-                    row = [0] * len(cols)
-                    for m, c in top.items():
-                        row[pos[tuple(map(sum, zip(m, mult)))]] = c
-                    rows.append(row)
-        if len(rref(rows, p)) == len(cols):
+        rank, size = _reference_slice(F, d)
+        if rank == size:
             return d
     return InfiniteDegree(cap)
 
@@ -129,6 +148,44 @@ def _small_systems(draw):
 @given(F=_small_systems())
 def test_regularity_matches_dense_reference(F):
     assert degree_of_regularity(F) == _reference_regularity(F)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(F=_small_systems())
+def test_the_rungs_of_the_climb_over_the_tops_differ_by_the_dense_slices(F):
+    # the tops are homogeneous, so V(tops, e) is the direct sum of the
+    # slices of degree <= e and dims[e] - dims[e - 1] is the slice-e rank
+    from soldeg.vspace import DEFAULT_MAX_ROWS, _climb
+
+    tops = PolySystem(F.ring, [f.top() for f in F])
+    cap = max(1, _reference_cap(F))
+    *_, V = _climb(tops, cap, GREVLEX, max_rows=DEFAULT_MAX_ROWS, trace=None)
+    dims = [0] + V.dims
+    assert [dims[e + 1] - dims[e] for e in range(cap + 1)] == [
+        _reference_slice(F, e)[0] for e in range(cap + 1)
+    ]
+
+
+def test_the_walk_shares_the_closures_row_cap(monkeypatch, tmp_path):
+    # the ideal of x^2, y^5 has 1 + 2 + 3 + 5 + 6 = 17 rows up to d_reg = 6
+    from soldeg import invariants, vspace
+    from soldeg.cli import main
+
+    def capped(F, d, order, *, max_rows, trace):
+        return vspace._climb(F, d, order, max_rows=10, trace=trace)
+
+    text = "p=101; vars=x,y; x^2; y^5"
+    assert degree_of_regularity(mk(text)) == 6
+    monkeypatch.setattr(invariants, "_climb", capped)
+    with pytest.raises(CapExceeded, match="exceeded 10 rows") as err:
+        degree_of_regularity(mk(text))
+    assert err.value.stats.adoptions == 11
+    assert err.value.stats.insertions >= 11
+    with pytest.raises(CapExceeded, match="exceeded 10 rows"):
+        verify_bounds(mk(text))  # the walk runs before any closure
+    path = tmp_path / "capped.txt"
+    path.write_text(text + "\n")
+    assert main(["analyze", str(path)]) == 3
 
 
 # --- solving degree ----------------------------------------------------------------
@@ -179,9 +236,9 @@ def test_report_checks_the_basis_it_is_handed(monkeypatch):
 
 def test_solving_and_last_fall_degrees_build_no_regularity_slice(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the sd scan must not walk the regularity slices")
+        raise AssertionError("the sd scan must not climb the d_reg walk")
 
-    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    monkeypatch.setattr("soldeg.invariants._climb", refuse)
     F = gen_fk(3, 101)
     assert (solving_degree(F), last_fall_degree(F)) == (4, 4)
     F = mk("p=101; vars=x,y; x^999 + y^999; x + y")
@@ -482,9 +539,9 @@ def test_underdetermined_system_skips_the_macaulay_bound_for_infinite_regularity
 
 def test_fewer_forms_than_variables_need_no_regularity_scan(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("k < n must not build degree slices")
+        raise AssertionError("k < n must not climb a rung of the walk")
 
-    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    monkeypatch.setattr("soldeg.invariants._climb", refuse)
     assert degree_of_regularity(mk(UNDERDETERMINED)) == InfiniteDegree(6)
     assert degree_of_regularity(mk("p=2; vars=x,y,z; x*y + z; y^2 + x*z")) == InfiniteDegree(5)
     with pytest.raises(AssertionError, match="k < n"):
@@ -499,9 +556,9 @@ def test_a_coordinate_common_zero_of_the_tops_needs_no_regularity_scan(monkeypat
         assert degree_of_regularity(F) == _reference_regularity(F) == InfiniteDegree(2 * a + 1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a coordinate common zero must not build degree slices")
+        raise AssertionError("a coordinate common zero must not climb a rung of the walk")
 
-    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    monkeypatch.setattr("soldeg.invariants._climb", refuse)
     for a in (1000, 16384):
         assert degree_of_regularity(mk(family.format(a=a, b=a - 1))) == InfiniteDegree(2 * a + 1)
     # the tops vanish at (0, 1) and at (0, 0, 1)
@@ -519,9 +576,9 @@ def test_a_rational_common_zero_of_the_tops_needs_no_regularity_scan(monkeypatch
         assert degree_of_regularity(F) == _reference_regularity(F) == InfiniteDegree(2 * a + 1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a rational common zero must not build degree slices")
+        raise AssertionError("a rational common zero must not climb a rung of the walk")
 
-    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    monkeypatch.setattr("soldeg.invariants._climb", refuse)
     for a in (1000, 16384):
         assert degree_of_regularity(mk(family.format(e=2 * a - 1))) == InfiniteDegree(2 * a + 1)
     # the tops vanish at (1, 1) and at (1, 1, 1)
@@ -541,9 +598,9 @@ def test_a_lazard_degree_past_the_largest_supported_degree_is_refused_up_front(m
     assert degree_of_regularity(mk("p=101; vars=x,y; x^20000; y^20000; x; y")) == 1  # k > n
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a Lazard degree past MAX_DEGREE must not build degree slices")
+        raise AssertionError("a Lazard degree past MAX_DEGREE must not climb a rung of the walk")
 
-    monkeypatch.setattr("soldeg.invariants.RowBasis", refuse)
+    monkeypatch.setattr("soldeg.invariants._climb", refuse)
     for text, lazard in [("p=101; vars=x,y; x^20000; y^20000", 39999),
                          ("p=2; vars=x,y; x^16384 + y; y^16385", 32768)]:
         with pytest.raises(DomainError, match=rf"Lazard's degree {lazard} or infinite, and "
