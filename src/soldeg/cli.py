@@ -26,7 +26,7 @@ from .errors import (
 )
 from .groebner import buchberger_reduced
 from .harness import RandomSpec, SystemFile, gen_fk, gen_random, parse_system, render_system
-from .invariants import DegreeReport, mutantxl_gb, verify_bounds
+from .invariants import DegreeReport, InfiniteDegree, mutantxl_gb, verify_bounds
 from .rings import GREVLEX, MAX_DEGREE, TermOrder
 
 
@@ -59,18 +59,17 @@ def _print_report_text(report: DegreeReport):
     info = report.system
     print(f"system: p={info['p']} vars={','.join(info['vars'])} k={info['k']} degrees={info['degrees']}")
     print(f"order: {report.order.kind}")
-    d_reg = report.d_reg if isinstance(report.d_reg, int) else f"infinite (cap {report.d_reg.cap})"
+    d_reg = report.d_reg
+    if isinstance(d_reg, InfiniteDegree):
+        d_reg = f"infinite (cap {d_reg.cap})"
     print(f"d_reg: {d_reg}")
     print(f"gbd: {report.gbd}")
     print(f"sd: {report.sd}")
     print(f"lfd: {report.lfd}")
-    hyp = report.hypothesis
-    print(
-        "hypothesis: d_reg finite="
-        + ("yes" if hyp["d_reg_finite"] else "no")
-        + ", max deg <= d_reg="
-        + ("yes" if hyp["max_deg_le_d_reg"] else "no")
-    )
+    hyp = {k: "unknown" if v is None else "yes" if v else "no"  # unknown past the walk's cap
+           for k, v in report.hypothesis.items()}
+    print(f"hypothesis: d_reg finite={hyp['d_reg_finite']}, "
+          f"max deg <= d_reg={hyp['max_deg_le_d_reg']}")
     _print_certificates(report)
 
 

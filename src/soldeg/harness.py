@@ -61,7 +61,8 @@ class RandomSpec:
     independent probability `density`; included monomials get a uniform
     nonzero coefficient; zero draws are resampled. With require_hypothesis
     set, whole systems are rejection-sampled until the maximum degree stays
-    at or below a finite regularity degree, up to retry_limit extra attempts.
+    at or below a finite regularity degree, up to retry_limit extra attempts;
+    a d_reg walk past the closure's row cap raises its CapExceeded.
     A spec whose C(n + max bound, n) candidate monomials exceed
     MAX_RANDOM_MONOMIALS is refused, and so is a density at which a
     polynomial of the smallest bound takes more draws than that, on average,

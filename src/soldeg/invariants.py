@@ -96,10 +96,11 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     ends in a DomainError, raised before the walk climbs a rung.
 
     The walk climbs the closure of the tops (vspace._climb) under grevlex,
-    so it shares the closure's row cap (CapExceeded). The tops are
-    homogeneous, so each product of a top by a monomial is too, and
-    V(tops, e) is the direct sum of the slices of degree <= e: slice e has
-    dimension dims[e] - dims[e - 1].
+    so it shares the closure's row cap: past it, a CapExceeded names the
+    walk. The tops are homogeneous, so each product of a top by a monomial
+    is too, and V(tops, e) is the direct sum of the slices of degree <= e:
+    slice e has dimension dims[e] - dims[e - 1]. Past rung MAX_DEGREE with
+    no slice filled, the walk raises the DomainError of degree MAX_DEGREE + 1.
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
@@ -115,10 +116,15 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
         raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "
                           f"exceeds the largest supported degree {MAX_DEGREE}")
     tops = PolySystem(F.ring, [f.top() for f in F])
-    rungs = _climb(tops, max(1, cap - 2), GREVLEX, max_rows=DEFAULT_MAX_ROWS, trace=None)
-    for e, V in enumerate(rungs):  # up to Lazard's degree, two below the cap
-        if e and V.dims[e] - V.dims[e - 1] == math.comb(e + n - 1, e):  # rung 0: constant tops
-            return e
+    last = min(max(1, cap - 2), MAX_DEGREE + 1)  # Lazard's degree, two below the cap
+    rungs = _climb(tops, min(last, MAX_DEGREE), GREVLEX, max_rows=DEFAULT_MAX_ROWS, trace=None)
+    try:
+        for e, V in enumerate(rungs):
+            if e and V.dims[e] - V.dims[e - 1] == math.comb(e + n - 1, e):  # rung 0: constant tops
+                return e
+    except CapExceeded as exc:
+        raise CapExceeded(f"d_reg walk: {exc}", stats=exc.stats, details=exc.details) from None
+    pack.check(last)  # no slice past MAX_DEGREE can be formed
     return InfiniteDegree(cap)
 
 
@@ -214,7 +220,7 @@ class Certificate:
 class DegreeReport:
     """All computed invariants for one system plus the bound certificates."""
 
-    d_reg: DegreeValue
+    d_reg: DegreeValue | None
     gbd: int | None
     sd: int | None
     lfd: int | None
@@ -235,11 +241,9 @@ class DegreeReport:
         )
 
     def to_json(self) -> dict:
-        d_reg = (
-            self.d_reg
-            if isinstance(self.d_reg, int)
-            else {"infinite": True, "cap": self.d_reg.cap}
-        )
+        d_reg = self.d_reg
+        if isinstance(d_reg, InfiniteDegree):
+            d_reg = {"infinite": True, "cap": d_reg.cap}
         return {
             "d_reg": d_reg,
             "gbd": self.gbd,
@@ -275,7 +279,9 @@ def verify_bounds(
     bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
     so the scan stops at sd and the upper bounds below can fail); a cap
     below 1 is a DomainError. `cap` does not bound the d_reg walk; the walk
-    shares the closure's row cap (see degree_of_regularity). Closures are
+    shares the closure's row cap (see degree_of_regularity), and past it
+    d_reg is None, the hypothesis unknown (None) and every certificate that
+    reads d_reg a `cap:` skip; Gbd, sd and Lfd are still computed. Closures are
     built only at the scanned degrees max(1, Gbd)..sd, and at d_reg + 1
     for the identity certificate when the scan built none there: Lfd reads
     the rung dimensions of V(F, sd), and when d_reg + 1 <= sd the identity
@@ -314,17 +320,20 @@ def verify_bounds(
     """
     ring = F.ring
     maxdeg = F.max_degree()
-    d_reg = degree_of_regularity(F)
+    cap_notes: dict[str, str] = {}
+    try:
+        d_reg = degree_of_regularity(F)
+    except CapExceeded as exc:
+        d_reg, cap_notes["d_reg"] = None, str(exc)
     finite = isinstance(d_reg, int)
-    hypothesis = {
-        "d_reg_finite": finite,
-        "max_deg_le_d_reg": (maxdeg <= d_reg) if finite else True,
+    hypothesis = {  # None: unknown past the walk's cap
+        "d_reg_finite": None if d_reg is None else finite,
+        "max_deg_le_d_reg": None if d_reg is None else (maxdeg <= d_reg) if finite else True,
         "satisfied": finite and maxdeg <= d_reg,
     }
 
     closures: dict[int, VSpaceBasis] = {}
     G = gbd_v = sd = lfd = None
-    cap_notes: dict[str, str] = {}
     certified, ideal = 0, []
     try:
         G = buchberger_reduced(F, order, check=False)
@@ -334,17 +343,19 @@ def verify_bounds(
     if G is not None:
         check_basis(G, certified)
         gbd_v = G.max_degree
-    values = {"gbd": gbd_v, "sd": sd, "lfd": lfd}
+    values = {"d_reg": d_reg, "gbd": gbd_v, "sd": sd, "lfd": lfd}
 
     def certify(cid, needs, bound, *, before=None, trivial=False, after=None, equal=False):
-        """One certificate; the first rule that applies decides: the `before`
-        skip, a capped value in `needs`, the +inf pass of a `trivial` bound
-        under an infinite d_reg, the `after` skip, else comparing the
-        (lhs, rhs) that bound() returns."""
+        """One certificate; the first rule that applies decides: a capped
+        d_reg in `needs`, the `before` skip, another capped value in `needs`,
+        the +inf pass of a `trivial` bound under an infinite d_reg, the
+        `after` skip, else comparing the (lhs, rhs) that bound() returns."""
 
         def skipped(reason):
             return Certificate(cid, None, None, "skipped", reason)
 
+        if d_reg is None and "d_reg" in needs:  # the other rules read d_reg
+            return skipped(f"cap: {cap_notes['d_reg']}")
         if before:
             return skipped(before)
         for name in needs:
@@ -369,20 +380,20 @@ def verify_bounds(
         return V.span_dim(), ideal[d] if d < len(ideal) else ideal_dim_le(G, d)
 
     certs = [
-        certify("sd_le_dreg_plus_1", ("sd",), lambda: (sd, d_reg + 1), trivial=True,
+        certify("sd_le_dreg_plus_1", ("sd", "d_reg"), lambda: (sd, d_reg + 1), trivial=True,
                 after=None if hypothesis["max_deg_le_d_reg"]
                 else f"hypothesis fails: max deg {maxdeg} > d_reg {d_reg}"),
-        certify("gbd_le_dreg", ("gbd",), lambda: (gbd_v, d_reg), trivial=True),
+        certify("gbd_le_dreg", ("gbd", "d_reg"), lambda: (gbd_v, d_reg), trivial=True),
         certify("sd_eq_max_lfd_gbd", ("sd", "lfd", "gbd"), lambda: (sd, max(lfd, gbd_v)),
                 equal=True),
-        certify("sd_generalized_bound", ("sd",), lambda: (sd, max(d_reg + 1, maxdeg)),
+        certify("sd_generalized_bound", ("sd", "d_reg"), lambda: (sd, max(d_reg + 1, maxdeg)),
                 trivial=True),
-        certify("lfd_upper_bound", ("lfd",), lambda: (lfd, max(d_reg + 1, maxdeg)),
+        certify("lfd_upper_bound", ("lfd", "d_reg"), lambda: (lfd, max(d_reg + 1, maxdeg)),
                 trivial=True),
-        certify("sd_macaulay_bound", ("sd",), lambda: (sd, _macaulay_bound(F)),
+        certify("sd_macaulay_bound", ("sd", "d_reg"), lambda: (sd, _macaulay_bound(F)),
                 before="regularity degree infinite" if not finite
                 else None if min(_macaulay_degrees(F)) > 0 else MACAULAY_CONSTANT),
-        certify("vspace_dim_identity", ("gbd",), identity, equal=True,
+        certify("vspace_dim_identity", ("gbd", "d_reg"), identity, equal=True,
                 before=None if hypothesis["satisfied"]
                 else "hypothesis fails: needs finite d_reg and max deg <= d_reg"),
     ]

@@ -129,9 +129,9 @@ def v_space_closure(
 
 
 def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
-    """The rungs of v_space_closure(F, d): yields its one basis after each
-    rung e = 0..d, holding V(F, e) with dims[e] set, and checks each rung's
-    degree as it reaches it. Closed early, it still writes its counters."""
+    """The rungs of v_space_closure(F, d), d <= MAX_DEGREE: yields its one
+    basis after each rung e = 0..d, holding V(F, e) with dims[e] set.
+    Closed early, it still writes its counters."""
     names = F.ring.names
     basis = VSpaceBasis(F.ring, order, d)
     pack = basis._pack
@@ -142,50 +142,52 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     queue: deque[tuple[int, int, dict[int, int], int]] = deque()
     tops: deque[tuple[int, int, dict[int, int], int]] = deque()
     below_e = pack.degree_floor(0)  # keys of degree < e lie below it (rung 0 pops no row)
-    inputs: dict[int, list] = {}  # degree -> (index, terms); the walk's d may pass MAX_DEGREE
+    inputs = [[] for _ in range(d + 1)]  # (index, terms) of the inputs of each degree
     for i, f in enumerate(F):
         if f._degree <= d:  # inputs above the bound are excluded, not truncated
-            inputs.setdefault(f._degree, []).append((i, dict(f._packed(pack))))
+            inputs[f._degree].append((i, dict(f._packed(pack))))
 
-    def candidates(e):  # (row index, None for an input; multiplier or input index; terms; start)
-        nonlocal passes
-        for i, terms in inputs.get(e, ()):
-            yield None, i, terms, 0
-        while queue:
-            row, pivot, tail, start = queue.popleft()
-            passes += 1
-            # products of degree < e pass their multiplier's index on as a start
-            below = pivot < below_e_minus_1
-            for a, x in enumerate(pack.variables[start:], start):
-                work = {k + x: c for k, c in tail.items()}
-                work[pivot + x] = 1
-                yield row, a, work, a if below else 0
-
-    try:
+    def candidates():  # (row index, None for an input; multiplier or input index; terms; start)
+        nonlocal passes, below_e, queue, tops
         for e in range(d + 1):
-            pack.check(e)  # every product of the rung has degree <= e
             below_e_minus_1, below_e = below_e, pack.degree_floor(e)
             queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
-            for row, a, work, start in candidates(e):
-                insertions += 1
-                pivot = insert(work)
-                if pivot is None:
-                    continue
-                if trace is not None:
-                    source, multiplier = (f"f{a}", "1") if row is None else (f"r{row}", names[a])
-                    trace.write(
-                        f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
-                        f"\t{source}\t{multiplier}\n"
-                    )
-                if pivot < below_e:
-                    queue.append((adoptions, pivot, tails[pivot], start))
-                else:  # the rung's degree: a product's row starts at its multiplier next rung
-                    tops.append((adoptions, pivot, tails[pivot], 0 if row is None else a))
-                adoptions += 1
-                if adoptions > max_rows:
-                    raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
-            dims.append(len(tails))
-            yield basis
+            for i, terms in inputs[e]:
+                yield None, i, terms, 0
+            while queue:
+                row, pivot, tail, start = queue.popleft()
+                passes += 1
+                # products of degree < e pass their multiplier's index on as a start
+                below = pivot < below_e_minus_1
+                for a, x in enumerate(pack.variables[start:], start):
+                    work = {k + x: c for k, c in tail.items()}
+                    work[pivot + x] = 1
+                    yield row, a, work, a if below else 0
+            yield None, None, None, None  # rung e is complete
+
+    try:
+        for row, a, work, start in candidates():
+            if work is None:
+                dims.append(len(tails))
+                yield basis
+                continue
+            insertions += 1
+            pivot = insert(work)
+            if pivot is None:
+                continue
+            if trace is not None:
+                source, multiplier = (f"f{a}", "1") if row is None else (f"r{row}", names[a])
+                trace.write(
+                    f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+                    f"\t{source}\t{multiplier}\n"
+                )
+            if pivot < below_e:
+                queue.append((adoptions, pivot, tails[pivot], start))
+            else:  # the rung's degree: a product's row starts at its multiplier next rung
+                tops.append((adoptions, pivot, tails[pivot], 0 if row is None else a))
+            adoptions += 1
+            if adoptions > max_rows:
+                raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
     finally:  # the counters, also those CapExceeded carries
         stats.insertions, stats.adoptions = insertions, adoptions
         stats.closure_passes, stats.field_mults = passes, basis.mult_count

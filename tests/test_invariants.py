@@ -12,6 +12,7 @@ from soldeg import (
     DomainError,
     InconsistencyError,
     InfiniteDegree,
+    MAX_DEGREE,
     Polynomial,
     PolySystem,
     RandomSpec,
@@ -166,7 +167,7 @@ def test_the_rungs_of_the_climb_over_the_tops_differ_by_the_dense_slices(F):
     ]
 
 
-def test_the_walk_shares_the_closures_row_cap(monkeypatch, tmp_path):
+def test_the_walk_shares_the_closures_row_cap(monkeypatch, tmp_path, capsys):
     # the ideal of x^2, y^5 has 1 + 2 + 3 + 5 + 6 = 17 rows up to d_reg = 6
     from soldeg import invariants, vspace
     from soldeg.cli import main
@@ -176,16 +177,39 @@ def test_the_walk_shares_the_closures_row_cap(monkeypatch, tmp_path):
 
     text = "p=101; vars=x,y; x^2; y^5"
     assert degree_of_regularity(mk(text)) == 6
+    full = verify_bounds(mk(text))
     monkeypatch.setattr(invariants, "_climb", capped)
-    with pytest.raises(CapExceeded, match="exceeded 10 rows") as err:
+    note = "d_reg walk: closure exceeded 10 rows"
+    with pytest.raises(CapExceeded, match=note) as err:
         degree_of_regularity(mk(text))
     assert err.value.stats.adoptions == 11
     assert err.value.stats.insertions >= 11
-    with pytest.raises(CapExceeded, match="exceeded 10 rows"):
-        verify_bounds(mk(text))  # the walk runs before any closure
+    # the report still comes out: Gbd, sd and Lfd as before, d_reg unknown,
+    # and every certificate that reads d_reg a cap skip
+    report = verify_bounds(mk(text))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (None, full.gbd, full.sd, full.lfd)
+    assert report.hypothesis == {"d_reg_finite": None, "max_deg_le_d_reg": None, "satisfied": False}
+    for c, f in zip(report.certificates, full.certificates):
+        if c.id == "sd_eq_max_lfd_gbd":
+            assert c == f and c.verdict == "pass"
+        else:
+            assert (c.verdict, c.reason) == ("skipped", f"cap: {note}")
+    assert report.to_json()["d_reg"] is None
+    assert report.all_pass and report.any_capped
     path = tmp_path / "capped.txt"
     path.write_text(text + "\n")
     assert main(["analyze", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "d_reg: None" in out and "d_reg finite=unknown" in out and note in out
+
+
+def test_the_walk_stops_at_the_largest_supported_degree(monkeypatch):
+    # k > n, Lazard's degree 65533; the slices stay tiny, so the walk climbs
+    # every supported rung and refuses rung MAX_DEGREE + 1
+    rungs = record_rungs(monkeypatch)
+    with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+        degree_of_regularity(mk("p=101; vars=x,y; x^32767; y^32767; x^32767 + y"))
+    assert rungs == list(range(MAX_DEGREE + 1))
 
 
 # --- solving degree ----------------------------------------------------------------
