@@ -85,7 +85,8 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     slice fills and the scan is skipped too. The point e_i is such a zero
     when no top holds the pure power x_i^deg f; all (p^n - 1)/(p - 1) points
     are tried only when they number no more than the monomials of degree
-    cap - 2, the last slice the scan would build.
+    cap - 2, the last slice the scan would build, and no more than the
+    walk's row cap, so the search costs no more than the walk it replaces.
     With k >= n, a slice fills at some degree only if I is primary to the
     irrelevant ideal or the whole ring, and then (Lazard, 1983) it fills by
     degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n largest degrees, two
@@ -110,7 +111,8 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     if any(all(f._degree * x not in f._t for f in F) for x in pack.variables):
         return InfiniteDegree(cap)  # a coordinate point zeroes every top
     p = F.ring.p
-    if (p**n - 1) // (p - 1) <= math.comb(cap + n - 3, n - 1) and _rational_common_zero(F):
+    points = (p**n - 1) // (p - 1)
+    if points <= min(math.comb(cap + n - 3, n - 1), DEFAULT_MAX_ROWS) and _rational_common_zero(F):
         return InfiniteDegree(cap)
     if len(F) == n and min(F.degrees()) > 0 and cap - 2 > MAX_DEGREE:
         raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "

@@ -38,9 +38,11 @@ class RowBasis:
     span_contains, insert_reduce and the adoption order are those of a basis
     kept fully reduced.
 
-    Single-writer: add rows through insert_reduce only. A stored row never
-    changes after adoption: each tail is its adopted residual less the pivot
-    (_insert). reduce, span_contains and row reads add to mult_count, the
+    Single-writer: rows are added through insert_reduce, _insert, or
+    _insert_product, which stores a product that hits no pivot as it is and
+    hands any other to _insert, the only code that reduces a row. A stored
+    row never changes after adoption: each tail is its adopted residual less
+    the pivot. reduce, span_contains and row reads add to mult_count, the
     only shared state, so concurrent readers race on that counter alone.
     """
 
@@ -107,6 +109,19 @@ class RowBasis:
             work = {m: v * inv % p for m, v in work.items()}
         self._tails[pivot] = work
         return pivot
+
+    def _insert_product(self, lead: int, work: dict[int, int]) -> int | None:
+        """_insert on the monic `work` + `lead`, where `lead` lies above every
+        key of `work`, which it consumes. When neither `lead` nor a key of
+        `work` is a pivot, nothing can cancel and `work` is stored as the
+        tail of `lead` as it is: the residual _insert would adopt, with no
+        multiplication, so mult_count does not move."""
+        tails = self._tails
+        if lead not in tails and tails.keys().isdisjoint(work):
+            tails[lead] = work
+            return lead
+        work[lead] = 1
+        return self._insert(work)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Full reduction of f against the basis; the basis is unchanged."""

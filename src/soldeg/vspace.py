@@ -14,13 +14,14 @@ degree and so waits for the next rung, since x_i*x_a*g = x_a*(x_i*g) for
 i < a was already produced (the MutantXL and Matrix-F5 rule); every other
 row starts at x_1. Each skipped product already lies in the span (proof at
 v_space_closure), so adoption order, traces and rows are those of the
-climb that multiplies by every variable. The basis keeps dim V(F, e) of
-every rung in `dims`. The rungs come from _climb, the only code that
-multiplies rows by variables: v_space_closure runs it to d, the d_reg walk
-over the top parts until a slice fills. Adoption order makes traces and
-counters reproducible; the resulting basis is canonical regardless. Every
-span the library hands out is such a closure, returned as its own echelon
-basis (a VSpaceBasis is a RowBasis).
+climb that multiplies by every variable. A product that hits no pivot is
+stored as it is, with no reduction (RowBasis._insert_product). The basis
+keeps dim V(F, e) of every rung in `dims`. The rungs come from _climb, the
+only code that multiplies rows by variables: v_space_closure runs it to d,
+the d_reg walk over the top parts until a slice fills. Adoption order makes
+traces and counters reproducible; the resulting basis is canonical
+regardless. Every span the library hands out is such a closure, returned as
+its own echelon basis (a VSpaceBasis is a RowBasis).
 """
 
 from __future__ import annotations
@@ -87,13 +88,15 @@ def v_space_closure(
     e - 1 adopted, inserts the members of F of degree e, and then multiplies
     each row of degree < e, in FIFO order, by every variable from its start
     index on. That is the basis's stored row, used without a copy, since
-    stored rows never change. When rung e ends, dims[e] is the basis's
-    dimension. Multiplying by every variable would make rung e end at
-    V(F, e): every row of degree < e has then been popped, at rung e or
-    before, and under a degree-compatible order an element of degree < e of
-    the span is a combination of rows of degree < e, since the basis stores
-    each row as adopted and its reduced form only subtracts rows with
-    smaller pivots (see linalg.RowBasis).
+    stored rows never change. A product x*r leads with x times r's pivot,
+    coefficient 1, so when none of its monomials is a pivot it is stored as
+    it is, the residual a reduction would return. When rung e ends, dims[e]
+    is the basis's dimension. Multiplying by every variable would make rung
+    e end at V(F, e): every row of degree < e has then been popped, at rung
+    e or before, and under a degree-compatible order an element of degree
+    < e of the span is a combination of rows of degree < e, since the basis
+    stores each row as adopted and its reduced form only subtracts rows
+    with smaller pivots (see linalg.RowBasis).
 
     Start indices. A row s adopted at rung e from the product x_a*g starts
     at a when deg(x_a*g) < e, or when deg s = e, so that s is re-queued at
@@ -135,7 +138,8 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     names = F.ring.names
     basis = VSpaceBasis(F.ring, order, d)
     pack = basis._pack
-    insert, tails, dims, stats = basis._insert, basis._tails, basis.dims, basis.stats
+    insert, insert_product = basis._insert, basis._insert_product
+    tails, dims, stats = basis._tails, basis.dims, basis.stats
     insertions = adoptions = passes = 0
     # (row index, pivot, stored tail, start index) of each adopted row to
     # multiply: in the queue below the rung's degree, in `tops` at it
@@ -147,32 +151,34 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
         if f._degree <= d:  # inputs above the bound are excluded, not truncated
             inputs[f._degree].append((i, dict(f._packed(pack))))
 
-    def candidates():  # (row index, None for an input; multiplier or input index; terms; start)
+    # (row index, None for an input; multiplier or input index; a product's
+    # lead, None for an input; terms below the lead; start)
+    def candidates():
         nonlocal passes, below_e, queue, tops
         for e in range(d + 1):
             below_e_minus_1, below_e = below_e, pack.degree_floor(e)
             queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
             for i, terms in inputs[e]:
-                yield None, i, terms, 0
+                yield None, i, None, terms, 0
             while queue:
                 row, pivot, tail, start = queue.popleft()
                 passes += 1
                 # products of degree < e pass their multiplier's index on as a start
                 below = pivot < below_e_minus_1
                 for a, x in enumerate(pack.variables[start:], start):
+                    # x keeps the term order, so the product leads with pivot + x
                     work = {k + x: c for k, c in tail.items()}
-                    work[pivot + x] = 1
-                    yield row, a, work, a if below else 0
-            yield None, None, None, None  # rung e is complete
+                    yield row, a, pivot + x, work, a if below else 0
+            yield None, None, None, None, None  # rung e is complete
 
     try:
-        for row, a, work, start in candidates():
+        for row, a, lead, work, start in candidates():
             if work is None:
                 dims.append(len(tails))
                 yield basis
                 continue
             insertions += 1
-            pivot = insert(work)
+            pivot = insert(work) if lead is None else insert_product(lead, work)
             if pivot is None:
                 continue
             if trace is not None:

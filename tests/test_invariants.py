@@ -615,6 +615,23 @@ def test_a_rational_common_zero_of_the_tops_needs_no_regularity_scan(monkeypatch
         degree_of_regularity(mk("p=101; vars=x,y; x^2 - y^2; x*y - y^2"))
 
 
+def test_the_rational_point_search_lists_no_more_points_than_the_row_cap(monkeypatch):
+    # x^2, y^2 and x*y over GF(3): 4 points, and 4 monomials of degree
+    # cap - 2 = 3; the walk fills slice 2 with the 3 tops, 3 rows
+    from soldeg import invariants
+
+    def refuse(F):
+        raise AssertionError("the search must not run past the row cap")
+
+    monkeypatch.setattr(invariants, "_rational_common_zero", refuse)
+    F = mk("p=3; vars=x,y; x^2; y^2; x*y")
+    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 3)
+    assert degree_of_regularity(F) == 2  # 4 points pass the cap: the walk decides
+    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 4)
+    with pytest.raises(AssertionError, match="row cap"):
+        degree_of_regularity(F)  # 4 points are within it: the search runs
+
+
 def test_a_lazard_degree_past_the_largest_supported_degree_is_refused_up_front(monkeypatch):
     # with k = n forms of positive degree, d_reg is Lazard's degree or
     # infinite, so past MAX_DEGREE no walk can end in a number

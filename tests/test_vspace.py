@@ -239,6 +239,62 @@ def test_closure_matches_the_closure_without_the_skip(case):
     assert all(residual.is_zero for residual in skipped)
 
 
+def closure_with_and_without_the_product_path(F, d, order):
+    """(trace text, dims, rows, stats) of v_space_closure(F, d, order), once
+    as it is and once with every product reduced by RowBasis._insert, so
+    that no product is stored without a reduction."""
+
+    def through_insert(self, lead, work):
+        work[lead] = 1
+        return self._insert(work)
+
+    runs = []
+    for slow in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if slow:
+                mp.setattr(RowBasis, "_insert_product", through_insert)
+            V, text = traced_closure(F, d, order)
+        runs.append((text, V.dims, V._rows(), vars(V.stats)))
+    return runs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closure_cases())
+def test_a_product_stored_as_it_is_matches_its_reduction(case):
+    fast, slow = closure_with_and_without_the_product_path(*case)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_a_product_stored_as_it_is_matches_its_reduction_on_the_family(k):
+    F = gen_fk(k, 101)
+    for order, d in itertools.product((GREVLEX, GRLEX), (k + 1, k + 2)):
+        fast, slow = closure_with_and_without_the_product_path(F, d, order)
+        assert fast == slow
+
+
+def test_a_product_that_hits_no_pivot_skips_the_echelon_kernel(monkeypatch):
+    # fk10 at d = 11 inserts 89 candidates (pinned above): its 3 inputs and
+    # 86 products, of which only those that meet a pivot reach _insert
+    calls, hits = [], []
+    insert, insert_product = RowBasis._insert, RowBasis._insert_product
+
+    def counted_insert(self, work):
+        calls.append(None)
+        return insert(self, work)
+
+    def counted_product(self, lead, work):
+        hits.append(lead in self._tails or not self._tails.keys().isdisjoint(work))
+        return insert_product(self, lead, work)
+
+    monkeypatch.setattr(RowBasis, "_insert", counted_insert)
+    monkeypatch.setattr(RowBasis, "_insert_product", counted_product)
+    stats = v_space_closure(gen_fk(10), 11).stats
+    assert stats.insertions == 89 == 3 + len(hits)
+    assert len(calls) == 3 + sum(hits) == 21
+
+
 @pytest.mark.parametrize(
     "text, d",
     [
