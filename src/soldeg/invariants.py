@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Union
 
 from .errors import CapExceeded, DomainError, PreconditionError
@@ -56,8 +56,9 @@ def _macaulay_bound(F: PolySystem) -> int:
 
 
 def _rational_common_zero(F: PolySystem) -> bool:
-    """Whether some point of P^{n-1}(GF(p)), scaled so that its first nonzero
-    coordinate is 1, zeroes the top part of every member of F."""
+    """Whether one of the first DEFAULT_MAX_ROWS points of P^{n-1}(GF(p)),
+    scaled so that its first nonzero coordinate is 1, zeroes the top part of
+    every member of F."""
     p, n = F.ring.p, F.ring.nvars
     tops = [f.top().terms for f in F]
     points = ((0,) * j + (1,) + rest
@@ -65,7 +66,7 @@ def _rational_common_zero(F: PolySystem) -> bool:
     return any(
         all(sum(c * math.prod(pow(v, e, p) for v, e in zip(P, m)) for m, c in top.items()) % p == 0
             for top in tops)
-        for P in points
+        for P in islice(points, DEFAULT_MAX_ROWS)
     )
 
 
@@ -83,10 +84,11 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     d_reg = 1. If a point P of P^{n-1}(GF(p)) with P_i != 0 zeroes every
     top, every element of slice d vanishes at P and x_i^d does not, so no
     slice fills and the scan is skipped too. The point e_i is such a zero
-    when no top holds the pure power x_i^deg f; all (p^n - 1)/(p - 1) points
-    are tried only when they number no more than the monomials of degree
-    cap - 2, the last slice the scan would build, and no more than the
-    walk's row cap, so the search costs no more than the walk it replaces.
+    when no top holds the pure power x_i^deg f; the (p^n - 1)/(p - 1) points
+    are searched only when they number no more than the monomials of degree
+    cap - 2, the last slice the scan would build, and then only the first
+    DEFAULT_MAX_ROWS of them, so the search tries no more points than the
+    walk may adopt rows; a zero among them is still a proof.
     With k >= n, a slice fills at some degree only if I is primary to the
     irrelevant ideal or the whole ring, and then (Lazard, 1983) it fills by
     degree (d_1 - 1) + ... + (d_n - 1) + 1 over the n largest degrees, two
@@ -111,8 +113,7 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     if any(all(f._degree * x not in f._t for f in F) for x in pack.variables):
         return InfiniteDegree(cap)  # a coordinate point zeroes every top
     p = F.ring.p
-    points = (p**n - 1) // (p - 1)
-    if points <= min(math.comb(cap + n - 3, n - 1), DEFAULT_MAX_ROWS) and _rational_common_zero(F):
+    if (p**n - 1) // (p - 1) <= math.comb(cap + n - 3, n - 1) and _rational_common_zero(F):
         return InfiniteDegree(cap)
     if len(F) == n and min(F.degrees()) > 0 and cap - 2 > MAX_DEGREE:
         raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "

@@ -615,21 +615,26 @@ def test_a_rational_common_zero_of_the_tops_needs_no_regularity_scan(monkeypatch
         degree_of_regularity(mk("p=101; vars=x,y; x^2 - y^2; x*y - y^2"))
 
 
-def test_the_rational_point_search_lists_no_more_points_than_the_row_cap(monkeypatch):
-    # x^2, y^2 and x*y over GF(3): 4 points, and 4 monomials of degree
-    # cap - 2 = 3; the walk fills slice 2 with the 3 tops, 3 rows
+def test_the_rational_point_search_tries_no_more_points_than_the_row_cap(monkeypatch):
     from soldeg import invariants
 
-    def refuse(F):
-        raise AssertionError("the search must not run past the row cap")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational common zero must not climb a rung of the walk")
 
-    monkeypatch.setattr(invariants, "_rational_common_zero", refuse)
-    F = mk("p=3; vars=x,y; x^2; y^2; x*y")
+    # 1,040,604 points pass the row cap, but (1, 1, 1, 1) comes early
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "_climb", refuse)
+        F = mk("p=101; vars=x,y,z,w; x^47 - y^47; y^47 - z^47; z^47 - w^47; w^47 - x^47")
+        assert degree_of_regularity(F) == InfiniteDegree(187)
+    # the tops vanish at (1, 2) only, the third of the points (1, 0), (1, 1),
+    # (1, 2), (0, 1); the 5 monomials of degree cap - 2 = 4 let the search run
+    F = mk("p=3; vars=x,y; x^2 - y^2; x^3 + y^3")
+    assert degree_of_regularity(F) == _reference_regularity(F) == InfiniteDegree(6)
     monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 3)
-    assert degree_of_regularity(F) == 2  # 4 points pass the cap: the walk decides
-    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 4)
-    with pytest.raises(AssertionError, match="row cap"):
-        degree_of_regularity(F)  # 4 points are within it: the search runs
+    assert degree_of_regularity(F) == InfiniteDegree(6)  # found among the first 3
+    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 2)
+    with pytest.raises(CapExceeded, match="d_reg walk"):
+        degree_of_regularity(F)  # missed by the first 2: the walk runs, into the same cap
 
 
 def test_a_lazard_degree_past_the_largest_supported_degree_is_refused_up_front(monkeypatch):
