@@ -157,9 +157,7 @@ def _cmd_sweep(args) -> int:
         raise DomainError(f"--to is above the largest supported degree {MAX_DEGREE}")
     order_kind = args.order or "grevlex"
     tasks = [(k, args.p, order_kind, args.cap) for k in range(args.start, args.stop + 1)]
-    if args.workers is not None and args.workers < 1:
-        raise DomainError("--workers must be at least 1")
-    workers = min(args.workers or len(tasks), len(tasks), os.cpu_count() or 1)
+    workers = min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_instance, tasks))
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--order", choices=TermOrder.KINDS, default=None)
     sweep.add_argument("--cap", type=int, help="degree cap for the solving-degree scan")
     sweep.add_argument("--json", action="store_true")
-    sweep.add_argument("--workers", type=int, default=None)
     return parser
 
 

@@ -158,30 +158,31 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
     return _reduced_basis(F.ring, V._rows(), order), V
 
 
-def _scan(F, order, G, cap, closures, trace=None) -> tuple[int, int, int, list[int]]:
-    """(sd, Lfd, certified, ideal) from the closures V(F, d), kept in
-    `closures` by degree.
-
-    sd is the first d >= max(1, Gbd) whose span contains G; a `cap` below
-    1 is a DomainError, and past `cap` (default: one past the Macaulay
-    bound, as in InfiniteDegree, so read off the input and not off d_reg)
-    CapExceeded carries the scanned span dimensions. `ideal[e]` counts the
-    ideal's elements of degree <= e for e = 0..sd, in one pass. Lfd is one
-    past the last e <= sd with dim V(F, e) < ideal[e], found by walking down
-    from sd over the rung dimensions of V(F, sd), so the walk builds no
-    closure. `certified` is sd when dim V(F, sd) equals ideal[sd], the count
-    of multiples of LM(G) of degree <= sd, else 0: then every S-pair of G
-    with lcm degree <= sd reduces to zero (see verify_bounds).
-    """
+def _check_cap(cap: int | None) -> None:
     if cap is not None and cap < 1:
         raise DomainError(f"cap must be at least 1, got {cap}")
+
+
+def _scan(F, order, G, cap, trace=None) -> tuple[int, int, int, list[int], list[int]]:
+    """(sd, Lfd, certified, ideal, dims) from the closures V(F, d), keeping
+    only the latest. sd is the first d >= max(1, Gbd) whose span contains G;
+    past `cap` (default: one past the Macaulay bound, as in InfiniteDegree,
+    so read off the input and not off d_reg) CapExceeded carries the scanned
+    span dimensions. For e = 0..sd, `dims[e]` = dim V(F, e), the rungs of
+    V(F, sd), and `ideal[e]` counts the ideal's elements of degree <= e, in
+    one pass. Lfd is one past the last e <= sd with dims[e] < ideal[e], found
+    walking down from sd, so it builds no closure. `certified` is sd when
+    dims[sd] equals ideal[sd], the count of multiples of LM(G) of degree
+    <= sd, else 0: then every S-pair of G with lcm degree <= sd reduces to
+    zero (see verify_bounds).
+    """
     if cap is None:  # >= 1 even when constants push the Macaulay bound below 1
         cap = min(MAX_DEGREE, max(_macaulay_bound(F) + 1, G.max_degree, 1))
     pack = F.ring.packing(order)
     goals = [g._packed(pack) for g in G.polys]  # keyed once, as the closures key rows
     partial: dict[int, int] = {}
     for sd in range(max(1, G.max_degree), cap + 1):
-        V = closures[sd] = v_space_closure(F, sd, order, trace=trace)
+        V = v_space_closure(F, sd, order, trace=trace)
         partial[sd] = V.span_dim()
         if all(V._contains(t) for t in goals):
             break
@@ -190,13 +191,14 @@ def _scan(F, order, G, cap, closures, trace=None) -> tuple[int, int, int, list[i
     ideal, dims = ideal_dims(G, sd), V.dims
     # going down, the first fall is the last one
     lfd = 1 + next((e for e in range(sd, 0, -1) if dims[e] < ideal[e]), 0)
-    return sd, lfd, sd if dims[sd] == ideal[sd] else 0, ideal
+    return sd, lfd, sd if dims[sd] == ideal[sd] else 0, ideal, dims
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
     """Smallest d whose degree-d span contains the reduced Groebner basis."""
+    _check_cap(cap)
     G = buchberger_reduced(F, order)
-    return _scan(F, order, G, cap, {})[0]
+    return _scan(F, order, G, cap)[0]
 
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -204,8 +206,9 @@ def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None 
     max(d, deg f). Computed by comparing span dimensions against the ideal's
     bounded dimensions, walking down from the solving degree and stopping
     at the last fall."""
+    _check_cap(cap)
     G = buchberger_reduced(F, order)
-    return _scan(F, order, G, cap, {})[1]
+    return _scan(F, order, G, cap)[1]
 
 
 @dataclass
@@ -281,15 +284,14 @@ def verify_bounds(
     `cap` bounds the solving-degree scan (default: one past the Macaulay
     bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
     so the scan stops at sd and the upper bounds below can fail); a cap
-    below 1 is a DomainError. `cap` does not bound the d_reg walk; the walk
-    shares the closure's row cap (see degree_of_regularity), and past it
-    d_reg is None, the hypothesis unknown (None) and every certificate that
-    reads d_reg a `cap:` skip; Gbd, sd and Lfd are still computed. Closures are
-    built only at the scanned degrees max(1, Gbd)..sd, and at d_reg + 1
-    for the identity certificate when the scan built none there: Lfd reads
-    the rung dimensions of V(F, sd), and when d_reg + 1 <= sd the identity
-    reads the scan's closure and its count of ideal elements. `trace`
-    receives the lines of the closures built (see v_space_closure).
+    below 1 is a DomainError, raised before any work. `cap` does not bound
+    the d_reg walk; the walk shares the closure's row cap (see
+    degree_of_regularity), and past it d_reg is None, the hypothesis unknown
+    (None) and every certificate that reads d_reg a `cap:` skip; Gbd, sd and
+    Lfd are still computed. The scan keeps only its latest closure; Lfd, and
+    the identity certificate when d_reg + 1 <= sd, read the rung dimensions
+    of V(F, sd), else the identity builds V(F, d_reg + 1). `trace` receives
+    the lines of the closures built (see v_space_closure).
 
     Buchberger runs unchecked, and its basis G is checked after the sd scan,
     before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
@@ -321,6 +323,7 @@ def verify_bounds(
                                of degree <= d_reg + 1, needs the hypothesis;
                                a cap skip when d_reg + 1 > MAX_DEGREE
     """
+    _check_cap(cap)
     ring = F.ring
     maxdeg = F.max_degree()
     cap_notes: dict[str, str] = {}
@@ -335,12 +338,11 @@ def verify_bounds(
         "satisfied": finite and maxdeg <= d_reg,
     }
 
-    closures: dict[int, VSpaceBasis] = {}
     G = gbd_v = sd = lfd = None
-    certified, ideal = 0, []
+    certified, ideal, dims = 0, [], []
     try:
         G = buchberger_reduced(F, order, check=False)
-        sd, lfd, certified, ideal = _scan(F, order, G, cap, closures, trace)
+        sd, lfd, certified, ideal, dims = _scan(F, order, G, cap, trace)
     except CapExceeded as exc:
         cap_notes["gbd" if G is None else "sd"] = str(exc)
     if G is not None:
@@ -379,8 +381,9 @@ def verify_bounds(
         d = d_reg + 1
         if d > MAX_DEGREE:
             raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
-        V = closures[d] if d in closures else v_space_closure(F, d, order, trace=trace)
-        return V.span_dim(), ideal[d] if d < len(ideal) else ideal_dim_le(G, d)
+        if d < len(dims):  # d <= sd: the scan's rungs hold dim V(F, d)
+            return dims[d], ideal[d]
+        return v_space_closure(F, d, order, trace=trace).span_dim(), ideal_dim_le(G, d)
 
     certs = [
         certify("sd_le_dreg_plus_1", ("sd", "d_reg"), lambda: (sd, d_reg + 1), trivial=True,

@@ -205,6 +205,8 @@ def test_criterion_6_dimension_identity(main_pool, family_reports):
         assert V.span_dim() == ideal_dim_le(G, d + 1)
         cert = next(c for c in report.certificates if c.id == "vspace_dim_identity")
         assert cert.verdict == "pass"
+        # the report reads the scan's rungs when d + 1 <= sd: a fresh closure checks it
+        assert (cert.lhs, cert.rhs) == (V.span_dim(), ideal_dim_le(G, d + 1))
         checked += 1
     assert checked >= 100
     note(f"criterion 6: PASS (dim V(F, d_reg+1) identity on {checked} instances)")

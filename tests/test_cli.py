@@ -289,14 +289,14 @@ def test_trace_file(fk_file, tmp_path, capsys):
 
 
 def test_sweep_table(capsys):
-    assert main(["sweep", "fk", "--from", "2", "--to", "4", "--workers", "1"]) == 0
+    assert main(["sweep", "fk", "--from", "2", "--to", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("k")
     assert [row.split()[0] for row in out[1:]] == ["2", "3", "4"]
 
 
 def test_sweep_json_parallel(capsys):
-    assert main(["sweep", "fk", "--from", "2", "--to", "5", "--json", "--workers", "2"]) == 0
+    assert main(["sweep", "fk", "--from", "2", "--to", "5", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in rows] == [2, 3, 4, 5]
     assert [r["sd"] for r in rows] == [3, 4, 5, 6]
@@ -304,7 +304,7 @@ def test_sweep_json_parallel(capsys):
 
 def test_sweep_cap_exit_code(capsys):
     # k = 3 and 4 need sd = 4 and 5: both scans stop at cap 2
-    assert main(["sweep", "fk", "--from", "3", "--to", "4", "--cap", "2", "--workers", "1"]) == 3
+    assert main(["sweep", "fk", "--from", "3", "--to", "4", "--cap", "2"]) == 3
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
@@ -316,7 +316,7 @@ def test_sweep_refuses_a_reversed_range(capsys):
 def test_sweep_refuses_a_degree_above_the_largest_up_front(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("soldeg.cli._sweep_instance", calls.append)
-    assert main(["sweep", "fk", "--to", "1000000000", "--workers", "1"]) == 2
+    assert main(["sweep", "fk", "--to", "1000000000"]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith("error: --to is above")
 
@@ -345,17 +345,11 @@ def pool_sizes(monkeypatch):
 
 
 def test_sweep_clamps_workers(pool_sizes, capsys):
-    assert main(["sweep", "fk", "--from", "2", "--to", "4", "--workers", "1000"]) == 0
-    assert main(["sweep", "fk", "--from", "2", "--to", "7", "--workers", "1000"]) == 0
+    """The pool has min(instances, CPUs) workers; one instance runs serially."""
+    assert main(["sweep", "fk", "--from", "2", "--to", "4"]) == 0
     assert main(["sweep", "fk", "--from", "2", "--to", "7"]) == 0
-    assert pool_sizes == [3, 4, 4]
-
-
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_sweep_rejects_nonpositive_workers(workers, pool_sizes, capsys):
-    assert main(["sweep", "fk", "--from", "2", "--to", "3", "--workers", workers]) == 2
-    assert pool_sizes == []
-    assert "--workers" in capsys.readouterr().err
+    assert main(["sweep", "fk", "--from", "2", "--to", "2"]) == 0
+    assert pool_sizes == [3, 4]
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -271,7 +271,7 @@ def test_closure_certified_check_rejects_exactly_when_the_full_check_does(p, ord
     polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
     H = _reduced_basis(ring, _plain_buchberger(polys, pack, p, data.draw(st.integers(0, 10))), order)
     try:
-        _, _, certified, _ = _scan(F, order, H, None, {})
+        _, _, certified, _, _ = _scan(F, order, H, None)
     except CapExceeded:
         return
     if not certified:

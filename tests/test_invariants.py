@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -233,7 +234,13 @@ def test_solving_degree_cap_error_reports_partial_dims():
 
 
 @pytest.mark.parametrize("cap", [0, -5])
-def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(cap):
+def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
+    """Refused before any work: neither the d_reg walk nor Buchberger runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr("soldeg.invariants.degree_of_regularity", refuse)
+    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", refuse)
     F = gen_fk(3, 101)
     for entry in (solving_degree, last_fall_degree, verify_bounds):
         with pytest.raises(DomainError, match="cap must be at least 1"):
@@ -705,6 +712,23 @@ def test_verify_bounds_builds_closures_only_at_the_scanned_and_identity_degrees(
     assert built == scanned + identity  # no closure below max(1, Gbd), none built twice
 
 
+def test_a_report_keeps_one_closure_of_its_scan_alive():
+    """The sd scan of gen_fk(60) builds V(F, d) for d = 1..61, and a report
+    keeps only the latest: its peak traced memory stays within a small
+    multiple of one closure at 61, not the sum of all 61."""
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    F = gen_fk(60, 101)
+    assert peak(lambda: verify_bounds(F)) / peak(lambda: v_space_closure(F, 61)) < 4
+
+
 def test_verify_bounds_counts_the_ideal_once_on_the_family(monkeypatch):
     from soldeg import invariants
     from soldeg.groebner import ideal_dims
@@ -765,8 +789,9 @@ def test_sd_scan_keys_each_basis_member_once(monkeypatch):
             keyed.append(self)
         return packed(self, pack)
 
+    rungs = v_space_closure(F, 7, GRLEX).dims
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    assert invariants._scan(F, GRLEX, G, None, {}) == (7, 7, 7, dims)
+    assert invariants._scan(F, GRLEX, G, None) == (7, 7, 7, dims, rungs)
     # the sd scan tests membership at degrees 1..7; each member is keyed
     # under grlex once, not once per degree
     assert len(keyed) == len(G)
