@@ -60,11 +60,13 @@ def _rational_common_zero(F: PolySystem) -> bool:
     scaled so that its first nonzero coordinate is 1, zeroes the top part of
     every member of F."""
     p, n = F.ring.p, F.ring.nvars
-    tops = [f.top().terms for f in F]
+    # each top term as its coefficient and the (variable, exponent) pairs it holds
+    tops = [[(c, [(v, e) for v, e in enumerate(m) if e]) for m, c in f.top().terms.items()]
+            for f in F]
     points = ((0,) * j + (1,) + rest
               for j in range(n) for rest in product(range(p), repeat=n - j - 1))
     return any(
-        all(sum(c * math.prod(pow(v, e, p) for v, e in zip(P, m)) for m, c in top.items()) % p == 0
+        all(sum(c * math.prod(pow(P[v], e, p) for v, e in m) for c, m in top) % p == 0
             for top in tops)
         for P in islice(points, DEFAULT_MAX_ROWS)
     )

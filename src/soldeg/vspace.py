@@ -134,13 +134,15 @@ def v_space_closure(
 def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     """The rungs of v_space_closure(F, d), d <= MAX_DEGREE: yields its one
     basis after each rung e = 0..d, holding V(F, e) with dims[e] set.
-    Closed early, it still writes its counters."""
+    The basis only grows, so the row adopted last has index len(tails) - 1
+    and the basis size is the adoption count that the cap bounds. Closed
+    early, it still writes its counters."""
     names = F.ring.names
     basis = VSpaceBasis(F.ring, order, d)
     pack = basis._pack
-    insert, insert_product = basis._insert, basis._insert_product
+    insert_product = basis._insert_product
     tails, dims, stats = basis._tails, basis.dims, basis.stats
-    insertions = adoptions = passes = 0
+    insertions = passes = 0
     # (row index, pivot, stored tail, start index) of each adopted row to
     # multiply: in the queue below the rung's degree, in `tops` at it
     queue: deque[tuple[int, int, dict[int, int], int]] = deque()
@@ -151,51 +153,44 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
         if f._degree <= d:  # inputs above the bound are excluded, not truncated
             inputs[f._degree].append((i, dict(f._packed(pack))))
 
-    # (row index, None for an input; multiplier or input index; a product's
-    # lead, None for an input; terms below the lead; start)
-    def candidates():
-        nonlocal passes, below_e, queue, tops
+    def adopt(pivot, kind, source, multiplier, start, next_start):
+        """Trace the row just adopted at `pivot`, from `kind` "f" (an input)
+        or "r" (a row) numbered `source`, and queue it: below the rung's
+        degree from `start` on, at it from `next_start` on next rung."""
+        if trace is not None:
+            trace.write(f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+                        f"\t{kind}{source}\t{multiplier}\n")
+        if pivot < below_e:
+            queue.append((len(tails) - 1, pivot, tails[pivot], start))
+        else:
+            tops.append((len(tails) - 1, pivot, tails[pivot], next_start))
+        if len(tails) > max_rows:
+            raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
+
+    try:
         for e in range(d + 1):
             below_e_minus_1, below_e = below_e, pack.degree_floor(e)
             queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
             for i, terms in inputs[e]:
-                yield None, i, None, terms, 0
+                insertions += 1
+                pivot = basis._insert(terms)
+                if pivot is not None:
+                    adopt(pivot, "f", i, "1", 0, 0)
             while queue:
                 row, pivot, tail, start = queue.popleft()
                 passes += 1
                 # products of degree < e pass their multiplier's index on as a start
                 below = pivot < below_e_minus_1
                 for a, x in enumerate(pack.variables[start:], start):
+                    insertions += 1
                     # x keeps the term order, so the product leads with pivot + x
-                    work = {k + x: c for k, c in tail.items()}
-                    yield row, a, pivot + x, work, a if below else 0
-            yield None, None, None, None, None  # rung e is complete
-
-    try:
-        for row, a, lead, work, start in candidates():
-            if work is None:
-                dims.append(len(tails))
-                yield basis
-                continue
-            insertions += 1
-            pivot = insert(work) if lead is None else insert_product(lead, work)
-            if pivot is None:
-                continue
-            if trace is not None:
-                source, multiplier = (f"f{a}", "1") if row is None else (f"r{row}", names[a])
-                trace.write(
-                    f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
-                    f"\t{source}\t{multiplier}\n"
-                )
-            if pivot < below_e:
-                queue.append((adoptions, pivot, tails[pivot], start))
-            else:  # the rung's degree: a product's row starts at its multiplier next rung
-                tops.append((adoptions, pivot, tails[pivot], 0 if row is None else a))
-            adoptions += 1
-            if adoptions > max_rows:
-                raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
+                    lead = insert_product(pivot + x, {k + x: c for k, c in tail.items()})
+                    if lead is not None:
+                        adopt(lead, "r", row, names[a], a if below else 0, a)
+            dims.append(len(tails))
+            yield basis
     finally:  # the counters, also those CapExceeded carries
-        stats.insertions, stats.adoptions = insertions, adoptions
+        stats.insertions, stats.adoptions = insertions, len(tails)
         stats.closure_passes, stats.field_mults = passes, basis.mult_count
 
 

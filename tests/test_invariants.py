@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -642,6 +643,35 @@ def test_the_rational_point_search_tries_no_more_points_than_the_row_cap(monkeyp
     monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 2)
     with pytest.raises(CapExceeded, match="d_reg walk"):
         degree_of_regularity(F)  # missed by the first 2: the walk runs, into the same cap
+
+
+def test_the_rational_point_search_matches_brute_force():
+    # every top at every point of P^{n-1}(GF(p)) whose first nonzero
+    # coordinate is 1, evaluated from Polynomial.terms alone
+    from soldeg.invariants import _rational_common_zero
+
+    def top_terms(f):
+        d = max(map(sum, f.terms))
+        return {m: c for m, c in f.terms.items() if sum(m) == d}
+
+    answers = set()
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            for seed in range(30):
+                k = 1 + seed % (n + 1)
+                bounds = tuple(1 + (seed + i) % 3 for i in range(k))
+                F = gen_random(RandomSpec(seed=seed, n=n, k=k, deg_bounds=bounds, density=0.5, p=p))
+                points = [P for P in itertools.product(range(p), repeat=n)
+                          if any(P) and next(v for v in P if v) == 1]
+                assert len(points) == (p**n - 1) // (p - 1)
+                zero = any(
+                    all(sum(c * math.prod(v**e for v, e in zip(P, m)) for m, c in top_terms(f).items())
+                        % p == 0 for f in F)
+                    for P in points
+                )
+                assert _rational_common_zero(F) == zero, (p, n, seed)
+                answers.add(zero)
+    assert answers == {False, True}
 
 
 def test_a_lazard_degree_past_the_largest_supported_degree_is_refused_up_front(monkeypatch):

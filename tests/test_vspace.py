@@ -326,6 +326,27 @@ def test_rung_dims_equal_the_closures_of_each_degree():
     assert constants
 
 
+def test_a_climb_closed_early_writes_the_counters_of_the_rungs_it_climbed():
+    # the d_reg walk closes the climb at every finite d_reg: its counters,
+    # rung dims and rows are then those of the closure to the last rung
+    from soldeg.vspace import DEFAULT_MAX_ROWS, _climb
+
+    systems = [gen_fk(k, p) for k, p in ((3, 101), (5, 3), (7, 2))] + [
+        gen_random(RandomSpec(seed=seed, n=n, k=n + 1, deg_bounds=(2,) * (n + 1), density=0.7, p=p))
+        for seed, n, p in ((0, 2, 101), (1, 3, 3), (2, 3, 101), (3, 2, 2), (4, 3, 2))
+    ]
+    for F in systems:
+        for order in (GREVLEX, GRLEX):
+            d = F.max_degree() + 2
+            for r in range(1, d):
+                rungs = _climb(F, d, order, max_rows=DEFAULT_MAX_ROWS, trace=None)
+                V = next(itertools.islice(rungs, r, None))
+                rungs.close()
+                W = v_space_closure(F, r, order)
+                assert (vars(V.stats), V.dims, V._rows()) == (vars(W.stats), W.dims, W._rows())
+            assert V.stats.closure_passes > 0  # rung d - 1 multiplied the inputs
+
+
 def test_closure_log_and_trace():
     F = gen_fk(2, 101)
     sink = io.StringIO()
