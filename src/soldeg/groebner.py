@@ -6,6 +6,7 @@ compares against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -314,22 +315,38 @@ def gbd(F, order: TermOrder = GREVLEX) -> int:
 
 
 def ideal_dims(G: GroebnerBasis, e: int) -> list[int]:
-    """[ideal_dim_le(G, d) for d in range(e + 1)], from one pass over the
-    packed monomials of degree <= e, each tested against the leading
-    monomials of at most its degree."""
+    """[ideal_dim_le(G, d) for d in range(e + 1)], from the standard
+    monomials, those no leading monomial divides, degree by degree.
+
+    A divisor of a standard monomial is standard, so every standard monomial
+    of degree d is a standard one of degree d - 1 times a variable. Each is
+    reached once by extending a monomial only by the variables from its last
+    one on; a child is kept when no leading monomial of at most its degree
+    divides it. dims[d] is dims[d - 1] plus the C(d + n - 1, d) monomials
+    of degree d less its standard ones."""
     pack = G.polys[0].ring.packing(G.order)
-    s, g = pack.sign, pack.guard
+    pack.check(e)
+    s, g, xs = pack.sign, pack.guard, pack.variables
     lms = [f._lead(G.order)[1] for f in G.polys]
+    # (standard monomial, index of its last variable) of the degree at hand
+    std = [] if 0 in lms else [(0, 0)]  # the unit ideal has none
     dims, count = [], 0
     for d in range(e + 1):
-        # lm divides m iff (s*m + g - s*lm) keeps every guard bit
-        glms = [g - s * lm for lm in lms if pack.degree(lm) <= d]
-        for m in pack.monomials(d) if glms else ():
-            sm = s * m
-            for glm in glms:
-                if (sm + glm) & g == g:
-                    count += 1
-                    break
+        if d:
+            # lm divides m iff (s*m + g - s*lm) keeps every guard bit
+            glms = [g - s * lm for lm in lms if pack.degree(lm) <= d]
+            children = []
+            for m, last in std:
+                for i in range(last, len(xs)):
+                    child = m + xs[i]
+                    sm = s * child
+                    for glm in glms:
+                        if (sm + glm) & g == g:
+                            break
+                    else:
+                        children.append((child, i))
+            std = children
+        count += math.comb(d + len(xs) - 1, d) - len(std)
         dims.append(count)
     return dims
 

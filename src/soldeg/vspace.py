@@ -15,13 +15,16 @@ i < a was already produced (the MutantXL and Matrix-F5 rule); every other
 row starts at x_1. Each skipped product already lies in the span (proof at
 v_space_closure), so adoption order, traces and rows are those of the
 climb that multiplies by every variable. A product that hits no pivot is
-stored as it is, with no reduction (RowBasis._insert_product). The basis
-keeps dim V(F, e) of every rung in `dims`. The rungs come from _climb, the
-only code that multiplies rows by variables: v_space_closure runs it to d,
-the d_reg walk over the top parts until a slice fills. Adoption order makes
-traces and counters reproducible; the resulting basis is canonical
-regardless. Every span the library hands out is such a closure, returned as
-its own echelon basis (a VSpaceBasis is a RowBasis).
+stored as it is, with no reduction (RowBasis._insert_product). A monomial
+row, whose stored tail is empty, gives a product that is its lead alone,
+passed on as an empty tail with no term map built: on fk nearly every
+product is one. The basis keeps dim V(F, e) of every rung in `dims`. The
+rungs come from _climb, the only code that multiplies rows by variables:
+v_space_closure runs it to d, the d_reg walk over the top parts until a
+slice fills. Adoption order makes traces and counters reproducible; the
+resulting basis is canonical regardless. Every span the library hands out
+is such a closure, returned as its own echelon basis (a VSpaceBasis is a
+RowBasis).
 """
 
 from __future__ import annotations
@@ -183,8 +186,10 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
                 below = pivot < below_e_minus_1
                 for a, x in enumerate(pack.variables[start:], start):
                     insertions += 1
-                    # x keeps the term order, so the product leads with pivot + x
-                    lead = insert_product(pivot + x, {k + x: c for k, c in tail.items()})
+                    # x keeps the term order, so the product leads with pivot + x;
+                    # a monomial row's product is its lead alone, with no map to build
+                    lead = insert_product(pivot + x, {k + x: c for k, c in tail.items()}
+                                          if tail else {})
                     if lead is not None:
                         adopt(lead, "r", row, names[a], a if below else 0, a)
             dims.append(len(tails))

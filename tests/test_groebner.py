@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from soldeg import (
     GREVLEX,
     GRLEX,
+    MAX_DEGREE,
     CapExceeded,
     DimensionError,
+    DomainError,
     InconsistencyError,
     Polynomial,
     PreconditionError,
@@ -25,7 +27,7 @@ from soldeg import (
     normal_form,
     RandomSpec,
 )
-from soldeg.groebner import _monic, _nf, _reduced_basis, _spoly, check_basis
+from soldeg.groebner import _monic, _nf, _reduced_basis, _spoly, check_basis, ideal_dims
 
 from helpers import mk
 
@@ -424,3 +426,44 @@ def test_ideal_dim_le_matches_a_brute_force_count(order):
         assert [ideal_dim_le(G, e) for e in range(9)] == [
             _brute_ideal_dim_le(G, e) for e in range(9)
         ]
+
+
+# ideal_dims walks the standard monomials, those no leading monomial divides,
+# so it differs most from a count of the divisible ones where the standard
+# monomials are many (positive-dimensional ideals), none (the unit ideal), a
+# chain (one variable), or spread over more variables (n = 4)
+IDEAL_DIMS_CASES = [
+    "p=101; vars=x,y; x*y",
+    "p=101; vars=x,y,z; x^2 + y*z; y^2 + x",
+    "p=3; vars=x,y,z,w; x*y + z^2; w^3 + x",
+    "p=101; vars=x,y,z; x + 1; y",
+    "p=101; vars=x,y; 5",
+    "p=101; vars=x,y,z; x*y - 1; x",
+    "p=101; vars=x; x^3 - x",
+    "p=7; vars=x; x^5 + 2; x^6 + 2*x",
+    "p=101; vars=x,y,z,w; x^2*y; y^3; z*w^2; w^4 + x",
+]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_ideal_dims_match_a_brute_force_count_over_standard_monomials(order):
+    systems = [mk(text) for text in IDEAL_DIMS_CASES]
+    # the benchmark's infinite-d_reg slot n4-quadrics-p2, a zero-dimensional
+    # n = 4 system (k = n) and a unit one (k > n)
+    systems += [gen_random(RandomSpec(seed=3, n=4, k=3, deg_bounds=(2,) * 3, p=2, density=0.4))]
+    systems += [gen_random(RandomSpec(seed=1, n=4, k=k, deg_bounds=(2,) * k, p=101, density=0.6))
+                for k in (4, 5)]
+    for F in systems:
+        G = buchberger_reduced(F, order)
+        assert ideal_dims(G, 12) == [_brute_ideal_dim_le(G, e) for e in range(13)]
+
+
+def test_ideal_dims_refuse_a_degree_past_the_largest_supported_one():
+    G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
+    with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+        ideal_dims(G, MAX_DEGREE + 1)
+
+
+def test_ideal_dims_of_the_maximal_ideal_leave_only_the_unit_standard():
+    G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
+    assert ideal_dims(G, 3000) == [math.comb(d + 2, 2) - 1 for d in range(3001)]

@@ -274,6 +274,27 @@ def test_a_product_stored_as_it_is_matches_its_reduction_on_the_family(k):
         assert fast == slow
 
 
+@pytest.mark.parametrize(
+    "F, d",
+    [
+        (mk("p=101; vars=x,y,z; x^2*y; x*y^3; z^4"), 6),
+        (PolySystem(gen_fk(12).ring, [f.top() for f in gen_fk(12)]), 13),
+    ],
+)
+def test_a_closure_of_monomial_rows_matches_its_reduction_and_the_brute_force_span(F, d):
+    # every row is a monomial, so every product comes from a row with no
+    # tail: the closure's empty-product branch and nothing else
+    oracle = BruteForceSpan(F, d)
+    for order in (GREVLEX, GRLEX):
+        fast, slow = closure_with_and_without_the_product_path(F, d, order)
+        assert fast == slow
+        _, dims, rows, _ = fast
+        assert all(len(row) == 1 for _, row in rows)
+        V = v_space_closure(F, d, order)
+        assert V.span_dim() == oracle.dim == dims[-1]
+        assert all(oracle.contains(row) for row in V.rows)
+
+
 def test_a_product_that_hits_no_pivot_skips_the_echelon_kernel(monkeypatch):
     # fk10 at d = 11 inserts 89 candidates (pinned above): its 3 inputs and
     # 86 products, of which only those that meet a pivot reach _insert
