@@ -318,34 +318,31 @@ def ideal_dims(G: GroebnerBasis, e: int) -> list[int]:
     """[ideal_dim_le(G, d) for d in range(e + 1)], from the standard
     monomials, those no leading monomial divides, degree by degree.
 
-    A divisor of a standard monomial is standard, so every standard monomial
-    of degree d is a standard one of degree d - 1 times a variable. Each is
-    reached once by extending a monomial only by the variables from its last
-    one on; a child is kept when no leading monomial of at most its degree
-    divides it. dims[d] is dims[d - 1] plus the C(d + n - 1, d) monomials
-    of degree d less its standard ones."""
+    Below d0, the least degree of a leading monomial, the ideal holds no
+    monomial, and every monomial of degree d0 - 1 is standard. A divisor of a
+    standard monomial is standard, so from there on the standard monomials
+    of degree d are those of degree d - 1 times a variable that no leading
+    monomial of at most degree d divides. dims[d] is dims[d - 1] plus the
+    C(d + n - 1, d) monomials of degree d less its standard ones."""
     pack = G.polys[0].ring.packing(G.order)
     pack.check(e)
     s, g, xs = pack.sign, pack.guard, pack.variables
-    lms = [f._lead(G.order)[1] for f in G.polys]
-    # (standard monomial, index of its last variable) of the degree at hand
-    std = [] if 0 in lms else [(0, 0)]  # the unit ideal has none
-    dims, count = [], 0
-    for d in range(e + 1):
-        if d:
-            # lm divides m iff (s*m + g - s*lm) keeps every guard bit
-            glms = [g - s * lm for lm in lms if pack.degree(lm) <= d]
-            children = []
-            for m, last in std:
-                for i in range(last, len(xs)):
-                    child = m + xs[i]
-                    sm = s * child
-                    for glm in glms:
-                        if (sm + glm) & g == g:
-                            break
-                    else:
-                        children.append((child, i))
-            std = children
+    # lm divides m iff (s*m + g - s*lm) keeps every guard bit
+    lms = [(pack.degree(lm), g - s * lm) for lm in (f._lead(G.order)[1] for f in G.polys)]
+    d0 = min(k for k, _ in lms)
+    std = pack.monomials(d0 - 1) if d0 else []  # the unit ideal has none
+    dims, count = [0] * min(d0, e + 1), 0
+    for d in range(d0, e + 1):
+        glms = [glm for k, glm in lms if k <= d]
+        children = []
+        for m in {m + x for m in std for x in xs}:
+            sm = s * m
+            for glm in glms:
+                if (sm + glm) & g == g:
+                    break
+            else:
+                children.append(m)
+        std = children
         count += math.comb(d + len(xs) - 1, d) - len(std)
         dims.append(count)
     return dims

@@ -431,7 +431,8 @@ def test_ideal_dim_le_matches_a_brute_force_count(order):
 # ideal_dims walks the standard monomials, those no leading monomial divides,
 # so it differs most from a count of the divisible ones where the standard
 # monomials are many (positive-dimensional ideals), none (the unit ideal), a
-# chain (one variable), or spread over more variables (n = 4)
+# chain (one variable), spread over more variables (n = 4), or all of those
+# below the least degree of a leading monomial, where the walk starts
 IDEAL_DIMS_CASES = [
     "p=101; vars=x,y; x*y",
     "p=101; vars=x,y,z; x^2 + y*z; y^2 + x",
@@ -442,6 +443,8 @@ IDEAL_DIMS_CASES = [
     "p=101; vars=x; x^3 - x",
     "p=7; vars=x; x^5 + 2; x^6 + 2*x",
     "p=101; vars=x,y,z,w; x^2*y; y^3; z*w^2; w^4 + x",
+    "p=101; vars=x,y,z; x^6*y; y^7; z^9 + x",
+    "p=101; vars=x,y; x^13; y^14",
 ]
 
 
@@ -462,6 +465,15 @@ def test_ideal_dims_refuse_a_degree_past_the_largest_supported_one():
     G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
     with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
         ideal_dims(G, MAX_DEGREE + 1)
+
+
+def test_ideal_dims_start_at_the_least_degree_of_a_leading_monomial():
+    # no monomial of degree < 20000 lies in the ideal, so the walk starts from
+    # the 20,000 monomials of degree 19999, not from 1 through every degree
+    G = buchberger_reduced(mk("p=101; vars=x,y; x^20000; y^20000"))
+    dims = ideal_dims(G, 20001)
+    assert dims[:20000] == [0] * 20000 and dims[20000:] == [2, 2 + 4]
+    assert ideal_dims(G, 5) == [0] * 6
 
 
 def test_ideal_dims_of_the_maximal_ideal_leave_only_the_unit_standard():
