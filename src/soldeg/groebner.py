@@ -210,25 +210,33 @@ def buchberger_reduced(
     """The unique reduced Groebner basis of the ideal generated by F.
 
     Pairs are processed lowest lcm first (normal strategy). Each new
-    element h, input or remainder, goes through the Gebauer-Moeller update
-    (Becker and Weispfenning, Groebner Bases, algorithm UPDATE):
-      M        a new pair {i, h} goes when another new pair's lcm properly
-               divides lcm_ih
-      F        of the new pairs left with equal lcm one stays, and none
-               when one of them is coprime
-      product  the coprime new pairs go after M and F, which they still
-               take part in
-      B        a pending pair {i, j} goes when lm_h | lcm_ij and neither
-               lcm_ih nor lcm_jh equals lcm_ij
-    New pairs join h only to elements whose leading monomial no later
-    element divides; remainders are taken against every element.
+    element h, input or remainder, is paired with every earlier one, except
+    where the leading monomials are coprime (product criterion). A pair
+    (i, j) is skipped when it is popped if some k not in {i, j} has
+    lm_k | lcm_ij and neither (i, k) nor (j, k) still waits, each popped
+    earlier or coprime (Buchberger's chain criterion; the improved
+    Buchberger algorithm of Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, Ch. 2 Sec. 10). Every other pair's S-polynomial is reduced
+    against every element, and a nonzero remainder joins as a new element.
+
+    Why the skips are safe. G is a Groebner basis iff every S_ij has a
+    standard representation, a sum of multiples h*g_k with lm(h*g_k) <
+    lcm_ij (Becker and Weispfenning, Groebner Bases, Thm 5.64). A coprime
+    pair has one, and so has a reduced pair once its remainder joins. For a
+    chain skip, with l = lcm_ij, S_ij = (l/l_ik)*S_ik - (l/l_jk)*S_jk, and
+    l/l_ik times a standard representation of S_ik, all terms below l_ik,
+    has all terms below l, also when l_ik = l; so for S_jk. Each skip rests
+    only on pairs popped earlier or coprime, so induction over the pop order
+    gives every pair of the final G one.
 
     With check=True check_basis re-verifies the result, independently of
-    the update, so a pair the update dropped by mistake cannot pass unseen.
+    the loop, so a pair skipped by mistake cannot pass unseen.
     verify_bounds passes check=False and runs check_basis itself after the
     sd scan, where the closure proves the low pairs. Generators of two rings
-    are a DimensionError. Past `max_pairs` S-polynomials CapExceeded carries
-    `basis_size`, `pairs_popped`, `pairs_pending` and `pairs_dropped` by rule.
+    are a DimensionError. Past `max_pairs` reduced S-polynomials CapExceeded
+    carries `basis_size`, `pairs_popped` (those reduced), `pairs_pending`
+    (the pair popped at the cap among them) and `pairs_skipped`, a count
+    per rule: `product` and `chain`.
     """
     polys = list(F)
     if not polys:
@@ -245,63 +253,54 @@ def buchberger_reduced(
     pack, p = ring.packing(order), ring.p
     s, g, lcm = pack.sign, pack.guard, pack.lcm
     G: list = []  # every element, monic; all of them reduce
-    active: list[int] = []  # elements whose leading monomial no later one divides
-    heap: list = []  # pending pairs (lcm, i, j), i < j; packed order: lcm degree first
-    dropped = dict.fromkeys(("M", "F", "B", "product"), 0)
+    glms: list[int] = []  # g - s*lm_k: lm_k divides m iff (s*m + it) keeps every guard bit
+    heap: list = []  # waiting pairs (lcm, i, j), i < j; packed order: lcm degree first
+    pending: set = set()  # the (i, j) of the heap
+    skipped = dict.fromkeys(("product", "chain"), 0)
 
-    def update(f):
+    def add(f):
         h, lh = len(G), f[0]
-        G.append(f)
-        glh = g - s * lh  # lm_h divides m iff (s*m + glh) keeps every guard bit
-        groups: dict[int, list] = {}  # lcm -> [coprime?, i, pairs]; no other lcm divides it
-        for l, i in sorted([(lcm(G[i][0], lh), i) for i in active]):
-            group = groups.get(l)
-            if group:
-                group[0] |= l == G[i][0] + lh
-                group[2] += 1
-                continue
-            sl = s * l + g
-            for m in groups:  # a proper divisor: l is not a key
-                if (sl - s * m) & g == g:
-                    dropped["M"] += 1
-                    break
-            else:
-                groups[l] = [l == G[i][0] + lh, i, 1]
-        if heap:
-            kept = [e for e in heap if (s * e[0] + glh) & g != g
-                    or lcm(G[e[1]][0], lh) == e[0] or lcm(G[e[2]][0], lh) == e[0]]
-            if len(kept) < len(heap):
-                dropped["B"] += len(heap) - len(kept)
-                heap[:] = kept
-                heapify(heap)
-        for l, (coprime, i, pairs) in groups.items():
-            dropped["F"] += pairs - 1
-            if coprime:
-                dropped["product"] += 1
+        for i, (li, _) in enumerate(G):
+            l = lcm(li, lh)
+            if l == li + lh:
+                skipped["product"] += 1
             else:
                 heappush(heap, (l, i, h))
-        active[:] = [i for i in active if (s * G[i][0] + glh) & g != g]
-        active.append(h)
+                pending.add((i, h))
+        G.append(f)
+        glms.append(g - s * lh)
+
+    def chained(sl, i, j):  # sl = s*lcm_ij
+        for k, glk in enumerate(glms):
+            if ((sl + glk) & g == g and k != i and k != j
+                    and ((k, i) if k < i else (i, k)) not in pending
+                    and ((k, j) if k < j else (j, k)) not in pending):
+                return True
+        return False
 
     for f in polys:
-        update(_monic(f._packed(pack), p))
+        add(_monic(f._packed(pack), p))
 
     pops = 0
     while heap:
+        l, i, j = heappop(heap)
+        pending.remove((i, j))
+        if chained(s * l, i, j):
+            skipped["chain"] += 1
+            continue
         if pops >= max_pairs:
             raise CapExceeded(
                 f"Buchberger exceeded {max_pairs} S-pairs",
                 details={"basis_size": len(G), "pairs_popped": pops,
-                         "pairs_pending": len(heap), "pairs_dropped": dropped},
+                         "pairs_pending": len(heap) + 1, "pairs_skipped": skipped},
             )
         pops += 1
-        _, i, j = heappop(heap)
         r = _nf(_spoly(G[i], G[j], pack, p), G, pack, p)
         if not r:
             continue
         if pack.degree(max(r)) == 0:
             return _unit_basis(ring, order)
-        update(_monic(r, p))
+        add(_monic(r, p))
 
     basis = _reduced_basis(ring, G, order)
     if check:

@@ -57,10 +57,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_int(v, what: str) -> None:
+    """DomainError unless v is an int (a bool is not one)."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise DomainError(f"{what} must be an int, got {v!r}")
+
+
 def check_modulus(p) -> int:
     """p, if it is a prime int with 2 <= p < 2**31; DomainError otherwise."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise DomainError(f"field modulus must be an int, got {p!r}")
+    _check_int(p, "field modulus")
     if not 2 <= p < 2**31:
         raise DomainError(f"field modulus must satisfy 2 <= p < 2**31, got {p}")
     if not is_prime(p):
@@ -163,6 +168,8 @@ class Packing:
     def encode(self, exps: Sequence[int]) -> int:
         if len(exps) != self.n:
             raise DimensionError(f"expected {self.n} exponents, got {len(exps)}")
+        for e in exps:
+            _check_int(e, "exponent")
         if min(exps) < 0:
             raise DomainError(f"negative exponent in {tuple(exps)}")
         deg = sum(exps)
@@ -283,6 +290,8 @@ class Ring:
         """The exponent tuple of a monomial of this ring, checked."""
         if len(exps) != self.nvars:
             raise DimensionError(f"expected {self.nvars} exponents, got {len(exps)}")
+        for e in exps:
+            _check_int(e, "exponent")
         if any(e < 0 for e in exps):
             raise DomainError(f"negative exponent in {exps}")
         return exps
@@ -347,7 +356,8 @@ class Polynomial:
         fixed: dict[int, int] = {}
         p = ring.p
         for m, c in (terms.items() if isinstance(terms, dict) else terms):
-            k = pack.encode(m)  # checks the arity, the signs and the degree
+            _check_int(c, "coefficient")
+            k = pack.encode(m)  # checks the arity, the types, the signs and the degree
             c = (fixed.get(k, 0) + c) % p
             if c:
                 fixed[k] = c
@@ -415,6 +425,7 @@ class Polynomial:
         return Polynomial._raw(self.ring, {m: p - c for m, c in self._t.items()})
 
     def scaled(self, c: int) -> Polynomial:
+        _check_int(c, "coefficient")
         p = self.ring.p
         c %= p
         if c == 0:
@@ -423,6 +434,7 @@ class Polynomial:
 
     def mul_monomial(self, m: tuple[int, ...], coeff: int = 1) -> Polynomial:
         """coeff * m * self for an exponent tuple m."""
+        _check_int(coeff, "coefficient")
         p = self.ring.p
         coeff %= p
         if coeff == 0 or not self._t:

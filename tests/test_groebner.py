@@ -131,15 +131,18 @@ def test_buchberger_cap():
 
 
 UPDATE_SHAPES = [(2, (2, 2)), (2, (3, 2, 2)), (3, (2, 2)), (3, (2, 2, 2)), (3, (3, 2, 1)),
-                 (3, (2, 2, 2, 2))]
+                 (3, (2, 2, 2, 2)), (4, (2, 2, 2, 2, 2))]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX])
 def test_pair_update_gives_the_basis_of_plain_buchberger(p, order):
-    """The Gebauer-Moeller update drops pairs, never the answer: on 40 seeds
-    per shape, the reduced basis equals that of Buchberger over every pair."""
+    """The product and chain criteria skip pairs, never the answer: on 40
+    seeds per shape, 10 for n = 4, the reduced basis equals that of
+    Buchberger over every pair."""
     for seed, (n, degs) in itertools.product(range(40), UPDATE_SHAPES):
+        if n == 4 and seed >= 10:  # all pairs cost most at n = 4; 10 seeds keep it short
+            continue
         F = gen_random(RandomSpec(seed=seed, n=n, k=len(degs), deg_bounds=degs, density=0.6, p=p))
         pack = F.ring.packing(order)
         polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
@@ -149,7 +152,7 @@ def test_pair_update_gives_the_basis_of_plain_buchberger(p, order):
 
 
 def test_pair_update_pins_the_pairs_of_a_dense_system():
-    # 29 S-polynomials with the update; the product criterion alone leaves 56
+    # 29 S-polynomials with the chain criterion; the product criterion alone leaves 56
     F = gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4, density=1.0, p=101))
     G = buchberger_reduced(F, max_pairs=29)
     assert not G.is_unit_ideal
@@ -158,7 +161,22 @@ def test_pair_update_pins_the_pairs_of_a_dense_system():
     details = err.value.details
     assert details["pairs_popped"] == 28 and details["pairs_pending"] >= 1
     assert details["basis_size"] >= len(F)
-    assert set(details["pairs_dropped"]) == {"M", "F", "B", "product"}
+    assert set(details["pairs_skipped"]) == {"product", "chain"}
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_the_chain_criterion_skips_one_of_three_pairs_of_equal_lcm(order, monkeypatch):
+    # every lcm is x*y*z, so the strict chain criterion skips none; the
+    # loop skips the third pair popped, as the other two went before it
+    from soldeg import groebner
+
+    F = mk("p=101; vars=x,y,z; x*y; x*z; y*z")
+    calls = []
+    spoly = groebner._spoly
+    monkeypatch.setattr(groebner, "_spoly", lambda *a: calls.append(1) or spoly(*a))
+    G = buchberger_reduced(F, order, check=False)
+    assert [g.render() for g in G] == ["x*y", "x*z", "y*z"]
+    assert len(calls) == 2
 
 
 def test_product_criterion_s_pairs_still_verified():

@@ -110,6 +110,30 @@ def test_monomial_limits():
         ring.poly({(1, -1): 1})
 
 
+@pytest.mark.parametrize("c", [1.5, 2.0, True])
+def test_a_coefficient_that_is_not_an_int_is_refused(c):
+    # a float used to be stored as it was, and verify_bounds died in pow()
+    ring = Ring(101, ("x", "y"))
+    with pytest.raises(DomainError):
+        ring.poly({(1, 0): c})
+    with pytest.raises(DomainError):
+        ring.variable(0).scaled(c)
+    with pytest.raises(DomainError):
+        ring.variable(0).mul_monomial((1, 0), c)
+
+
+@pytest.mark.parametrize("e", [1.0, True])
+def test_an_exponent_that_is_not_an_int_is_refused(e):
+    # a float used to raise TypeError from the packing, and monomial() kept it
+    ring = Ring(101, ("x", "y"))
+    with pytest.raises(DomainError):
+        ring.poly({(e, 0): 1})
+    with pytest.raises(DomainError):
+        ring.variable(0).mul_monomial((0, e))
+    with pytest.raises(DomainError):
+        ring.monomial(e, 0)
+
+
 # --- polynomials ----------------------------------------------------------
 
 
