@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import CapExceeded, DimensionError, DomainError, InconsistencyError
-from .rings import GREVLEX, Packing, Polynomial, TermOrder
+from .rings import GREVLEX, Packing, Polynomial, TermOrder, _check_int
 
 DEFAULT_MAX_PAIRS = 200_000
 
@@ -323,6 +323,7 @@ def ideal_dims(G: GroebnerBasis, e: int) -> list[int]:
     of degree d are those of degree d - 1 times a variable that no leading
     monomial of at most degree d divides. dims[d] is dims[d - 1] plus the
     C(d + n - 1, d) monomials of degree d less its standard ones."""
+    _check_int(e, "degree")
     pack = G.polys[0].ring.packing(G.order)
     pack.check(e)
     s, g, xs = pack.sign, pack.guard, pack.variables
@@ -353,4 +354,5 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
     For a degree-compatible order this equals the dimension of the space of
     ideal elements of degree <= e.
     """
+    _check_int(e, "degree")
     return ideal_dims(G, e)[-1] if e >= 0 else 0

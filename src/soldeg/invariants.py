@@ -21,7 +21,7 @@ from typing import Union
 from .errors import CapExceeded, DomainError, PreconditionError
 from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
                        ideal_dim_le, ideal_dims)
-from .rings import GREVLEX, MAX_DEGREE, PolySystem, TermOrder
+from .rings import GREVLEX, MAX_DEGREE, PolySystem, TermOrder, _check_int
 from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
@@ -161,8 +161,10 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
 
 
 def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 1:
-        raise DomainError(f"cap must be at least 1, got {cap}")
+    if cap is not None:
+        _check_int(cap, "cap")
+        if cap < 1:
+            raise DomainError(f"cap must be at least 1, got {cap}")
 
 
 def _scan(F, order, G, cap, trace=None) -> tuple[int, int, int, list[int], list[int]]:
@@ -286,11 +288,14 @@ def verify_bounds(
     `cap` bounds the solving-degree scan (default: one past the Macaulay
     bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
     so the scan stops at sd and the upper bounds below can fail); a cap
-    below 1 is a DomainError, raised before any work. `cap` does not bound
+    that is not an int (a bool is not one) or lies below 1 is a
+    DomainError, raised before any work. `cap` does not bound
     the d_reg walk; the walk shares the closure's row cap (see
     degree_of_regularity), and past it d_reg is None, the hypothesis unknown
     (None) and every certificate that reads d_reg a `cap:` skip; Gbd, sd and
-    Lfd are still computed. The scan keeps only its latest closure; Lfd, and
+    Lfd are still computed. A cap that stops Buchberger or the sd scan
+    likewise names itself in the skip of every certificate that needs a
+    value it left unknown: Gbd (Buchberger only), sd and Lfd. The scan keeps only its latest closure; Lfd, and
     the identity certificate when d_reg + 1 <= sd, read the rung dimensions
     of V(F, sd), else the identity builds V(F, d_reg + 1). `trace` receives
     the lines of the closures built (see v_space_closure).
@@ -345,8 +350,9 @@ def verify_bounds(
     try:
         G = buchberger_reduced(F, order, check=False)
         sd, lfd, certified, ideal, dims = _scan(F, order, G, cap, trace)
-    except CapExceeded as exc:
-        cap_notes["gbd" if G is None else "sd"] = str(exc)
+    except CapExceeded as exc:  # every value the capped phase leaves unknown names its cap
+        cap_notes.update(dict.fromkeys(("gbd", "sd", "lfd") if G is None else ("sd", "lfd"),
+                                       str(exc)))
     if G is not None:
         check_basis(G, certified)
         gbd_v = G.max_degree
@@ -367,7 +373,7 @@ def verify_bounds(
             return skipped(before)
         for name in needs:
             if values[name] is None:
-                return skipped(f"cap: {cap_notes.get(name, f'{name} unavailable')}")
+                return skipped(f"cap: {cap_notes[name]}")
         if trivial and not finite:
             return Certificate(cid, values[needs[0]], INF, "pass", TRIVIAL)
         if after:

@@ -39,11 +39,13 @@ class RowBasis:
     kept fully reduced.
 
     Single-writer: rows are added through insert_reduce, _insert, or
-    _insert_product, which stores a product that hits no pivot as it is and
-    hands any other to _insert, the only code that reduces a row. A stored
-    row never changes after adoption: each tail is its adopted residual less
-    the pivot. reduce, span_contains and row reads add to mult_count, the
-    only shared state, so concurrent readers race on that counter alone.
+    _insert_product, the only code that stores a product (vspace._climb
+    adopts rows inline but calls it for every product). It stores a product
+    that hits no pivot as it is and hands any other to _insert, the only
+    code that reduces a row. A stored row never changes after adoption:
+    each tail is its adopted residual less the pivot. reduce, span_contains
+    and row reads add to mult_count, the only shared state, so concurrent
+    readers race on that counter alone.
     """
 
     __slots__ = ("ring", "order", "_pack", "_tails", "mult_count")
@@ -115,9 +117,10 @@ class RowBasis:
         key of `work`, which it consumes. When neither `lead` nor a key of
         `work` is a pivot, nothing can cancel and `work` is stored as the
         tail of `lead` as it is: the residual _insert would adopt, with no
-        multiplication, so mult_count does not move."""
+        multiplication, so mult_count does not move. An empty `work`, the
+        product of a monomial row, needs no key test."""
         tails = self._tails
-        if lead not in tails and tails.keys().isdisjoint(work):
+        if lead not in tails and (not work or tails.keys().isdisjoint(work)):
             tails[lead] = work
             return lead
         work[lead] = 1

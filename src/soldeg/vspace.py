@@ -18,13 +18,15 @@ climb that multiplies by every variable. A product that hits no pivot is
 stored as it is, with no reduction (RowBasis._insert_product). A monomial
 row, whose stored tail is empty, gives a product that is its lead alone,
 passed on as an empty tail with no term map built: on fk nearly every
-product is one. The basis keeps dim V(F, e) of every rung in `dims`. The
-rungs come from _climb, the only code that multiplies rows by variables:
-v_space_closure runs it to d, the d_reg walk over the top parts until a
-slice fills. Adoption order makes traces and counters reproducible; the
-resulting basis is canonical regardless. Every span the library hands out
-is such a closure, returned as its own echelon basis (a VSpaceBasis is a
-RowBasis).
+product is one. The rung loop adopts each row itself, with one call per
+product, the one to RowBasis._insert_product that stores it, and formats
+a trace line only when tracing. The basis keeps dim V(F, e) of every rung
+in `dims`. The rungs come from _climb, the only code that multiplies rows
+by variables: v_space_closure runs it to d, the d_reg walk over the top
+parts until a slice fills. Adoption order makes traces and counters
+reproducible; the resulting basis is canonical regardless. Every span the
+library hands out is such a closure, returned as its own echelon basis (a
+VSpaceBasis is a RowBasis).
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ from .errors import (
 from .linalg import RowBasis
 from .rings import (
     GREVLEX,
+    Packing,
     Polynomial,
     PolySystem,
     Ring,
     TermOrder,
+    _check_int,
     _render_exps,
 )
 
@@ -125,11 +129,13 @@ def v_space_closure(
     `trace`, when given, is a writable text stream receiving one
     tab-separated line per adopted row: degree, pivot, source id ("f<i>" an
     input, multiplier 1; "r<j>" the j-th adopted row), multiplier.
-    Raises CapExceeded (carrying partial stats) past `max_rows` rows.
+    Raises CapExceeded (carrying partial stats) past `max_rows` rows, and
+    DomainError unless d is an int (not a bool) from 1 to MAX_DEGREE.
     """
+    _check_int(d, "closure degree")
     if d < 1:
         raise DomainError("closure degree must be at least 1")
-    F.ring.packing(order).check(d)  # no product formed below exceeds degree d
+    Packing.check(d)  # no product formed below exceeds degree d
     *_, basis = _climb(F, d, order, max_rows=max_rows, trace=trace)
     return basis
 
@@ -139,64 +145,87 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     basis after each rung e = 0..d, holding V(F, e) with dims[e] set.
     The basis only grows, so the row adopted last has index len(tails) - 1
     and the basis size is the adoption count that the cap bounds. Closed
-    early, it still writes its counters."""
-    names = F.ring.names
-    basis = VSpaceBasis(F.ring, order, d)
+    early, it still writes its counters.
+
+    The rung loop adopts inline, with no call per adopted row: the row
+    goes to `queue` when its degree is below the rung's, to start from its
+    start index, else to `tops`, to start from its multiplier's index at
+    the next rung; then the cap is tested. A trace line is formatted only
+    when tracing. Each product costs one call, RowBasis._insert_product,
+    which stores it; the variables are enumerated once per closure."""
+    ring = F.ring
+    basis = VSpaceBasis(ring, order, d)
     pack = basis._pack
     insert_product = basis._insert_product
     tails, dims, stats = basis._tails, basis.dims, basis.stats
     insertions = passes = 0
+    # the (index, variable) pairs from each start index on, enumerated once
+    indexed = tuple(enumerate(pack.variables))
+    from_start = [indexed[s:] for s in range(len(indexed))]
     # (row index, pivot, stored tail, start index) of each adopted row to
     # multiply: in the queue below the rung's degree, in `tops` at it
     queue: deque[tuple[int, int, dict[int, int], int]] = deque()
     tops: deque[tuple[int, int, dict[int, int], int]] = deque()
-    below_e = pack.degree_floor(0)  # keys of degree < e lie below it (rung 0 pops no row)
-    inputs = [[] for _ in range(d + 1)]  # (index, terms) of the inputs of each degree
-    for i, f in enumerate(F):
-        if f._degree <= d:  # inputs above the bound are excluded, not truncated
-            inputs[f._degree].append((i, dict(f._packed(pack))))
-
-    def adopt(pivot, kind, source, multiplier, start, next_start):
-        """Trace the row just adopted at `pivot`, from `kind` "f" (an input)
-        or "r" (a row) numbered `source`, and queue it: below the rung's
-        degree from `start` on, at it from `next_start` on next rung."""
-        if trace is not None:
-            trace.write(f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
-                        f"\t{kind}{source}\t{multiplier}\n")
-        if pivot < below_e:
-            queue.append((len(tails) - 1, pivot, tails[pivot], start))
-        else:
-            tops.append((len(tails) - 1, pivot, tails[pivot], next_start))
-        if len(tails) > max_rows:
-            raise CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
-
+    step = 1 << pack.deg_shift  # degree_floor(e + 1) - degree_floor(e)
+    below_e = pack.degree_floor(-1)  # keys of degree < e lie below it (rung 0 pops no row)
+    # (degree, index, input) of the inputs of degree <= d by falling degree, so
+    # each rung pops its own off the end; inputs above the bound are excluded,
+    # not truncated
+    inputs = sorted([(f._degree, i, f) for i, f in enumerate(F.polys) if f._degree <= d],
+                    reverse=True)
     try:
         for e in range(d + 1):
-            below_e_minus_1, below_e = below_e, pack.degree_floor(e)
+            below_e_minus_1, below_e = below_e, below_e + step
             queue, tops = tops, queue  # the rows of degree e - 1 in adoption order; tops empty
-            for i, terms in inputs[e]:
+            while inputs and inputs[-1][0] == e:
+                _, i, f = inputs.pop()
                 insertions += 1
-                pivot = basis._insert(terms)
+                pivot = basis._insert(dict(f._packed(pack)))
                 if pivot is not None:
-                    adopt(pivot, "f", i, "1", 0, 0)
+                    row = len(tails) - 1
+                    if trace is not None:
+                        _trace_row(trace, pack, ring.names, pivot, f"f{i}", "1")
+                    (queue if pivot < below_e else tops).append((row, pivot, tails[pivot], 0))
+                    if row >= max_rows:
+                        raise _row_cap(max_rows, stats)
             while queue:
-                row, pivot, tail, start = queue.popleft()
+                source, pivot, tail, start = queue.popleft()
                 passes += 1
                 # products of degree < e pass their multiplier's index on as a start
                 below = pivot < below_e_minus_1
-                for a, x in enumerate(pack.variables[start:], start):
+                for a, x in from_start[start]:
                     insertions += 1
                     # x keeps the term order, so the product leads with pivot + x;
                     # a monomial row's product is its lead alone, with no map to build
                     lead = insert_product(pivot + x, {k + x: c for k, c in tail.items()}
                                           if tail else {})
                     if lead is not None:
-                        adopt(lead, "r", row, names[a], a if below else 0, a)
+                        row = len(tails) - 1
+                        if trace is not None:
+                            _trace_row(trace, pack, ring.names, lead, f"r{source}", ring.names[a])
+                        if lead < below_e:
+                            queue.append((row, lead, tails[lead], a if below else 0))
+                        else:
+                            tops.append((row, lead, tails[lead], a))
+                        if row >= max_rows:
+                            raise _row_cap(max_rows, stats)
             dims.append(len(tails))
             yield basis
     finally:  # the counters, also those CapExceeded carries
         stats.insertions, stats.adoptions = insertions, len(tails)
         stats.closure_passes, stats.field_mults = passes, basis.mult_count
+
+
+def _trace_row(trace, pack, names, pivot, source, multiplier):
+    """Write the trace line of the row just adopted at `pivot`."""
+    trace.write(f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+                f"\t{source}\t{multiplier}\n")
+
+
+def _row_cap(max_rows, stats):
+    """The CapExceeded of a climb past `max_rows` rows, carrying its
+    counters, which the climb writes as the error leaves it."""
+    return CapExceeded(f"closure exceeded {max_rows} rows", stats=stats)
 
 
 def construct_top_representatives(

@@ -485,6 +485,14 @@ def test_ideal_dims_refuse_a_degree_past_the_largest_supported_one():
         ideal_dims(G, MAX_DEGREE + 1)
 
 
+@pytest.mark.parametrize("e", [2.0, True, -1.5])
+def test_ideal_dims_refuse_a_degree_that_is_not_an_int(e):
+    G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
+    for count in (ideal_dims, ideal_dim_le):
+        with pytest.raises(DomainError, match="degree must be an int"):
+            count(G, e)
+
+
 def test_ideal_dims_start_at_the_least_degree_of_a_leading_monomial():
     # no monomial of degree < 20000 lies in the ideal, so the walk starts from
     # the 20,000 monomials of degree 19999, not from 1 through every degree

@@ -248,6 +248,21 @@ def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap
             entry(F, cap=cap)
 
 
+@pytest.mark.parametrize("cap", [2.5, 3.0, True])
+def test_a_cap_that_is_not_an_int_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
+    """Refused before any work, like a cap below 1: a float would fail
+    mid-scan, and True would pass for 1."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr("soldeg.invariants.degree_of_regularity", refuse)
+    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", refuse)
+    F = gen_fk(3, 101)
+    for entry in (solving_degree, last_fall_degree, verify_bounds):
+        with pytest.raises(DomainError, match="cap must be an int"):
+            entry(F, cap=cap)
+
+
 def test_report_checks_the_basis_it_is_handed(monkeypatch):
     """verify_bounds checks Buchberger's basis after the sd scan, pairs above
     sd always and the rest unless the closure certifies them. Handed the
@@ -428,14 +443,16 @@ def test_report_when_buchberger_is_capped(monkeypatch):
     monkeypatch.setattr("soldeg.invariants.buchberger_reduced", capped)
     report = verify_bounds(gen_fk(2, 101))
     assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, None, None, None)
+    # Gbd, sd and Lfd are all unknown, and each skip names Buchberger's cap
+    reason = "cap: buchberger exceeded 1 pairs"
     assert verdicts(report) == [
-        ("sd_le_dreg_plus_1", "skipped", "cap: sd unavailable"),
-        ("gbd_le_dreg", "skipped", "cap: buchberger exceeded 1 pairs"),
-        ("sd_eq_max_lfd_gbd", "skipped", "cap: sd unavailable"),
-        ("sd_generalized_bound", "skipped", "cap: sd unavailable"),
-        ("lfd_upper_bound", "skipped", "cap: lfd unavailable"),
-        ("sd_macaulay_bound", "skipped", "cap: sd unavailable"),
-        ("vspace_dim_identity", "skipped", "cap: buchberger exceeded 1 pairs"),
+        ("sd_le_dreg_plus_1", "skipped", reason),
+        ("gbd_le_dreg", "skipped", reason),
+        ("sd_eq_max_lfd_gbd", "skipped", reason),
+        ("sd_generalized_bound", "skipped", reason),
+        ("lfd_upper_bound", "skipped", reason),
+        ("sd_macaulay_bound", "skipped", reason),
+        ("vspace_dim_identity", "skipped", reason),
     ]
 
 
@@ -455,7 +472,7 @@ def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
         ("gbd_le_dreg", "pass", None),
         ("sd_eq_max_lfd_gbd", "skipped", "cap: closure exceeded 3 rows"),
         ("sd_generalized_bound", "skipped", "cap: closure exceeded 3 rows"),
-        ("lfd_upper_bound", "skipped", "cap: lfd unavailable"),
+        ("lfd_upper_bound", "skipped", "cap: closure exceeded 3 rows"),
         ("sd_macaulay_bound", "skipped", "cap: closure exceeded 3 rows"),
         ("vspace_dim_identity", "skipped", "cap: closure exceeded 3 rows"),
     ]
@@ -505,7 +522,7 @@ def test_report_when_the_sd_scan_hits_the_user_cap(cap):
         ("gbd_le_dreg", "pass", None),
         ("sd_eq_max_lfd_gbd", "skipped", reason),
         ("sd_generalized_bound", "skipped", reason),
-        ("lfd_upper_bound", "skipped", "cap: lfd unavailable"),
+        ("lfd_upper_bound", "skipped", reason),
         ("sd_macaulay_bound", "skipped", reason),
         ("vspace_dim_identity", "pass", None),
     ]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from soldeg import (
     GREVLEX,
     GRLEX,
+    CapExceeded,
     DomainError,
     InconsistencyError,
     PolySystem,
@@ -29,6 +30,7 @@ from soldeg import (
 
 from helpers import mk
 from oracle_vspace import BruteForceSpan
+from soldeg.vspace import DEFAULT_MAX_ROWS
 
 
 # --- closure ------------------------------------------------------------------
@@ -57,6 +59,13 @@ def test_closure_without_mutants():
 def test_closure_rejects_degree_zero():
     with pytest.raises(DomainError):
         v_space_closure(gen_fk(2, 101), 0)
+
+
+@pytest.mark.parametrize("d", [2.0, 2.5, True])
+def test_closure_refuses_a_degree_that_is_not_an_int(d):
+    # a bool passes isinstance(d, int) but is no degree
+    with pytest.raises(DomainError, match="closure degree must be an int"):
+        v_space_closure(gen_fk(2, 101), d)
 
 
 def test_closure_rows_lie_in_the_ideal():
@@ -239,6 +248,35 @@ def test_closure_matches_the_closure_without_the_skip(case):
     assert all(residual.is_zero for residual in skipped)
 
 
+def closure_outcome(F, d, order, trace, max_rows=DEFAULT_MAX_ROWS):
+    """(dims, rows, counters) of v_space_closure(F, d, order), or the
+    counters that CapExceeded carries when the closure passes `max_rows`."""
+    try:
+        V = v_space_closure(F, d, order, max_rows=max_rows, trace=trace)
+    except CapExceeded as err:
+        return "capped", dict(vars(err.stats))
+    return V.dims, V._rows(), dict(vars(V.stats))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(closure_cases(), st.integers(1, 12))
+def test_an_untraced_closure_equals_a_traced_one(case, max_rows):
+    # reports and the benchmark climb untraced; the oracle tests above trace
+    F, d, order = case
+    for cap in (DEFAULT_MAX_ROWS, max_rows):
+        assert closure_outcome(F, d, order, None, cap) == closure_outcome(F, d, order, io.StringIO(), cap)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_an_untraced_closure_equals_a_traced_one_on_the_family(k):
+    F = gen_fk(k, 101)
+    for order, d, cap in itertools.product((GREVLEX, GRLEX), (k + 1, k + 2), (DEFAULT_MAX_ROWS, 5)):
+        untraced = closure_outcome(F, d, order, None, cap)
+        assert untraced == closure_outcome(F, d, order, io.StringIO(), cap)
+        assert (untraced[0] == "capped") == (cap == 5)
+
+
 def closure_with_and_without_the_product_path(F, d, order):
     """(trace text, dims, rows, stats) of v_space_closure(F, d, order), once
     as it is and once with every product reduced by RowBasis._insert, so
@@ -350,7 +388,7 @@ def test_rung_dims_equal_the_closures_of_each_degree():
 def test_a_climb_closed_early_writes_the_counters_of_the_rungs_it_climbed():
     # the d_reg walk closes the climb at every finite d_reg: its counters,
     # rung dims and rows are then those of the closure to the last rung
-    from soldeg.vspace import DEFAULT_MAX_ROWS, _climb
+    from soldeg.vspace import _climb
 
     systems = [gen_fk(k, p) for k, p in ((3, 101), (5, 3), (7, 2))] + [
         gen_random(RandomSpec(seed=seed, n=n, k=n + 1, deg_bounds=(2,) * (n + 1), density=0.7, p=p))
@@ -390,8 +428,6 @@ def test_closure_log_and_trace():
 
 
 def test_closure_cap_carries_partial_stats():
-    from soldeg import CapExceeded
-
     F = gen_fk(4, 101)
     with pytest.raises(CapExceeded) as err:
         v_space_closure(F, 5, max_rows=2)
@@ -401,8 +437,6 @@ def test_closure_cap_carries_partial_stats():
 
 @pytest.mark.parametrize("max_rows", [1, 5, 10])
 def test_closure_cap_carries_the_counters_at_the_cap(max_rows):
-    from soldeg import CapExceeded
-
     F = gen_random(RandomSpec(seed=2, n=3, k=3, deg_bounds=(2, 2, 2), density=1.0, p=101))
     assert v_space_closure(F, 3).span_dim() > max_rows
     with pytest.raises(CapExceeded) as err:
