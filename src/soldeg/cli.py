@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -145,37 +143,28 @@ def _cmd_oracle_diff(args) -> int:
     return 0 if same else 1
 
 
-def _sweep_instance(task) -> DegreeReport:
-    k, p, order_kind, cap = task
-    return verify_bounds(gen_fk(k, p), TermOrder(order_kind), cap=cap)
-
-
 def _cmd_sweep(args) -> int:
     if args.start < 2 or args.stop < args.start:
         raise DomainError("need 2 <= --from <= --to")
-    if args.stop > MAX_DEGREE:  # refused before the task list is built
+    if args.stop > MAX_DEGREE:  # refused before the first report
         raise DomainError(f"--to is above the largest supported degree {MAX_DEGREE}")
-    order_kind = args.order or "grevlex"
-    tasks = [(k, args.p, order_kind, args.cap) for k in range(args.start, args.stop + 1)]
-    workers = min(len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_sweep_instance, tasks))
-    else:
-        reports = [_sweep_instance(t) for t in tasks]
-    rows = [{**report.to_json(), "k": task[0]} for task, report in zip(tasks, reports)]
+    order = TermOrder(args.order or "grevlex")
+    rows, codes = [], set()
+    for k in range(args.start, args.stop + 1):
+        report = verify_bounds(gen_fk(k, args.p), order, cap=args.cap)
+        codes.add(_report_exit_code(report))
+        row = {**report.to_json(), "k": k}
+        rows.append(row)
+        if args.json:
+            continue
+        if k == args.start:  # after the first report, so an input refused there prints nothing
+            print("k   d_reg  gbd  sd  lfd  certificates")
+        verdicts = [c["verdict"] for c in row["certificates"]]
+        summary = f"{verdicts.count('pass')} pass, {verdicts.count('fail')} fail, {verdicts.count('skipped')} skipped"
+        print(f"{row['k']:<3d} {row['d_reg']!s:6s} {row['gbd']!s:4s} {row['sd']!s:3s} "
+              f"{row['lfd']!s:4s} {summary}", flush=True)  # each row as its report finishes
     if args.json:
         print(json.dumps(rows, indent=2))
-    else:
-        print("k   d_reg  gbd  sd  lfd  certificates")
-        for row in rows:
-            verdicts = [c["verdict"] for c in row["certificates"]]
-            summary = f"{verdicts.count('pass')} pass, {verdicts.count('fail')} fail, {verdicts.count('skipped')} skipped"
-            print(
-                f"{row['k']:<3d} {row['d_reg']!s:6s} {row['gbd']!s:4s} {row['sd']!s:3s} "
-                f"{row['lfd']!s:4s} {summary}"
-            )
-    codes = {_report_exit_code(report) for report in reports}
     return 1 if 1 in codes else 3 if 3 in codes else 0
 
 

@@ -31,6 +31,7 @@ from .rings import (
     PolySystem,
     Ring,
     TermOrder,
+    _check_int,
     check_modulus,
 )
 
@@ -79,6 +80,10 @@ class RandomSpec:
     retry_limit: int = 200
 
     def __post_init__(self):
+        for field in ("seed", "n", "k", "retry_limit"):
+            _check_int(getattr(self, field), field)
+        for b in self.deg_bounds:
+            _check_int(b, "degree bound")
         if not 1 <= self.n <= MAX_VARS:
             raise DomainError(f"need 1..{MAX_VARS} variables, got {self.n}")
         if self.k < 1:

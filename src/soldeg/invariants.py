@@ -5,7 +5,10 @@ All four invariants are exact integers (the regularity degree may be an
 InfiniteDegree marker carrying its cap, one past the Macaulay bound).
 verify_bounds computes everything once: one scan gives sd, and Lfd from
 the rung dimensions of its last closure, and one rule turns each bound into
-a certificate with lhs, rhs, and a pass/fail/skipped verdict. Resource caps never produce wrong numbers:
+a certificate with lhs, rhs, and a pass/fail/skipped verdict. Every closure
+a report reads is a rung of one climb (_rungs): the d_reg walk climbs the
+tops, and the scan and the identity certificate climb F, so a report
+builds no v_space_closure. Resource caps never produce wrong numbers:
 a capped computation turns the certificates that need it into skips with a
 "cap:" reason. mutantxl_gb reads the reduced Groebner basis off the closure
 at d_reg + 1, which contains it when max deg(F) <= d_reg.
@@ -21,7 +24,7 @@ from typing import Union
 from .errors import CapExceeded, DomainError, PreconditionError
 from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
                        ideal_dim_le, ideal_dims)
-from .rings import GREVLEX, MAX_DEGREE, PolySystem, TermOrder, _check_int
+from .rings import GREVLEX, MAX_DEGREE, Packing, PolySystem, TermOrder, _check_int
 from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
@@ -72,6 +75,38 @@ def _rational_common_zero(F: PolySystem) -> bool:
     )
 
 
+def _rungs(F: PolySystem, order: TermOrder, trace=None):
+    """The rung reader of one climb of F: at(e) climbs to rung e and returns
+    the climb's one basis, whose dims[e] = dim V(F, e) and which holds
+    V(F, e) itself while no later rung has been read. A climb through rung
+    e holds V(F, e) with the rows, counters and trace of
+    v_space_closure(F, e) (see vspace._climb), so at(e) writes to `trace`
+    the climb's first dims[e] lines: the lines that closure would write.
+    Once the row cap has stopped the climb, at(e) for every later rung
+    writes every line the climb wrote, as the capped closure would, and
+    raises that same CapExceeded. Past MAX_DEGREE it raises DomainError."""
+    lines: list[str] = []
+    climb = _climb(F, MAX_DEGREE, order, max_rows=DEFAULT_MAX_ROWS,
+                   trace=None if trace is None else lines.append)
+    V, capped = next(climb), None  # rung 0 holds at most one row, so no cap stops it
+
+    def at(e: int) -> VSpaceBasis:
+        nonlocal capped
+        Packing.check(e)
+        try:
+            while capped is None and len(V.dims) <= e:
+                next(climb)
+        except CapExceeded as exc:
+            capped = exc
+        if trace is not None:
+            trace.write("".join(lines[: V.dims[e]] if e < len(V.dims) else lines))
+        if e >= len(V.dims):
+            raise capped
+        return V
+
+    return at
+
+
 def degree_of_regularity(F: PolySystem) -> DegreeValue:
     """Smallest d at which the degree-d slice spanned by bounded multiples of
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
@@ -100,12 +135,13 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     so d_reg is Lazard's degree or infinite: past MAX_DEGREE either answer
     ends in a DomainError, raised before the walk climbs a rung.
 
-    The walk climbs the closure of the tops (vspace._climb) under grevlex,
-    so it shares the closure's row cap: past it, a CapExceeded names the
-    walk. The tops are homogeneous, so each product of a top by a monomial
-    is too, and V(tops, e) is the direct sum of the slices of degree <= e:
-    slice e has dimension dims[e] - dims[e - 1]. Past rung MAX_DEGREE with
-    no slice filled, the walk raises the DomainError of degree MAX_DEGREE + 1.
+    The walk reads the rungs of one climb of the tops (_rungs) under
+    grevlex, so it shares the closure's row cap: past it, a CapExceeded
+    names the walk. The tops are homogeneous, so each product of a top by a
+    monomial is too, and V(tops, e) is the direct sum of the slices of
+    degree <= e: slice e has dimension dims[e] - dims[e - 1]. Past rung
+    MAX_DEGREE with no slice filled, the walk raises the DomainError of
+    degree MAX_DEGREE + 1.
     """
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
@@ -120,16 +156,14 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     if len(F) == n and min(F.degrees()) > 0 and cap - 2 > MAX_DEGREE:
         raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "
                           f"exceeds the largest supported degree {MAX_DEGREE}")
-    tops = PolySystem(F.ring, [f.top() for f in F])
-    last = min(max(1, cap - 2), MAX_DEGREE + 1)  # Lazard's degree, two below the cap
-    rungs = _climb(tops, min(last, MAX_DEGREE), GREVLEX, max_rows=DEFAULT_MAX_ROWS, trace=None)
+    at = _rungs(PolySystem(F.ring, [f.top() for f in F]), GREVLEX)
     try:
-        for e, V in enumerate(rungs):
-            if e and V.dims[e] - V.dims[e - 1] == math.comb(e + n - 1, e):  # rung 0: constant tops
+        for e in range(1, max(1, cap - 2) + 1):  # up to Lazard's degree, two below the cap
+            dims = at(e).dims  # rung 0, which constant tops fill, is climbed and not read
+            if dims[e] - dims[e - 1] == math.comb(e + n - 1, e):
                 return e
     except CapExceeded as exc:
         raise CapExceeded(f"d_reg walk: {exc}", stats=exc.stats, details=exc.details) from None
-    pack.check(last)  # no slice past MAX_DEGREE can be formed
     return InfiniteDegree(cap)
 
 
@@ -167,15 +201,16 @@ def _check_cap(cap: int | None) -> None:
             raise DomainError(f"cap must be at least 1, got {cap}")
 
 
-def _scan(F, order, G, cap, trace=None) -> tuple[int, int, int, list[int], list[int]]:
-    """(sd, Lfd, certified, ideal, dims) from the closures V(F, d), keeping
-    only the latest. sd is the first d >= max(1, Gbd) whose span contains G;
-    past `cap` (default: one past the Macaulay bound, as in InfiniteDegree,
-    so read off the input and not off d_reg) CapExceeded carries the scanned
-    span dimensions. For e = 0..sd, `dims[e]` = dim V(F, e), the rungs of
-    V(F, sd), and `ideal[e]` counts the ideal's elements of degree <= e, in
-    one pass. Lfd is one past the last e <= sd with dims[e] < ideal[e], found
-    walking down from sd, so it builds no closure. `certified` is sd when
+def _scan(F, order, G, cap, at) -> tuple[int, int, int, list[int], list[int]]:
+    """(sd, Lfd, certified, ideal, dims) from the closures V(F, d), read as
+    the rungs d = max(1, Gbd), ... of one climb of F, through its unread
+    reader `at` (_rungs). sd is the first d >= max(1, Gbd) whose span
+    contains G; past `cap` (default: one past the Macaulay bound, as in
+    InfiniteDegree, so read off the input and not off d_reg) CapExceeded
+    carries the scanned span dimensions. For e = 0..sd, `dims[e]` =
+    dim V(F, e), and `ideal[e]` counts the ideal's elements of degree <= e,
+    in one pass. Lfd is one past the last e <= sd with dims[e] < ideal[e],
+    found walking down from sd, so it reads no further rung. `certified` is sd when
     dims[sd] equals ideal[sd], the count of multiples of LM(G) of degree
     <= sd, else 0: then every S-pair of G with lcm degree <= sd reduces to
     zero (see verify_bounds).
@@ -186,13 +221,13 @@ def _scan(F, order, G, cap, trace=None) -> tuple[int, int, int, list[int], list[
     goals = [g._packed(pack) for g in G.polys]  # keyed once, as the closures key rows
     partial: dict[int, int] = {}
     for sd in range(max(1, G.max_degree), cap + 1):
-        V = v_space_closure(F, sd, order, trace=trace)
-        partial[sd] = V.span_dim()
+        V = at(sd)
+        partial[sd] = V.dims[sd]
         if all(V._contains(t) for t in goals):
             break
     else:
         raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
-    ideal, dims = ideal_dims(G, sd), V.dims
+    ideal, dims = ideal_dims(G, sd), V.dims[: sd + 1]  # a later rung read extends V.dims
     # going down, the first fall is the last one
     lfd = 1 + next((e for e in range(sd, 0, -1) if dims[e] < ideal[e]), 0)
     return sd, lfd, sd if dims[sd] == ideal[sd] else 0, ideal, dims
@@ -202,7 +237,7 @@ def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = 
     """Smallest d whose degree-d span contains the reduced Groebner basis."""
     _check_cap(cap)
     G = buchberger_reduced(F, order)
-    return _scan(F, order, G, cap)[0]
+    return _scan(F, order, G, cap, _rungs(F, order))[0]
 
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -212,7 +247,7 @@ def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None 
     at the last fall."""
     _check_cap(cap)
     G = buchberger_reduced(F, order)
-    return _scan(F, order, G, cap)[1]
+    return _scan(F, order, G, cap, _rungs(F, order))[1]
 
 
 @dataclass
@@ -295,10 +330,13 @@ def verify_bounds(
     (None) and every certificate that reads d_reg a `cap:` skip; Gbd, sd and
     Lfd are still computed. A cap that stops Buchberger or the sd scan
     likewise names itself in the skip of every certificate that needs a
-    value it left unknown: Gbd (Buchberger only), sd and Lfd. The scan keeps only its latest closure; Lfd, and
-    the identity certificate when d_reg + 1 <= sd, read the rung dimensions
-    of V(F, sd), else the identity builds V(F, d_reg + 1). `trace` receives
-    the lines of the closures built (see v_space_closure).
+    value it left unknown: Gbd (Buchberger only), sd and Lfd. The scan and
+    the identity read the rungs of one climb of F (_rungs): the scan reads
+    V(F, d) at d = max(1, Gbd)..sd; Lfd, and the identity certificate when
+    d_reg + 1 <= sd, read the rung dimensions of V(F, sd), else the
+    identity continues the climb to d_reg + 1. `trace` receives, for each
+    rung read, the lines v_space_closure(F, d, trace=trace) would write:
+    the trace of each closure the report reads, as if built from scratch.
 
     Buchberger runs unchecked, and its basis G is checked after the sd scan,
     before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
@@ -347,9 +385,10 @@ def verify_bounds(
 
     G = gbd_v = sd = lfd = None
     certified, ideal, dims = 0, [], []
+    at = _rungs(F, order, trace)  # the one climb of F that the scan and the identity read
     try:
         G = buchberger_reduced(F, order, check=False)
-        sd, lfd, certified, ideal, dims = _scan(F, order, G, cap, trace)
+        sd, lfd, certified, ideal, dims = _scan(F, order, G, cap, at)
     except CapExceeded as exc:  # every value the capped phase leaves unknown names its cap
         cap_notes.update(dict.fromkeys(("gbd", "sd", "lfd") if G is None else ("sd", "lfd"),
                                        str(exc)))
@@ -391,7 +430,7 @@ def verify_bounds(
             raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
         if d < len(dims):  # d <= sd: the scan's rungs hold dim V(F, d)
             return dims[d], ideal[d]
-        return v_space_closure(F, d, order, trace=trace).span_dim(), ideal_dim_le(G, d)
+        return at(d).dims[d], ideal_dim_le(G, d)  # the scan's climb, on to rung d
 
     certs = [
         certify("sd_le_dreg_plus_1", ("sd", "d_reg"), lambda: (sd, d_reg + 1), trivial=True,

@@ -310,6 +310,8 @@ class Ring:
         return Polynomial(self, {})
 
     def variable(self, i: int) -> Polynomial:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.nvars:
+            raise DomainError(f"variable index must be an int in 0..{self.nvars - 1}, got {i!r}")
         exps = [0] * self.nvars
         exps[i] = 1
         return Polynomial(self, {tuple(exps): 1})
@@ -471,7 +473,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, e: int) -> Polynomial:
-        if not isinstance(e, int) or e < 0:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise DomainError("polynomial powers take non-negative int exponents")
         result = self.ring.one()
         for _ in range(e):

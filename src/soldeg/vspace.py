@@ -22,8 +22,10 @@ product is one. The rung loop adopts each row itself, with one call per
 product, the one to RowBasis._insert_product that stores it, and formats
 a trace line only when tracing. The basis keeps dim V(F, e) of every rung
 in `dims`. The rungs come from _climb, the only code that multiplies rows
-by variables: v_space_closure runs it to d, the d_reg walk over the top
-parts until a slice fills. Adoption order makes traces and counters
+by variables: v_space_closure runs it to d, and a report reads the rungs
+of one climb of F and of one of its top parts (invariants), since a climb
+through rung e holds V(F, e), row for row and line for line of its trace,
+whatever degree it climbs on to. Adoption order makes traces and counters
 reproducible; the resulting basis is canonical regardless. Every span the
 library hands out is such a closure, returned as its own echelon basis (a
 VSpaceBasis is a RowBasis).
@@ -136,7 +138,8 @@ def v_space_closure(
     if d < 1:
         raise DomainError("closure degree must be at least 1")
     Packing.check(d)  # no product formed below exceeds degree d
-    *_, basis = _climb(F, d, order, max_rows=max_rows, trace=trace)
+    *_, basis = _climb(F, d, order, max_rows=max_rows,
+                       trace=None if trace is None else trace.write)
     return basis
 
 
@@ -151,8 +154,10 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     goes to `queue` when its degree is below the rung's, to start from its
     start index, else to `tops`, to start from its multiplier's index at
     the next rung; then the cap is tested. A trace line is formatted only
-    when tracing. Each product costs one call, RowBasis._insert_product,
-    which stores it; the variables are enumerated once per closure."""
+    when tracing: `trace`, when not None, is called with each line, which
+    ends in a newline. Each product costs one call,
+    RowBasis._insert_product, which stores it; the variables are
+    enumerated once per closure."""
     ring = F.ring
     basis = VSpaceBasis(ring, order, d)
     pack = basis._pack
@@ -184,7 +189,7 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
                 if pivot is not None:
                     row = len(tails) - 1
                     if trace is not None:
-                        _trace_row(trace, pack, ring.names, pivot, f"f{i}", "1")
+                        trace(_trace_line(pack, ring.names, pivot, f"f{i}", "1"))
                     (queue if pivot < below_e else tops).append((row, pivot, tails[pivot], 0))
                     if row >= max_rows:
                         raise _row_cap(max_rows, stats)
@@ -202,7 +207,7 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
                     if lead is not None:
                         row = len(tails) - 1
                         if trace is not None:
-                            _trace_row(trace, pack, ring.names, lead, f"r{source}", ring.names[a])
+                            trace(_trace_line(pack, ring.names, lead, f"r{source}", ring.names[a]))
                         if lead < below_e:
                             queue.append((row, lead, tails[lead], a if below else 0))
                         else:
@@ -216,10 +221,10 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
         stats.closure_passes, stats.field_mults = passes, basis.mult_count
 
 
-def _trace_row(trace, pack, names, pivot, source, multiplier):
-    """Write the trace line of the row just adopted at `pivot`."""
-    trace.write(f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
-                f"\t{source}\t{multiplier}\n")
+def _trace_line(pack, names, pivot, source, multiplier):
+    """The trace line of the row just adopted at `pivot`."""
+    return (f"{pack.degree(pivot)}\t{_render_exps(pack.decode(pivot), names)}"
+            f"\t{source}\t{multiplier}\n")
 
 
 def _row_cap(max_rows, stats):
@@ -243,7 +248,7 @@ def construct_top_representatives(
     when max deg(F) exceeds d_reg; InconsistencyError names the largest
     monomial that is no pivot (the given regularity degree was wrong).
     """
-    if not isinstance(d_reg, int) or d_reg < 1:
+    if not isinstance(d_reg, int) or isinstance(d_reg, bool) or d_reg < 1:
         raise DomainError(f"regularity degree must be a positive int, got {d_reg!r}")
     if F.max_degree() > d_reg:
         raise PreconditionError(

@@ -315,41 +315,33 @@ def test_sweep_refuses_a_reversed_range(capsys):
 
 def test_sweep_refuses_a_degree_above_the_largest_up_front(monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr("soldeg.cli._sweep_instance", calls.append)
+    monkeypatch.setattr(cli, "verify_bounds", lambda *args, **kwargs: calls.append(args))
     assert main(["sweep", "fk", "--to", "1000000000"]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith("error: --to is above")
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool with a serial stand-in that records its size."""
-    sizes = []
+def test_sweep_prints_each_row_as_its_report_finishes(monkeypatch, capsys):
+    printed = []
+    report = cli.verify_bounds
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(*args, **kwargs):
+        printed.append(capsys.readouterr().out)
+        return report(*args, **kwargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("soldeg.cli.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr("soldeg.cli.os.cpu_count", lambda: 4)
-    return sizes
-
-
-def test_sweep_clamps_workers(pool_sizes, capsys):
-    """The pool has min(instances, CPUs) workers; one instance runs serially."""
+    monkeypatch.setattr(cli, "verify_bounds", recording)
     assert main(["sweep", "fk", "--from", "2", "--to", "4"]) == 0
-    assert main(["sweep", "fk", "--from", "2", "--to", "7"]) == 0
-    assert main(["sweep", "fk", "--from", "2", "--to", "2"]) == 0
-    assert pool_sizes == [3, 4]
+    printed.append(capsys.readouterr().out)
+    # nothing before the first report; the header with the first row; then a row per report
+    assert [out.count("\n") for out in printed] == [0, 2, 1, 1]
+    assert printed[1].startswith("k ") and printed[3].startswith("4 ")
+
+
+def test_a_sweep_refused_at_its_first_report_prints_no_table(capsys):
+    assert main(["sweep", "fk", "--from", "2", "--to", "3", "--p", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_stdin_input(capsys, monkeypatch):

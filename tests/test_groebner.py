@@ -124,6 +124,14 @@ def test_buchberger_refuses_generators_of_several_rings():
         buchberger_reduced(F)
 
 
+def test_buchberger_refuses_an_empty_or_all_zero_family():
+    with pytest.raises(DomainError, match="empty family"):
+        buchberger_reduced([])
+    zero = Ring(101, ("x", "y")).zero()
+    with pytest.raises(DomainError, match="all-zero generators"):
+        buchberger_reduced([zero, zero])
+
+
 def test_buchberger_cap():
     F = gen_fk(5, 101)
     with pytest.raises(CapExceeded):
@@ -279,7 +287,7 @@ def test_closure_certified_check_rejects_exactly_when_the_full_check_does(p, ord
     Buchberger run holds after a random number of S-polynomials, so it is
     often not yet a Groebner basis and both answers occur."""
     from soldeg import PolySystem, degree_of_regularity
-    from soldeg.invariants import _scan
+    from soldeg.invariants import _rungs, _scan
 
     ring = Ring(p, ("x", "y", "z")[: data.draw(st.integers(2, 3))])
     n = ring.nvars
@@ -291,7 +299,7 @@ def test_closure_certified_check_rejects_exactly_when_the_full_check_does(p, ord
     polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
     H = _reduced_basis(ring, _plain_buchberger(polys, pack, p, data.draw(st.integers(0, 10))), order)
     try:
-        _, _, certified, _, _ = _scan(F, order, H, None)
+        _, _, certified, _, _ = _scan(F, order, H, None, _rungs(F, order))
     except CapExceeded:
         return
     if not certified:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,23 @@ def test_spec_validation():
         RandomSpec(seed=0, n=2, k=1, deg_bounds=(1,), density=0.0, p=101)
     with pytest.raises(DomainError):
         RandomSpec(seed=0, n=2, k=1, deg_bounds=(0,), p=101)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"k": 0, "deg_bounds": ()}, "need at least one polynomial"),
+    ({"retry_limit": -1}, "retry limit must be non-negative"),
+    # fields that are not ints (a bool is not one) are refused before any is used
+    ({"n": 2.5}, "n must be an int, got 2.5"),
+    ({"deg_bounds": (2.0,)}, "degree bound must be an int, got 2.0"),
+    ({"retry_limit": 1.5, "require_hypothesis": True}, "retry_limit must be an int, got 1.5"),
+    ({"n": True}, "n must be an int, got True"),
+    ({"k": 1.0}, "k must be an int, got 1.0"),
+    ({"seed": 1.0}, "seed must be an int, got 1.0"),
+    ({"seed": "1"}, "seed must be an int, got '1'"),
+])
+def test_spec_refuses_each_bad_field(fields, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        RandomSpec(**{"seed": 0, "n": 2, "k": 1, "deg_bounds": (1,), "p": 101, **fields})
 
 
 # --- parser ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import tracemalloc
@@ -29,6 +30,7 @@ from soldeg import (
     v_space_closure,
     verify_bounds,
 )
+from soldeg.vspace import DEFAULT_MAX_ROWS
 
 from helpers import mk
 from oracle_vspace import rref
@@ -174,21 +176,25 @@ def test_the_walk_shares_the_closures_row_cap(monkeypatch, tmp_path, capsys):
     from soldeg import invariants, vspace
     from soldeg.cli import main
 
-    def capped(F, d, order, *, max_rows, trace):
-        return vspace._climb(F, d, order, max_rows=10, trace=trace)
-
     text = "p=101; vars=x,y; x^2; y^5"
-    assert degree_of_regularity(mk(text)) == 6
+    system = mk(text)
+
+    def capped(F, d, order, *, max_rows, trace):
+        # the walk climbs a system of tops of its own; the climb of `system`
+        # that a report of it reads keeps the default cap
+        return vspace._climb(F, d, order, max_rows=max_rows if F is system else 10, trace=trace)
+
+    assert degree_of_regularity(system) == 6
     full = verify_bounds(mk(text))
     monkeypatch.setattr(invariants, "_climb", capped)
     note = "d_reg walk: closure exceeded 10 rows"
     with pytest.raises(CapExceeded, match=note) as err:
-        degree_of_regularity(mk(text))
+        degree_of_regularity(system)
     assert err.value.stats.adoptions == 11
     assert err.value.stats.insertions >= 11
     # the report still comes out: Gbd, sd and Lfd as before, d_reg unknown,
     # and every certificate that reads d_reg a cap skip
-    report = verify_bounds(mk(text))
+    report = verify_bounds(system)
     assert (report.d_reg, report.gbd, report.sd, report.lfd) == (None, full.gbd, full.sd, full.lfd)
     assert report.hypothesis == {"d_reg_finite": None, "max_deg_le_d_reg": None, "satisfied": False}
     for c, f in zip(report.certificates, full.certificates):
@@ -198,6 +204,7 @@ def test_the_walk_shares_the_closures_row_cap(monkeypatch, tmp_path, capsys):
             assert (c.verdict, c.reason) == ("skipped", f"cap: {note}")
     assert report.to_json()["d_reg"] is None
     assert report.all_pass and report.any_capped
+    # analyze parses a system of its own, so there the climb of F is capped too
     path = tmp_path / "capped.txt"
     path.write_text(text + "\n")
     assert main(["analyze", str(path)]) == 3
@@ -282,14 +289,21 @@ def test_report_checks_the_basis_it_is_handed(monkeypatch):
 
 
 def test_solving_and_last_fall_degrees_build_no_regularity_slice(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the sd scan must not climb the d_reg walk")
+    # each climbs F once and never the tops, a system the d_reg walk builds
+    from soldeg import invariants, vspace
 
-    monkeypatch.setattr("soldeg.invariants._climb", refuse)
-    F = gen_fk(3, 101)
-    assert (solving_degree(F), last_fall_degree(F)) == (4, 4)
-    F = mk("p=101; vars=x,y; x^999 + y^999; x + y")
-    assert (solving_degree(F), last_fall_degree(F)) == (1, 1)
+    climbed = []
+
+    def recording(F, *args, **kwargs):
+        climbed.append(F)
+        return vspace._climb(F, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_climb", recording)
+    for F, degrees in [(gen_fk(3, 101), (4, 4)),
+                       (mk("p=101; vars=x,y; x^999 + y^999; x + y"), (1, 1))]:
+        climbed.clear()
+        assert (solving_degree(F), last_fall_degree(F)) == degrees
+        assert len(climbed) == 2 and all(S is F for S in climbed)
 
 
 @pytest.mark.parametrize("k", [3, 6])
@@ -456,16 +470,20 @@ def test_report_when_buchberger_is_capped(monkeypatch):
     ]
 
 
-def row_capped_closure(max_rows):
-    def closure(F, d, order, *, trace=None):
-        return v_space_closure(F, d, order, max_rows=max_rows, trace=trace)
+def cap_the_climb_of(monkeypatch, F, cap):
+    """Cap the climb of F itself at `cap` rows, and not the d_reg walk's
+    climb of the tops, a system of its own."""
+    from soldeg import invariants, vspace
 
-    return closure
+    def climb(S, d, order, *, max_rows, trace):
+        return vspace._climb(S, d, order, max_rows=cap if S is F else max_rows, trace=trace)
+
+    monkeypatch.setattr(invariants, "_climb", climb)
+    return F
 
 
 def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
-    monkeypatch.setattr("soldeg.invariants.v_space_closure", row_capped_closure(3))
-    report = verify_bounds(gen_fk(2, 101))
+    report = verify_bounds(cap_the_climb_of(monkeypatch, gen_fk(2, 101), 3))
     assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, 1, None, None)
     assert verdicts(report) == [
         ("sd_le_dreg_plus_1", "skipped", "cap: closure exceeded 3 rows"),
@@ -480,8 +498,7 @@ def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
 
 def test_report_when_only_the_identity_closure_hits_the_row_cap(monkeypatch):
     # sd = 2 needs a 2-row closure; the identity closure at d_reg + 1 = 4 needs more
-    monkeypatch.setattr("soldeg.invariants.v_space_closure", row_capped_closure(5))
-    report = verify_bounds(mk("p=101; vars=x,y; x^2; y^2"))
+    report = verify_bounds(cap_the_climb_of(monkeypatch, mk("p=101; vars=x,y; x^2; y^2"), 5))
     assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 2, 2, 1)
     assert verdicts(report) == [
         ("sd_le_dreg_plus_1", "pass", None),
@@ -732,31 +749,116 @@ def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, walks",
     [
-        lambda: gen_fk(6, 101),
-        lambda: mk(UNDERDETERMINED),  # Gbd = sd = 3 and Lfd = 1, d_reg infinite
-        lambda: gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4)),
-        lambda: gen_random(RandomSpec(seed=5, n=3, k=3, deg_bounds=(3, 2, 2), p=3)),
+        (lambda: gen_fk(6, 101), True),
+        (lambda: mk(UNDERDETERMINED), False),  # Gbd = sd = 3 and Lfd = 1, d_reg infinite
+        (lambda: gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4)), True),
+        # the walk climbs to Lazard's degree and proves d_reg infinite
+        (lambda: gen_random(RandomSpec(seed=5, n=3, k=3, deg_bounds=(3, 2, 2), p=3)), True),
     ],
     ids=["fk6", "underdetermined", "n4-quadrics", "n3-p3"],
 )
 def test_verify_bounds_builds_closures_only_at_the_scanned_and_identity_degrees(
-    monkeypatch, make
+    monkeypatch, make, walks
 ):
-    from soldeg import invariants
+    """A report reads V(F, d) at the scanned degrees and the identity's, as
+    rungs of one climb of F, beside one climb of the tops when the d_reg
+    walk runs; it builds no v_space_closure."""
+    from soldeg import invariants, vspace
 
-    F, built = make(), []
+    F, climbed, read = make(), [], []
+    rungs = invariants._rungs
 
-    def counted(F, d, *args, **kwargs):
-        built.append(d)
-        return v_space_closure(F, d, *args, **kwargs)
+    def climb(S, *args, **kwargs):
+        climbed.append(S is F)
+        return vspace._climb(S, *args, **kwargs)
 
-    monkeypatch.setattr(invariants, "v_space_closure", counted)
+    def reader(S, *args):
+        at = rungs(S, *args)
+
+        def recorded(e):
+            read.append(e)
+            return at(e)
+
+        return recorded if S is F else at
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report builds no closure of its own")
+
+    monkeypatch.setattr(invariants, "_climb", climb)
+    monkeypatch.setattr(invariants, "_rungs", reader)
+    monkeypatch.setattr(invariants, "v_space_closure", refuse)
     report = verify_bounds(F)
     scanned = list(range(max(1, report.gbd), report.sd + 1))
     identity = [report.d_reg + 1] if report.hypothesis["satisfied"] and report.d_reg >= report.sd else []
-    assert built == scanned + identity  # no closure below max(1, Gbd), none built twice
+    assert read == scanned + identity  # no rung below max(1, Gbd), none read twice
+    assert climbed == [False] * walks + [True]  # the tops, then F
+
+
+def _closure_trace(F, d, max_rows):
+    """(trace text, capped) of v_space_closure(F, d) built from scratch."""
+    sink = io.StringIO()
+    try:
+        v_space_closure(F, d, max_rows=max_rows, trace=sink)
+    except CapExceeded:
+        return sink.getvalue(), True
+    return sink.getvalue(), False
+
+
+@pytest.mark.parametrize("max_rows", [12, DEFAULT_MAX_ROWS])  # V(fk4, 5) has 20 rows
+def test_the_rung_reader_reads_each_rung_as_the_closure_at_its_degree(monkeypatch, max_rows):
+    """Read in any order, a rung gives dim V(F, d) and writes the trace of
+    v_space_closure(F, d); once the row cap has stopped the climb, every
+    later rung raises that cap, and an earlier one is still read."""
+    from soldeg import invariants
+
+    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", max_rows)
+    F, log = gen_fk(4, 101), io.StringIO()
+    at = invariants._rungs(F, GREVLEX, log)
+    for d in (3, 5, 2, 6, 4, 1):
+        start = len(log.getvalue())
+        trace, capped = _closure_trace(F, d, max_rows)
+        if capped:
+            with pytest.raises(CapExceeded, match=f"closure exceeded {max_rows} rows"):
+                at(d)
+        else:
+            assert at(d).dims[d] == v_space_closure(F, d).span_dim()
+        assert log.getvalue()[start:] == trace
+    with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+        at(MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("max_rows", [3, 5, 12, 40, None])
+@pytest.mark.parametrize("text", [
+    "p=101; vars=x,y; x^2 + y; y^2 + x; x*y",
+    "p=101; vars=x,y; x^5 + y; y^5 + x; x*y",
+    "p=101; vars=x,y; x^2; y^5",  # d_reg + 1 = 7 > sd = 5: the identity climbs on
+    "p=101; vars=x,y; x*y",
+    "p=101; vars=x,y; x; x + 1",
+    "p=3; vars=x,y,z; x^2 + y*z + 1; y^2 + x; z^2 + x*y + z",
+])
+def test_a_report_traces_each_closure_it_reads_as_a_closure_built_from_scratch(
+    monkeypatch, text, max_rows
+):
+    """The trace of a report is that of V(F, d) built from scratch at each
+    scanned degree, up to sd or the first capped one, then at d_reg + 1
+    when the identity needs it past sd; a capped closure's trace ends with
+    the row that passed the cap."""
+    F = mk(text)
+    rows = DEFAULT_MAX_ROWS if max_rows is None else max_rows
+    cap_the_climb_of(monkeypatch, F, rows)
+    log = io.StringIO()
+    report = verify_bounds(F, trace=log)
+    expected = []
+    for d in itertools.count(max(1, report.gbd)):
+        trace, capped = _closure_trace(F, d, rows)
+        expected.append(trace)
+        if capped or d == report.sd:
+            break
+    if report.hypothesis["satisfied"] and (report.sd is None or report.d_reg >= report.sd):
+        expected.append(_closure_trace(F, report.d_reg + 1, rows)[0])
+    assert log.getvalue() == "".join(expected)
 
 
 def test_a_report_keeps_one_closure_of_its_scan_alive():
@@ -838,7 +940,8 @@ def test_sd_scan_keys_each_basis_member_once(monkeypatch):
 
     rungs = v_space_closure(F, 7, GRLEX).dims
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    assert invariants._scan(F, GRLEX, G, None) == (7, 7, 7, dims, rungs)
+    assert invariants._scan(F, GRLEX, G, None, invariants._rungs(F, GRLEX)) == (
+        7, 7, 7, dims, rungs)
     # the sd scan tests membership at degrees 1..7; each member is keyed
     # under grlex once, not once per degree
     assert len(keyed) == len(G)

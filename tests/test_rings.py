@@ -96,9 +96,26 @@ def test_order_is_total_and_degree_compatible(data, order):
         assert order.compare(am, bm) == -1
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Ring(101, nvars=17), DimensionError, "need 1..16 variables"),
+    (lambda: Ring(101), DomainError, "give variable names or a variable count"),
+    (lambda: Ring(101, ("x", "y"), nvars=3), DimensionError, "nvars=3 disagrees with 2 names"),
+    (lambda: Packing(17, "grevlex"), DimensionError, "monomials carry 1..16 exponents, got 17"),
+    (lambda: Packing(2, "lex"), DomainError, "no packing for term order 'lex'"),
+])
+def test_ring_and_packing_refuse_bad_shapes(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+# -1 used to give the last variable, 2 a bare IndexError, True the second variable
+@pytest.mark.parametrize("i", [-1, 2, True, 1.0])
+def test_a_variable_index_outside_the_ring_is_refused(i):
+    with pytest.raises(DomainError, match=rf"variable index must be an int in 0\.\.1, got {i!r}"):
+        Ring(101, ("x", "y")).variable(i)
+
+
 def test_monomial_limits():
-    with pytest.raises(DimensionError):
-        Ring(101, nvars=17)
     ring = Ring(101, ("x", "y"))
     with pytest.raises(DimensionError):
         ring.monomial()
@@ -152,6 +169,14 @@ def test_top_of_zero_is_an_error():
     ring = Ring(101, ("x", "y"))
     with pytest.raises(DomainError):
         ring.zero().top()
+    with pytest.raises(DomainError, match="the zero polynomial has no leading monomial"):
+        ring.zero().leading_monomial(GREVLEX)
+
+
+@pytest.mark.parametrize("e", [-1, True, 2.0])
+def test_a_power_needs_a_non_negative_int_exponent(e):
+    with pytest.raises(DomainError, match="non-negative int exponents"):
+        Ring(101, ("x", "y")).variable(0) ** e
 
 
 def test_degree_sentinel():

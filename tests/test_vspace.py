@@ -491,6 +491,13 @@ def test_representatives_do_not_depend_on_input_order(order):
     assert construct_top_representatives(backwards, d, order) == reps
 
 
+@pytest.mark.parametrize("d_reg", [0, True, 2.0])
+def test_representatives_refuse_a_degree_that_is_not_a_positive_int(d_reg):
+    # True used to pass this check and fail later in the closure
+    with pytest.raises(DomainError, match="regularity degree must be a positive int"):
+        construct_top_representatives(gen_fk(2, 101), d_reg)
+
+
 def test_representatives_refuse_oversized_inputs():
     F = mk("p=101; vars=x,y; x; y; x^5")
     with pytest.raises(PreconditionError):
