@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import CapExceeded, DimensionError, DomainError, InconsistencyError
-from .rings import GREVLEX, Packing, Polynomial, TermOrder, _check_int
+from .rings import GREVLEX, Packing, Polynomial, TermOrder, _check_cap, _check_int
 
 DEFAULT_MAX_PAIRS = 200_000
 
@@ -236,8 +236,11 @@ def buchberger_reduced(
     are a DimensionError. Past `max_pairs` reduced S-polynomials CapExceeded
     carries `basis_size`, `pairs_popped` (those reduced), `pairs_pending`
     (the pair popped at the cap among them) and `pairs_skipped`, a count
-    per rule: `product` and `chain`.
+    per rule: `product` and `chain`. A `max_pairs` that is not an int (a
+    bool is not one) or lies below 1 is a DomainError, raised before any
+    work.
     """
+    _check_cap(max_pairs, "max_pairs")
     polys = list(F)
     if not polys:
         raise DomainError("cannot take a basis of an empty family")

@@ -64,6 +64,8 @@ class RandomSpec:
     set, whole systems are rejection-sampled until the maximum degree stays
     at or below a finite regularity degree, up to retry_limit extra attempts;
     a d_reg walk past the closure's row cap raises its CapExceeded.
+    A `density` that is not an int or float (a bool is not one), or a
+    `require_hypothesis` that is not a bool, is refused.
     A spec whose C(n + max bound, n) candidate monomials exceed
     MAX_RANDOM_MONOMIALS is refused, and so is a density at which a
     polynomial of the smallest bound takes more draws than that, on average,
@@ -92,6 +94,11 @@ class RandomSpec:
             raise DomainError(f"need {self.k} degree bounds, got {len(self.deg_bounds)}")
         if any(b < 1 for b in self.deg_bounds):
             raise DomainError("degree bounds must be at least 1")
+        if not isinstance(self.require_hypothesis, bool):
+            raise DomainError(
+                f"require_hypothesis must be a bool, got {self.require_hypothesis!r}")
+        if not isinstance(self.density, (int, float)) or isinstance(self.density, bool):
+            raise DomainError(f"density must be a number, got {self.density!r}")
         if not 0 < self.density <= 1:
             raise DomainError(f"density must lie in (0, 1], got {self.density}")
         if self.retry_limit < 0:

@@ -7,16 +7,20 @@ verify_bounds computes everything once: one scan gives sd, and Lfd from
 the rung dimensions of its last closure, and one rule turns each bound into
 a certificate with lhs, rhs, and a pass/fail/skipped verdict. Every closure
 a report reads is a rung of one climb (_rungs): the d_reg walk climbs the
-tops, and the scan and the identity certificate climb F, so a report
-builds no v_space_closure. Resource caps never produce wrong numbers:
-a capped computation turns the certificates that need it into skips with a
-"cap:" reason. mutantxl_gb reads the reduced Groebner basis off the closure
-at d_reg + 1, which contains it when max deg(F) <= d_reg.
+tops, and the scan climbs F to sd, so a report builds no v_space_closure.
+Past sd the identity certificate reads dim V(F, d_reg + 1) off the checked
+Groebner basis, so only a traced report, to write that closure's trace,
+or one whose scan was capped climbs F past sd. Resource caps never
+produce wrong numbers: a capped computation turns the certificates that
+need it into skips with a "cap:" reason. mutantxl_gb reads the reduced
+Groebner basis off the closure at d_reg + 1, which contains it when
+max deg(F) <= d_reg.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import Union
@@ -24,7 +28,7 @@ from typing import Union
 from .errors import CapExceeded, DomainError, PreconditionError
 from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
                        ideal_dim_le, ideal_dims)
-from .rings import GREVLEX, MAX_DEGREE, Packing, PolySystem, TermOrder, _check_int
+from .rings import GREVLEX, MAX_DEGREE, Packing, PolySystem, TermOrder, _check_cap
 from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
@@ -84,7 +88,10 @@ def _rungs(F: PolySystem, order: TermOrder, trace=None):
     the climb's first dims[e] lines: the lines that closure would write.
     Once the row cap has stopped the climb, at(e) for every later rung
     writes every line the climb wrote, as the capped closure would, and
-    raises that same CapExceeded. Past MAX_DEGREE it raises DomainError."""
+    raises that same CapExceeded. Past MAX_DEGREE it raises DomainError.
+    A report reads rungs max(1, Gbd)..sd of F, and rung d_reg + 1 past sd
+    only when the scan was capped or, to write its trace block, when
+    tracing (verify_bounds); the d_reg walk reads the rungs of the tops."""
     lines: list[str] = []
     climb = _climb(F, MAX_DEGREE, order, max_rows=DEFAULT_MAX_ROWS,
                    trace=None if trace is None else lines.append)
@@ -194,11 +201,9 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
     return _reduced_basis(F.ring, V._rows(), order), V
 
 
-def _check_cap(cap: int | None) -> None:
+def _check_scan_cap(cap: int | None) -> None:
     if cap is not None:
-        _check_int(cap, "cap")
-        if cap < 1:
-            raise DomainError(f"cap must be at least 1, got {cap}")
+        _check_cap(cap, "cap")
 
 
 def _scan(F, order, G, cap, at) -> tuple[int, int, int, list[int], list[int]]:
@@ -235,7 +240,7 @@ def _scan(F, order, G, cap, at) -> tuple[int, int, int, list[int], list[int]]:
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
     """Smallest d whose degree-d span contains the reduced Groebner basis."""
-    _check_cap(cap)
+    _check_scan_cap(cap)
     G = buchberger_reduced(F, order)
     return _scan(F, order, G, cap, _rungs(F, order))[0]
 
@@ -245,7 +250,7 @@ def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None 
     max(d, deg f). Computed by comparing span dimensions against the ideal's
     bounded dimensions, walking down from the solving degree and stopping
     at the last fall."""
-    _check_cap(cap)
+    _check_scan_cap(cap)
     G = buchberger_reduced(F, order)
     return _scan(F, order, G, cap, _rungs(F, order))[1]
 
@@ -330,13 +335,19 @@ def verify_bounds(
     (None) and every certificate that reads d_reg a `cap:` skip; Gbd, sd and
     Lfd are still computed. A cap that stops Buchberger or the sd scan
     likewise names itself in the skip of every certificate that needs a
-    value it left unknown: Gbd (Buchberger only), sd and Lfd. The scan and
-    the identity read the rungs of one climb of F (_rungs): the scan reads
-    V(F, d) at d = max(1, Gbd)..sd; Lfd, and the identity certificate when
-    d_reg + 1 <= sd, read the rung dimensions of V(F, sd), else the
-    identity continues the climb to d_reg + 1. `trace` receives, for each
-    rung read, the lines v_space_closure(F, d, trace=trace) would write:
-    the trace of each closure the report reads, as if built from scratch.
+    value it left unknown: Gbd (Buchberger only), sd and Lfd. The scan
+    reads the rungs of one climb of F (_rungs): V(F, d) at d =
+    max(1, Gbd)..sd. Lfd, and the identity certificate when d_reg + 1 <=
+    sd, read the rung dimensions of V(F, sd). Past sd the identity reads
+    dim V(F, d_reg + 1) off the checked basis (proof below), so an
+    untraced report climbs F no further than sd; only when a cap stopped
+    the scan, leaving sd unknown, does the identity continue the climb to
+    d_reg + 1 and compare. `trace` receives, for each rung read, the lines
+    v_space_closure(F, d, trace=trace) would write: the trace of each
+    closure the report reads, as if built from scratch. A traced report
+    with d_reg + 1 > sd also reads rung d_reg + 1, only to write that
+    closure's block: the report does not depend on it, and a row cap hit
+    there changes nothing but leaves the lines the climb wrote.
 
     Buchberger runs unchecked, and its basis G is checked after the sd scan,
     before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
@@ -353,6 +364,22 @@ def verify_bounds(
         which no term of a remainder is.
     Otherwise, or when the scan hits a cap, every pair is checked.
 
+    Past sd the dimension identity holds by proof. Let d > sd; the check
+    has passed, so G is a reduced Groebner basis, and the scan put G in
+    V(F, sd). Then V(F, d) = I_{<=d}, the ideal's elements of degree <= d:
+      - V(F, sd) lies in V(F, d), so G does, and V(F, d), closed under
+        multiplication by variables up to degree d, holds every u*g of
+        degree <= d;
+      - every f in I_{<=d} has a standard representation by G, a sum of
+        multiples h*g with lm(h*g) <= lm(f) (Becker and Weispfenning,
+        Groebner Bases, Thm 5.64); the order is degree-compatible, so each
+        h*g has degree <= deg f <= d and f lies in V(F, d);
+      - V(F, d) lies in I_{<=d} always.
+    So dim V(F, d_reg + 1) is ideal_dim_le(G, d_reg + 1), the count the
+    certificate compares it with; the same standard-representation argument
+    gives the paper's sd <= d_reg + 1. The acceptance tests still build
+    V(F, d_reg + 1) from scratch and compare, as an independent check.
+
     Certificates (in report order):
       sd_le_dreg_plus_1        sd <= d_reg + 1, needs max deg(F) <= d_reg
       gbd_le_dreg              Gbd <= d_reg
@@ -368,7 +395,7 @@ def verify_bounds(
                                of degree <= d_reg + 1, needs the hypothesis;
                                a cap skip when d_reg + 1 > MAX_DEGREE
     """
-    _check_cap(cap)
+    _check_scan_cap(cap)
     ring = F.ring
     maxdeg = F.max_degree()
     cap_notes: dict[str, str] = {}
@@ -385,7 +412,7 @@ def verify_bounds(
 
     G = gbd_v = sd = lfd = None
     certified, ideal, dims = 0, [], []
-    at = _rungs(F, order, trace)  # the one climb of F that the scan and the identity read
+    at = _rungs(F, order, trace)  # the one climb of F; past sd only identity() reads it
     try:
         G = buchberger_reduced(F, order, check=False)
         sd, lfd, certified, ideal, dims = _scan(F, order, G, cap, at)
@@ -430,7 +457,13 @@ def verify_bounds(
             raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
         if d < len(dims):  # d <= sd: the scan's rungs hold dim V(F, d)
             return dims[d], ideal[d]
-        return at(d).dims[d], ideal_dim_le(G, d)  # the scan's climb, on to rung d
+        if sd is None:  # the scan was capped: its climb goes on to rung d
+            return at(d).dims[d], ideal_dim_le(G, d)
+        if trace is not None:  # only to write V(F, d)'s trace block; its cap changes nothing
+            with suppress(CapExceeded):
+                at(d)
+        n = ideal_dim_le(G, d)  # d > sd: V(F, d) = I_{<=d} (see the docstring)
+        return n, n
 
     certs = [
         certify("sd_le_dreg_plus_1", ("sd", "d_reg"), lambda: (sd, d_reg + 1), trivial=True,

@@ -63,6 +63,13 @@ def _check_int(v, what: str) -> None:
         raise DomainError(f"{what} must be an int, got {v!r}")
 
 
+def _check_cap(v, what: str) -> None:
+    """DomainError unless v is a work cap: an int (not a bool) of at least 1."""
+    _check_int(v, what)
+    if v < 1:
+        raise DomainError(f"{what} must be at least 1, got {v}")
+
+
 def check_modulus(p) -> int:
     """p, if it is a prime int with 2 <= p < 2**31; DomainError otherwise."""
     _check_int(p, "field modulus")

@@ -50,6 +50,7 @@ from .rings import (
     PolySystem,
     Ring,
     TermOrder,
+    _check_cap,
     _check_int,
     _render_exps,
 )
@@ -132,8 +133,10 @@ def v_space_closure(
     tab-separated line per adopted row: degree, pivot, source id ("f<i>" an
     input, multiplier 1; "r<j>" the j-th adopted row), multiplier.
     Raises CapExceeded (carrying partial stats) past `max_rows` rows, and
-    DomainError unless d is an int (not a bool) from 1 to MAX_DEGREE.
+    DomainError, before any work, unless d is an int (not a bool) from 1 to
+    MAX_DEGREE and `max_rows` an int (not a bool) of at least 1.
     """
+    _check_cap(max_rows, "max_rows")
     _check_int(d, "closure degree")
     if d < 1:
         raise DomainError("closure degree must be at least 1")

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,17 @@ def test_buchberger_cap():
     F = gen_fk(5, 101)
     with pytest.raises(CapExceeded):
         buchberger_reduced(F, max_pairs=1)
+
+
+@pytest.mark.parametrize("max_pairs, message", [
+    (0, "max_pairs must be at least 1, got 0"),
+    (1.5, "max_pairs must be an int, got 1.5"),
+    (True, "max_pairs must be an int, got True"),
+], ids=["zero", "float", "bool"])
+def test_buchberger_refuses_a_pair_cap_that_is_no_positive_int(max_pairs, message):
+    # refused before any work: an empty family would be refused next
+    with pytest.raises(DomainError, match=re.escape(message)):
+        buchberger_reduced([], max_pairs=max_pairs)
 
 
 UPDATE_SHAPES = [(2, (2, 2)), (2, (3, 2, 2)), (3, (2, 2)), (3, (2, 2, 2)), (3, (3, 2, 1)),

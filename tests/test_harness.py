@@ -132,6 +132,11 @@ def test_spec_validation():
     ({"k": 1.0}, "k must be an int, got 1.0"),
     ({"seed": 1.0}, "seed must be an int, got 1.0"),
     ({"seed": "1"}, "seed must be an int, got '1'"),
+    # a density must be a number, and a string or a bool is not one
+    ({"density": "0.5"}, "density must be a number, got '0.5'"),
+    ({"density": True}, "density must be a number, got True"),
+    # a truthy string would otherwise turn on rejection sampling
+    ({"require_hypothesis": "no"}, "require_hypothesis must be a bool, got 'no'"),
 ])
 def test_spec_refuses_each_bad_field(fields, message):
     with pytest.raises(DomainError, match=re.escape(message)):

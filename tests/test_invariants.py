@@ -497,18 +497,30 @@ def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
 
 
 def test_report_when_only_the_identity_closure_hits_the_row_cap(monkeypatch):
-    # sd = 2 needs a 2-row closure; the identity closure at d_reg + 1 = 4 needs more
-    report = verify_bounds(cap_the_climb_of(monkeypatch, mk("p=101; vars=x,y; x^2; y^2"), 5))
-    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 2, 2, 1)
-    assert verdicts(report) == [
-        ("sd_le_dreg_plus_1", "pass", None),
-        ("gbd_le_dreg", "pass", None),
-        ("sd_eq_max_lfd_gbd", "pass", None),
-        ("sd_generalized_bound", "pass", None),
-        ("lfd_upper_bound", "pass", None),
-        ("sd_macaulay_bound", "pass", None),
-        ("vspace_dim_identity", "skipped", "cap: closure exceeded 5 rows"),
-    ]
+    """sd = 2 needs a 2-row closure, and V(F, d_reg + 1 = 4) more than 5 rows.
+    Past sd the identity is read off the checked basis, so it passes, traced
+    or not; only the traced report climbs to rung 4, to trace V(F, 4), and
+    its trace ends with the capped climb's lines."""
+    F = cap_the_climb_of(monkeypatch, mk("p=101; vars=x,y; x^2; y^2"), 5)
+    log = io.StringIO()
+    for trace in (None, log):
+        report = verify_bounds(F, trace=trace)
+        assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 2, 2, 1)
+        assert verdicts(report) == [
+            ("sd_le_dreg_plus_1", "pass", None),
+            ("gbd_le_dreg", "pass", None),
+            ("sd_eq_max_lfd_gbd", "pass", None),
+            ("sd_generalized_bound", "pass", None),
+            ("lfd_upper_bound", "pass", None),
+            ("sd_macaulay_bound", "pass", None),
+            ("vspace_dim_identity", "pass", None),
+        ]
+        # the 11 monomials of degree <= 4 outside 1, x, y, x*y
+        assert (report.certificates[-1].lhs, report.certificates[-1].rhs) == (11, 11)
+        assert not report.any_capped
+    capped_trace, capped = _closure_trace(F, 4, 5)
+    assert capped
+    assert log.getvalue() == _closure_trace(F, 2, 5)[0] + capped_trace
 
 
 def test_report_when_the_identity_degree_passes_the_largest_supported_degree():
@@ -748,6 +760,7 @@ def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
     assert calls == []  # the walk and the identity read the scan's one ideal_dims pass
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize(
     "make, walks",
     [
@@ -759,20 +772,25 @@ def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
     ],
     ids=["fk6", "underdetermined", "n4-quadrics", "n3-p3"],
 )
-def test_verify_bounds_builds_closures_only_at_the_scanned_and_identity_degrees(
-    monkeypatch, make, walks
+def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
+    monkeypatch, make, walks, traced
 ):
-    """A report reads V(F, d) at the scanned degrees and the identity's, as
+    """A report reads V(F, d) at the scanned degrees max(1, Gbd)..sd, as
     rungs of one climb of F, beside one climb of the tops when the d_reg
-    walk runs; it builds no v_space_closure."""
+    walk runs; it builds no v_space_closure. Untraced, the climb of F stops
+    at rung sd; traced, it also reads rung d_reg + 1 when that lies past
+    sd, only to write its trace."""
     from soldeg import invariants, vspace
 
-    F, climbed, read = make(), [], []
+    F, climbed, read, rungs_climbed = make(), [], [], []
     rungs = invariants._rungs
 
     def climb(S, *args, **kwargs):
         climbed.append(S is F)
-        return vspace._climb(S, *args, **kwargs)
+        for V in vspace._climb(S, *args, **kwargs):
+            if S is F:
+                rungs_climbed.append(len(V.dims) - 1)
+            yield V
 
     def reader(S, *args):
         at = rungs(S, *args)
@@ -789,10 +807,12 @@ def test_verify_bounds_builds_closures_only_at_the_scanned_and_identity_degrees(
     monkeypatch.setattr(invariants, "_climb", climb)
     monkeypatch.setattr(invariants, "_rungs", reader)
     monkeypatch.setattr(invariants, "v_space_closure", refuse)
-    report = verify_bounds(F)
+    report = verify_bounds(F, trace=io.StringIO() if traced else None)
     scanned = list(range(max(1, report.gbd), report.sd + 1))
-    identity = [report.d_reg + 1] if report.hypothesis["satisfied"] and report.d_reg >= report.sd else []
+    past_sd = report.hypothesis["satisfied"] and report.d_reg >= report.sd
+    identity = [report.d_reg + 1] if traced and past_sd else []
     assert read == scanned + identity  # no rung below max(1, Gbd), none read twice
+    assert rungs_climbed == list(range(max(scanned + identity) + 1))
     assert climbed == [False] * walks + [True]  # the tops, then F
 
 
@@ -833,7 +853,7 @@ def test_the_rung_reader_reads_each_rung_as_the_closure_at_its_degree(monkeypatc
 @pytest.mark.parametrize("text", [
     "p=101; vars=x,y; x^2 + y; y^2 + x; x*y",
     "p=101; vars=x,y; x^5 + y; y^5 + x; x*y",
-    "p=101; vars=x,y; x^2; y^5",  # d_reg + 1 = 7 > sd = 5: the identity climbs on
+    "p=101; vars=x,y; x^2; y^5",  # d_reg + 1 = 7 > sd = 5: traced, the climb goes on
     "p=101; vars=x,y; x*y",
     "p=101; vars=x,y; x; x + 1",
     "p=3; vars=x,y,z; x^2 + y*z + 1; y^2 + x; z^2 + x*y + z",

@@ -435,6 +435,24 @@ def test_closure_cap_carries_partial_stats():
     assert err.value.stats.adoptions >= 2
 
 
+@pytest.mark.parametrize("max_rows, message", [
+    (-1, "max_rows must be at least 1, got -1"),
+    (0, "max_rows must be at least 1, got 0"),
+    (2.5, "max_rows must be an int, got 2.5"),
+    (True, "max_rows must be an int, got True"),
+], ids=["negative", "zero", "float", "bool"])
+def test_closure_refuses_a_row_cap_that_is_no_positive_int(monkeypatch, max_rows, message):
+    """A bad row cap is refused before any work, not reported as a cap hit."""
+    from soldeg import vspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure climbed a rung")
+
+    monkeypatch.setattr(vspace, "_climb", refuse)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        v_space_closure(gen_fk(4, 101), 3, max_rows=max_rows)
+
+
 @pytest.mark.parametrize("max_rows", [1, 5, 10])
 def test_closure_cap_carries_the_counters_at_the_cap(max_rows):
     F = gen_random(RandomSpec(seed=2, n=3, k=3, deg_bounds=(2, 2, 2), density=1.0, p=101))
