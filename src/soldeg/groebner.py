@@ -1,7 +1,9 @@
-"""Ground truth for ideal computations: Buchberger with full reduction,
-normal forms, and bounded ideal dimension counts. The module stands on rings
-alone; invariants.mutantxl_gb reads the reduced basis off a closure and
-compares against it.
+"""Ground truth for ideal computations: Buchberger with full reduction, the
+Groebner basis check, normal forms, and bounded ideal dimension counts. The
+module stands on rings alone. The sd scan and mutantxl_gb (invariants) read
+the reduced basis off a closure, the scan testing each candidate with
+_is_basis; Buchberger is the oracle they are tested against, and the source
+of the basis when a cap stops the scan.
 """
 
 from __future__ import annotations
@@ -148,16 +150,26 @@ def _reduced_basis(ring, polys: list, order: TermOrder) -> GroebnerBasis:
     return GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in reduced), order)
 
 
-def check_basis(G: GroebnerBasis, low: int = 0) -> None:
+def check_basis(G: GroebnerBasis) -> None:
     """Raise InconsistencyError unless the reduced basis G is a Groebner
-    basis, taking every S-pair whose lcm has degree <= `low` as already
-    proved to reduce to zero (low=0 takes none; see invariants.verify_bounds
-    for the proof the closure gives).
+    basis (see _is_basis)."""
+    ring = G.polys[0].ring
+    pack = ring.packing(G.order)
+    if not _is_basis([(max(t), t) for t in (g._packed(pack) for g in G.polys)], pack, ring.p):
+        raise InconsistencyError("S-polynomial does not reduce to zero")
+
+
+def _is_basis(reduced: list, pack: Packing, p: int, low: int = 0) -> bool:
+    """Whether the monic pairs `reduced`, with pairwise non-dividing leading
+    monomials, form a Groebner basis, taking every S-pair whose lcm has
+    degree <= `low` as already proved to reduce to zero (see
+    invariants.verify_bounds for the proof the closure gives).
 
     A pair (i, j) is also skipped when lm_i and lm_j are coprime (product
     criterion), or when some k not in {i, j} has lm_k | lcm_ij with
     lcm_ik != lcm_ij and lcm_jk != lcm_ij (strict chain criterion). Every
-    other S-polynomial must leave remainder zero.
+    other S-polynomial must leave remainder zero; the first that does not
+    ends the check.
 
     Why that is still a proof. G is a Groebner basis iff every S_ij has a
     standard representation, a sum of multiples h*g_k with lm(h*g_k) <
@@ -169,9 +181,6 @@ def check_basis(G: GroebnerBasis, low: int = 0) -> None:
     strictly smaller lcm, and the term order is a well-order, so induction
     over the lcm covers every pair even with all skips applied at once.
     """
-    ring = G.polys[0].ring
-    pack, p = ring.packing(G.order), ring.p
-    reduced = [(max(t), t) for t in (g._packed(pack) for g in G.polys)]
     lms = [l for l, _ in reduced]
     n = len(lms)
     lcm = [[0] * n for _ in range(n)]
@@ -187,7 +196,8 @@ def check_basis(G: GroebnerBasis, low: int = 0) -> None:
                    and pack.divides(lms[k], l) for k in range(n)):
                 continue
             if _nf(_spoly(reduced[i], reduced[j], pack, p), reduced, pack, p):
-                raise InconsistencyError("S-polynomial does not reduce to zero")
+                return False
+    return True
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -231,8 +241,8 @@ def buchberger_reduced(
 
     With check=True check_basis re-verifies the result, independently of
     the loop, so a pair skipped by mistake cannot pass unseen.
-    verify_bounds passes check=False and runs check_basis itself after the
-    sd scan, where the closure proves the low pairs. Generators of two rings
+    check=False leaves that check out. verify_bounds runs it checked, and
+    only when a cap stopped its sd scan. Generators of two rings
     are a DimensionError. Past `max_pairs` reduced S-polynomials CapExceeded
     carries `basis_size`, `pairs_popped` (those reduced), `pairs_pending`
     (the pair popped at the cap among them) and `pairs_skipped`, a count

@@ -3,18 +3,20 @@ certificates for every bound that relates them.
 
 All four invariants are exact integers (the regularity degree may be an
 InfiniteDegree marker carrying its cap, one past the Macaulay bound).
-verify_bounds computes everything once: one scan gives sd, and Lfd from
-the rung dimensions of its last closure, and one rule turns each bound into
-a certificate with lhs, rhs, and a pass/fail/skipped verdict. Every closure
-a report reads is a rung of one climb (_rungs): the d_reg walk climbs the
-tops, and the scan climbs F to sd, so a report builds no v_space_closure.
-Past sd the identity certificate reads dim V(F, d_reg + 1) off the checked
-Groebner basis, so only a traced report, to write that closure's trace,
-or one whose scan was capped climbs F past sd. Resource caps never
-produce wrong numbers: a capped computation turns the certificates that
-need it into skips with a "cap:" reason. mutantxl_gb reads the reduced
-Groebner basis off the closure at d_reg + 1, which contains it when
-max deg(F) <= d_reg.
+verify_bounds computes everything once: one scan gives the reduced
+Groebner basis G, sd, and Lfd from the rung dimensions of its last
+closure, and one rule turns each bound into a certificate with lhs, rhs,
+and a pass/fail/skipped verdict. Every closure a report reads is a rung of
+one climb (_rungs): the d_reg walk climbs the tops, and the scan climbs F
+to sd and reads G off the rung where it first lies, so a report builds no
+v_space_closure and, uncapped, runs no Buchberger. Past sd the identity
+certificate reads dim V(F, d_reg + 1) off G, so only a traced report, to
+write that closure's trace, or one whose scan was capped climbs F past
+sd. Resource caps never produce wrong numbers: a capped computation turns
+the certificates that need it into skips with a "cap:" reason.
+mutantxl_gb reads the reduced Groebner basis off the closure at
+d_reg + 1, which contains it when max deg(F) <= d_reg, as the scan reads
+it off a rung.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from itertools import islice, product
 from typing import Union
 
 from .errors import CapExceeded, DomainError, PreconditionError
-from .groebner import (GroebnerBasis, _reduced_basis, buchberger_reduced, check_basis,
-                       ideal_dim_le, ideal_dims)
-from .rings import GREVLEX, MAX_DEGREE, Packing, PolySystem, TermOrder, _check_cap
+from .groebner import (GroebnerBasis, _is_basis, _nf, buchberger_reduced, ideal_dim_le,
+                       ideal_dims)
+from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder, _check_cap
 from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
@@ -84,20 +86,22 @@ def _rungs(F: PolySystem, order: TermOrder, trace=None):
     the climb's one basis, whose dims[e] = dim V(F, e) and which holds
     V(F, e) itself while no later rung has been read. A climb through rung
     e holds V(F, e) with the rows, counters and trace of
-    v_space_closure(F, e) (see vspace._climb), so at(e) writes to `trace`
-    the climb's first dims[e] lines: the lines that closure would write.
-    Once the row cap has stopped the climb, at(e) for every later rung
-    writes every line the climb wrote, as the capped closure would, and
-    raises that same CapExceeded. Past MAX_DEGREE it raises DomainError.
-    A report reads rungs max(1, Gbd)..sd of F, and rung d_reg + 1 past sd
-    only when the scan was capped or, to write its trace block, when
-    tracing (verify_bounds); the d_reg walk reads the rungs of the tops."""
+    v_space_closure(F, d) (see vspace._climb), so at(e) writes to `trace`
+    the climb's first dims[e] lines: the lines that closure would write;
+    at(e, write=False) writes none, and a later at(e) still can. Once the
+    row cap has stopped the climb, at(e) for every later rung writes every
+    line the climb wrote, as the capped closure would, and raises that same
+    CapExceeded. Past MAX_DEGREE it raises DomainError. A report reads
+    rungs 1..sd of F silently and then writes the blocks of rungs
+    max(1, Gbd)..sd, and reads rung d_reg + 1 past sd only when the scan
+    was capped or, to write its trace block, when tracing (verify_bounds);
+    the d_reg walk reads the rungs of the tops."""
     lines: list[str] = []
     climb = _climb(F, MAX_DEGREE, order, max_rows=DEFAULT_MAX_ROWS,
                    trace=None if trace is None else lines.append)
     V, capped = next(climb), None  # rung 0 holds at most one row, so no cap stops it
 
-    def at(e: int) -> VSpaceBasis:
+    def at(e: int, write: bool = True) -> VSpaceBasis:
         nonlocal capped
         Packing.check(e)
         try:
@@ -105,7 +109,7 @@ def _rungs(F: PolySystem, order: TermOrder, trace=None):
                 next(climb)
         except CapExceeded as exc:
             capped = exc
-        if trace is not None:
+        if write and trace is not None:
             trace.write("".join(lines[: V.dims[e]] if e < len(V.dims) else lines))
         if e >= len(V.dims):
             raise capped
@@ -181,8 +185,9 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
     interreduce_tops can repair many violating systems). Under that
     hypothesis the closure, which multiplies every adopted row below the
     bound, mutants included, by each variable (MutantXL), contains the
-    reduced basis; it is extracted from the rows whose leading monomials
-    minimally generate the pivot ideal.
+    reduced basis; it is read off as the sd scan reads it off a rung
+    (VSpaceBasis._minimal_rows): the fully reduced rows at the pivots that
+    no other pivot divides.
     Returns the basis and the closure: its `d` is the degree bound and its
     `stats` the work counters.
     """
@@ -198,51 +203,71 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
             "interreduce the system first (interreduce_tops)"
         )
     V = v_space_closure(F, d_reg + 1, order)
-    return _reduced_basis(F.ring, V._rows(), order), V
+    return _basis(F.ring, order, V._minimal_rows()), V
 
 
-def _check_scan_cap(cap: int | None) -> None:
-    if cap is not None:
-        _check_cap(cap, "cap")
+def _basis(ring, order: TermOrder, rows: list) -> GroebnerBasis:
+    """The basis of the packed rows, given by descending pivot."""
+    pack = ring.packing(order)
+    return GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in rows), order)
 
 
-def _scan(F, order, G, cap, at) -> tuple[int, int, int, list[int], list[int]]:
-    """(sd, Lfd, certified, ideal, dims) from the closures V(F, d), read as
-    the rungs d = max(1, Gbd), ... of one climb of F, through its unread
-    reader `at` (_rungs). sd is the first d >= max(1, Gbd) whose span
-    contains G; past `cap` (default: one past the Macaulay bound, as in
-    InfiniteDegree, so read off the input and not off d_reg) CapExceeded
-    carries the scanned span dimensions. For e = 0..sd, `dims[e]` =
-    dim V(F, e), and `ideal[e]` counts the ideal's elements of degree <= e,
-    in one pass. Lfd is one past the last e <= sd with dims[e] < ideal[e],
-    found walking down from sd, so it reads no further rung. `certified` is sd when
-    dims[sd] equals ideal[sd], the count of multiples of LM(G) of degree
-    <= sd, else 0: then every S-pair of G with lcm degree <= sd reduces to
-    zero (see verify_bounds).
+def _scan_cap(cap: int | None) -> int:
+    """The last rung the sd scan reads: `cap`, checked, or MAX_DEGREE."""
+    if cap is None:
+        return MAX_DEGREE
+    _check_cap(cap, "cap")
+    return cap
+
+
+def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[int]]:
+    """(G, sd, Lfd, ideal, dims) read off the rungs e = 1, 2, ... of one
+    climb of F through its unread reader `at` (_rungs). Rung e gives G_e,
+    the fully reduced rows of V(F, e) whose pivots minimally generate its
+    pivot set (VSpaceBasis._minimal_rows). The first e at which every input
+    of degree > e reduces to zero mod G_e and every S-pair of G_e of lcm
+    degree > e passes the basis check (groebner._is_basis with low=e) is
+    sd, and G_e is G: the test passes exactly when G lies in V(F, e) (proof
+    at verify_bounds). A rung is rejected at once when the leading
+    monomial of some input above e has no minimal pivot dividing it. The
+    rungs are read silently; once G is known, `at` writes the trace blocks
+    of rungs max(1, Gbd)..sd, the closures v_space_closure would build at
+    those degrees. Past rung `last` (_scan_cap) CapExceeded carries the
+    scanned span dimensions. For e = 0..sd, `dims[e]` = dim V(F, e), and
+    `ideal[e]` counts the ideal's elements of degree <= e, in one pass.
+    Lfd is one past the last e <= sd with dims[e] < ideal[e], found walking
+    down from sd, so it reads no further rung.
     """
-    if cap is None:  # >= 1 even when constants push the Macaulay bound below 1
-        cap = min(MAX_DEGREE, max(_macaulay_bound(F) + 1, G.max_degree, 1))
-    pack = F.ring.packing(order)
-    goals = [g._packed(pack) for g in G.polys]  # keyed once, as the closures key rows
+    pack, p = F.ring.packing(order), F.ring.p
+    s, g = pack.sign, pack.guard
+    # (degree, s * leading monomial, terms) of each input, keyed once
+    inputs = [(f._degree, s * max(t := f._packed(pack)), t) for f in F]
     partial: dict[int, int] = {}
-    for sd in range(max(1, G.max_degree), cap + 1):
-        V = at(sd)
+    for sd in range(1, last + 1):
+        V = at(sd, write=False)
         partial[sd] = V.dims[sd]
-        if all(V._contains(t) for t in goals):
+        above = [(slm, t) for deg, slm, t in inputs if deg > sd]
+        minimal = V._minimal_pivots().values()
+        if any(all((slm + gm) & g != g for gm in minimal) for slm, _ in above):
+            continue
+        rows = V._minimal_rows()
+        if (all(not _nf(t, rows, pack, p) for _, t in above)
+                and _is_basis(rows, pack, p, low=sd)):
             break
     else:
-        raise CapExceeded(f"solving degree exceeds cap {cap}", details={"partial_dims": partial})
+        raise CapExceeded(f"solving degree exceeds cap {last}", details={"partial_dims": partial})
+    G = _basis(F.ring, order, rows)
+    for d in range(max(1, G.max_degree), sd + 1):
+        at(d)  # writes the trace block of rung d
     ideal, dims = ideal_dims(G, sd), V.dims[: sd + 1]  # a later rung read extends V.dims
     # going down, the first fall is the last one
     lfd = 1 + next((e for e in range(sd, 0, -1) if dims[e] < ideal[e]), 0)
-    return sd, lfd, sd if dims[sd] == ideal[sd] else 0, ideal, dims
+    return G, sd, lfd, ideal, dims
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
     """Smallest d whose degree-d span contains the reduced Groebner basis."""
-    _check_scan_cap(cap)
-    G = buchberger_reduced(F, order)
-    return _scan(F, order, G, cap, _rungs(F, order))[0]
+    return _scan(F, order, _scan_cap(cap), _rungs(F, order))[1]
 
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
@@ -250,9 +275,7 @@ def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None 
     max(d, deg f). Computed by comparing span dimensions against the ideal's
     bounded dimensions, walking down from the solving degree and stopping
     at the last fall."""
-    _check_scan_cap(cap)
-    G = buchberger_reduced(F, order)
-    return _scan(F, order, G, cap, _rungs(F, order))[1]
+    return _scan(F, order, _scan_cap(cap), _rungs(F, order))[2]
 
 
 @dataclass
@@ -325,60 +348,83 @@ def verify_bounds(
 ) -> DegreeReport:
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
 
-    `cap` bounds the solving-degree scan (default: one past the Macaulay
-    bound; for finite d_reg, sd <= max(d_reg + 1, max deg F) lies below it,
-    so the scan stops at sd and the upper bounds below can fail); a cap
-    that is not an int (a bool is not one) or lies below 1 is a
-    DomainError, raised before any work. `cap` does not bound
-    the d_reg walk; the walk shares the closure's row cap (see
-    degree_of_regularity), and past it d_reg is None, the hypothesis unknown
-    (None) and every certificate that reads d_reg a `cap:` skip; Gbd, sd and
-    Lfd are still computed. A cap that stops Buchberger or the sd scan
-    likewise names itself in the skip of every certificate that needs a
-    value it left unknown: Gbd (Buchberger only), sd and Lfd. The scan
-    reads the rungs of one climb of F (_rungs): V(F, d) at d =
-    max(1, Gbd)..sd. Lfd, and the identity certificate when d_reg + 1 <=
-    sd, read the rung dimensions of V(F, sd). Past sd the identity reads
-    dim V(F, d_reg + 1) off the checked basis (proof below), so an
-    untraced report climbs F no further than sd; only when a cap stopped
-    the scan, leaving sd unknown, does the identity continue the climb to
-    d_reg + 1 and compare. `trace` receives, for each rung read, the lines
-    v_space_closure(F, d, trace=trace) would write: the trace of each
-    closure the report reads, as if built from scratch. A traced report
-    with d_reg + 1 > sd also reads rung d_reg + 1, only to write that
-    closure's block: the report does not depend on it, and a row cap hit
-    there changes nothing but leaves the lines the climb wrote.
+    `cap` bounds the solving-degree scan: it reads rungs 1..cap (default
+    MAX_DEGREE; the climb's row cap comes first on a large input). No
+    bound of the scan comes from d_reg, so the upper bounds below can
+    fail, never skip, when sd exceeds them. A cap that is not an int (a
+    bool is not one) or lies below 1 is a DomainError, raised before any
+    work. `cap` does not bound the d_reg walk; the walk shares the
+    closure's row cap (see degree_of_regularity), and past it d_reg is
+    None, the hypothesis unknown (None) and every certificate that reads
+    d_reg a `cap:` skip; Gbd, sd and Lfd are still computed. A cap that
+    stops the sd scan likewise names itself in the skip of every
+    certificate that needs sd or Lfd. Then, and only then, Buchberger
+    (groebner.buchberger_reduced, checked) gives G and Gbd; a cap that
+    stops it too is named for Gbd, sd and Lfd alike. The scan reads the
+    rungs of one climb of F (_rungs): V(F, e) at e = 1..sd. Lfd, and the
+    identity certificate when d_reg + 1 <= sd, read the rung dimensions of
+    V(F, sd). Past sd the identity reads dim V(F, d_reg + 1) off G (proof
+    below), so an untraced report climbs F no further than sd; only when a
+    cap stopped the scan, leaving sd unknown, does the identity continue
+    the climb to d_reg + 1 and compare. `trace` receives, for each
+    closure the report reads, the lines v_space_closure(F, d, trace=trace)
+    would write, as if built from scratch: V(F, d) at d = max(1, Gbd)..sd
+    (or, after a capped scan, from max(1, Gbd) to the cap), written once
+    G is known. A traced report with d_reg + 1 > sd also reads rung
+    d_reg + 1, only to write that closure's block: the report does not
+    depend on it, and a row cap hit there changes nothing but leaves the
+    lines the climb wrote.
 
-    Buchberger runs unchecked, and its basis G is checked after the sd scan,
-    before Gbd is reported (groebner.check_basis). When dim V(F, sd) equals
-    the number of multiples of LM(G) of degree <= sd, the check leaves out
-    every S-pair of lcm degree <= sd, because the closure proves that each
-    reduces to zero:
-      - the scan put G in V(F, sd), which every bounded multiple u*g
-        (deg u*g <= sd) then lies in, so the leading monomials of V(F, sd)
-        include every multiple of LM(G) up to degree sd;
-      - the dimensions count both sets, so being equal, the two are the same;
-      - a low S-polynomial, and each multiple of G its division subtracts,
-        lie in V(F, sd) (the order is degree-compatible), so its remainder
-        does too; a nonzero remainder would lead with a multiple of LM(G),
-        which no term of a remainder is.
-    Otherwise, or when the scan hits a cap, every pair is checked.
+    G and sd come off the climb (_scan). At rung e, G_e is the set of
+    fully reduced rows of V(F, e) at its minimal pivots, those that no
+    other pivot divides. The scan accepts the first e at which every input
+    of degree > e reduces to zero mod G_e and every S-pair of G_e of lcm
+    degree > e passes the basis check (groebner._is_basis, low=e), and
+    reports e as sd and G_e as G. Write I for the ideal of F and I_{<=e}
+    for its elements of degree <= e. Four facts give the proof:
+      - V(F, e) is closed under multiplication by variables up to degree
+        e: for a row r at pivot m and deg(u*m) <= e, u*r lies in V(F, e)
+        and leads with u*m. So its pivots are exactly the multiples of
+        LM(G_e) of degree <= e. No term of V(F, e) lies above degree e, so
+        a fully reduced tail, which holds no pivot, holds no multiple of
+        LM(G_e): G_e is monic, minimal and reduced.
+      - An element of V(F, e) reduces to zero mod G_e: each multiple of
+        G_e its division subtracts lies in V(F, e) (the order is
+        degree-compatible), so the remainder does too, and a nonzero one
+        would lead with a pivot, a multiple of LM(G_e), which no term of a
+        remainder is. That covers each S-pair of lcm degree <= e and each
+        input of degree <= e, which the test leaves out.
+      - When G lies in V(F, e), V(F, e) = I_{<=e}. V(F, e) holds every u*g
+        of degree <= e; every f in I_{<=e} has a standard representation
+        by G, a sum of multiples h*g with lm(h*g) <= lm(f) (Becker and
+        Weispfenning, Groebner Bases, Thm 5.64), each of degree <= deg f
+        <= e under a degree-compatible order, so f lies in V(F, e); and
+        V(F, e) lies in I_{<=e} always.
+      - The test passes iff G lies in V(F, e). If it passes, every S-pair
+        of G_e reduces to zero (the second fact for the low ones), so G_e
+        is a Groebner basis of the ideal it generates; that ideal lies in
+        I and holds every input, so it is I, and G_e, reduced, is G, which
+        thus lies in V(F, e). If G lies in V(F, e), the pivots of V(F, e)
+        = I_{<=e} are the leading monomials of I up to degree e, which
+        LM(G), all of degree <= e, minimally generate; the fully reduced
+        row at LM(g) is g, since g minus that row lies in V(F, e) and
+        holds no pivot. So G_e = G, a Groebner basis of I: the pairs pass
+        and the inputs reduce to zero.
+    So the first accepted rung is the first e >= 1 with G in V(F, e), sd
+    itself (no e < Gbd holds G), and G_e is the reduced basis. The minimal
+    pivots are kept as the climb goes (VSpaceBasis._minimal_pivots) from
+    the pivots it records as candidates: an input's, and a product's whose
+    lead is not the product's own lead pivot + x; any other pivot is a
+    variable times a pivot. A rung is rejected at once when some input
+    above e has a leading monomial that no minimal pivot divides.
 
-    Past sd the dimension identity holds by proof. Let d > sd; the check
-    has passed, so G is a reduced Groebner basis, and the scan put G in
-    V(F, sd). Then V(F, d) = I_{<=d}, the ideal's elements of degree <= d:
-      - V(F, sd) lies in V(F, d), so G does, and V(F, d), closed under
-        multiplication by variables up to degree d, holds every u*g of
-        degree <= d;
-      - every f in I_{<=d} has a standard representation by G, a sum of
-        multiples h*g with lm(h*g) <= lm(f) (Becker and Weispfenning,
-        Groebner Bases, Thm 5.64); the order is degree-compatible, so each
-        h*g has degree <= deg f <= d and f lies in V(F, d);
-      - V(F, d) lies in I_{<=d} always.
-    So dim V(F, d_reg + 1) is ideal_dim_le(G, d_reg + 1), the count the
-    certificate compares it with; the same standard-representation argument
-    gives the paper's sd <= d_reg + 1. The acceptance tests still build
-    V(F, d_reg + 1) from scratch and compare, as an independent check.
+    Past sd the dimension identity holds by proof: for d > sd, G lies in
+    V(F, sd) and so in V(F, d), and the third fact gives V(F, d) =
+    I_{<=d}. So dim V(F, d_reg + 1) is ideal_dim_le(G, d_reg + 1), the
+    count the certificate compares it with; the same standard-
+    representation argument gives the paper's sd <= d_reg + 1. The
+    acceptance tests still build V(F, d_reg + 1) from scratch and
+    compare, as an independent check.
 
     Certificates (in report order):
       sd_le_dreg_plus_1        sd <= d_reg + 1, needs max deg(F) <= d_reg
@@ -395,7 +441,7 @@ def verify_bounds(
                                of degree <= d_reg + 1, needs the hypothesis;
                                a cap skip when d_reg + 1 > MAX_DEGREE
     """
-    _check_scan_cap(cap)
+    last = _scan_cap(cap)
     ring = F.ring
     maxdeg = F.max_degree()
     cap_notes: dict[str, str] = {}
@@ -411,16 +457,20 @@ def verify_bounds(
     }
 
     G = gbd_v = sd = lfd = None
-    certified, ideal, dims = 0, [], []
+    ideal, dims = [], []
     at = _rungs(F, order, trace)  # the one climb of F; past sd only identity() reads it
     try:
-        G = buchberger_reduced(F, order, check=False)
-        sd, lfd, certified, ideal, dims = _scan(F, order, G, cap, at)
+        try:
+            G, sd, lfd, ideal, dims = _scan(F, order, last, at)
+        except CapExceeded:  # G is unknown, and so is Gbd, where the trace starts
+            G = buchberger_reduced(F, order)
+            for d in range(max(1, G.max_degree), last + 1):
+                at(d)  # writes rung d's block; from the rung the row cap stopped on, raises it
+            raise CapExceeded(f"solving degree exceeds cap {last}") from None
     except CapExceeded as exc:  # every value the capped phase leaves unknown names its cap
         cap_notes.update(dict.fromkeys(("gbd", "sd", "lfd") if G is None else ("sd", "lfd"),
                                        str(exc)))
     if G is not None:
-        check_basis(G, certified)
         gbd_v = G.max_degree
     values = {"d_reg": d_reg, "gbd": gbd_v, "sd": sd, "lfd": lfd}
 

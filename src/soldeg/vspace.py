@@ -25,7 +25,10 @@ in `dims`. The rungs come from _climb, the only code that multiplies rows
 by variables: v_space_closure runs it to d, and a report reads the rungs
 of one climb of F and of one of its top parts (invariants), since a climb
 through rung e holds V(F, e), row for row and line for line of its trace,
-whatever degree it climbs on to. Adoption order makes traces and counters
+whatever degree it climbs on to. The climb also records the pivots that
+no other pivot may divide (VSpaceBasis.candidates), so the minimal pivots,
+and the reduced Groebner basis when a rung holds it, are read off a rung
+without a pass over its rows. Adoption order makes traces and counters
 reproducible; the resulting basis is canonical regardless. Every span the
 library hands out is such a closure, returned as its own echelon basis (a
 VSpaceBasis is a RowBasis).
@@ -72,16 +75,53 @@ class ClosureStats:
 
 class VSpaceBasis(RowBasis):
     """Echelon basis of V(F, d), read in reduced form, plus the degree bound
-    `d`, the counters of its closure, and `dims[e]` = dim V(F, e) for every
-    rung e <= d of its climb."""
+    `d`, the counters of its closure, `dims[e]` = dim V(F, e) for every
+    rung e <= d of its climb, and the climb's `candidates`: the pivots of
+    the inputs' rows and of the products' rows whose lead is not the
+    product's own lead (pivot + x), in adoption order. Every other pivot is
+    a variable times a pivot, so the candidates hold every pivot that no
+    other pivot divides."""
 
-    __slots__ = ("d", "stats", "dims")
+    __slots__ = ("d", "stats", "dims", "candidates", "_minimal", "_seen")
 
     def __init__(self, ring: Ring, order: TermOrder, d: int):
         super().__init__(ring, order)
         self.d = d
         self.stats = ClosureStats()
         self.dims: list[int] = []
+        self.candidates: list[int] = []
+        self._minimal: dict[int, int] = {}  # minimal pivot -> guard key (see _minimal_pivots)
+        self._seen = 0  # the candidates _minimal has taken in
+
+    def _minimal_pivots(self) -> dict[int, int]:
+        """The pivots that no other pivot divides, the minimal generators of
+        the pivot set, each mapped to g - s*pivot (guard g, sign s): pivot m
+        divides a monomial k iff (s*k + g - s*m) keeps every guard bit
+        (rings.Packing.divides). Kept from the candidates recorded since the
+        last call: a candidate that a minimal pivot divides never becomes
+        minimal, since pivots are never removed; any other joins and drops
+        the minimal pivots it divides."""
+        pack, minimal = self._pack, self._minimal
+        s, g = pack.sign, pack.guard
+        for c in self.candidates[self._seen:]:
+            sc = s * c
+            if any((sc + gm) & g == g for gm in minimal.values()):
+                continue
+            gc = g - sc
+            for m in [m for m, gm in minimal.items() if (g - gm + gc) & g == g]:
+                del minimal[m]
+            minimal[c] = gc
+        self._seen = len(self.candidates)
+        return minimal
+
+    def _minimal_rows(self) -> list[tuple[int, dict[int, int]]]:
+        """(pivot, row) of the reduced echelon form at each minimal pivot,
+        by descending pivot; each row is a packed term map, pivot included,
+        built anew. For a closure V(F, d) these rows are the reduced basis
+        of the ideal whenever it lies in V(F, d) (see invariants._scan)."""
+        tails = self._tails
+        return [(m, {**self._reduce_terms(dict(tails[m])), m: 1})
+                for m in sorted(self._minimal_pivots(), reverse=True)]
 
 
 def v_space_closure(
@@ -159,13 +199,14 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     the next rung; then the cap is tested. A trace line is formatted only
     when tracing: `trace`, when not None, is called with each line, which
     ends in a newline. Each product costs one call,
-    RowBasis._insert_product, which stores it; the variables are
-    enumerated once per closure."""
+    RowBasis._insert_product, which stores it, and each adopted product one
+    comparison, which records its pivot in `candidates` unless it is the
+    product's own lead; the variables are enumerated once per closure."""
     ring = F.ring
     basis = VSpaceBasis(ring, order, d)
     pack = basis._pack
     insert_product = basis._insert_product
-    tails, dims, stats = basis._tails, basis.dims, basis.stats
+    tails, dims, stats, candidates = basis._tails, basis.dims, basis.stats, basis.candidates
     insertions = passes = 0
     # the (index, variable) pairs from each start index on, enumerated once
     indexed = tuple(enumerate(pack.variables))
@@ -191,6 +232,7 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
                 pivot = basis._insert(dict(f._packed(pack)))
                 if pivot is not None:
                     row = len(tails) - 1
+                    candidates.append(pivot)
                     if trace is not None:
                         trace(_trace_line(pack, ring.names, pivot, f"f{i}", "1"))
                     (queue if pivot < below_e else tops).append((row, pivot, tails[pivot], 0))
@@ -205,10 +247,13 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
                     insertions += 1
                     # x keeps the term order, so the product leads with pivot + x;
                     # a monomial row's product is its lead alone, with no map to build
-                    lead = insert_product(pivot + x, {k + x: c for k, c in tail.items()}
+                    product = pivot + x
+                    lead = insert_product(product, {k + x: c for k, c in tail.items()}
                                           if tail else {})
                     if lead is not None:
                         row = len(tails) - 1
+                        if lead != product:  # else a variable times a pivot: never minimal
+                            candidates.append(lead)
                         if trace is not None:
                             trace(_trace_line(pack, ring.names, lead, f"r{source}", ring.names[a]))
                         if lead < below_e:

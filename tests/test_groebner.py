@@ -28,7 +28,8 @@ from soldeg import (
     normal_form,
     RandomSpec,
 )
-from soldeg.groebner import _monic, _nf, _reduced_basis, _spoly, check_basis, ideal_dims
+from soldeg.groebner import (_is_basis, _monic, _nf, _reduced_basis, _spoly, check_basis,
+                             ideal_dims)
 
 from helpers import mk
 
@@ -292,14 +293,13 @@ def _plain_buchberger(polys, pack, p, steps=None):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(p=st.sampled_from([2, 3, 101]), order=st.sampled_from([GREVLEX, GRLEX]), data=st.data())
-def test_closure_certified_check_rejects_exactly_when_the_full_check_does(p, order, data):
-    """When dim V(F, sd) equals the count of multiples of LM(H) up to degree
-    sd, checking only the pairs of lcm degree > sd rejects H exactly when
-    checking every pair does. H is the inter-reduced basis that a plain
-    Buchberger run holds after a random number of S-polynomials, so it is
-    often not yet a Groebner basis and both answers occur."""
-    from soldeg import PolySystem, degree_of_regularity
-    from soldeg.invariants import _rungs, _scan
+def test_a_rung_check_rejects_exactly_when_the_full_check_does(p, order, data):
+    """G_e, the fully reduced rows of V(F, e) at its minimal pivots: at each
+    rung e up to sd, checking only its pairs of lcm degree > e rejects it
+    exactly when checking every pair, with no criterion, does. Below sd it
+    is often not yet a Groebner basis, so both answers occur."""
+    from soldeg import PolySystem, solving_degree
+    from soldeg.vspace import _climb
 
     ring = Ring(p, ("x", "y", "z")[: data.draw(st.integers(2, 3))])
     n = ring.nvars
@@ -308,21 +308,9 @@ def test_closure_certified_check_rejects_exactly_when_the_full_check_does(p, ord
     members = data.draw(st.lists(terms, min_size=2, max_size=4))
     F = PolySystem(ring, [Polynomial(ring, t) for t in members])
     pack = ring.packing(order)
-    polys = [_monic(dict(f._packed(pack)), p) for f in F if not f.is_zero]
-    H = _reduced_basis(ring, _plain_buchberger(polys, pack, p, data.draw(st.integers(0, 10))), order)
-    try:
-        _, _, certified, _, _ = _scan(F, order, H, None, _rungs(F, order))
-    except CapExceeded:
-        return
-    if not certified:
-        return
-    full_rejects = _all_pairs_reject(_packed_basis(H, pack), pack, p)
-    try:
-        check_basis(H, certified)
-        limited_rejects = False
-    except InconsistencyError:
-        limited_rejects = True
-    assert limited_rejects == full_rejects
+    for e, V in enumerate(_climb(F, solving_degree(F, order), order, max_rows=10**5, trace=None)):
+        rows = V._minimal_rows()
+        assert _is_basis(rows, pack, p, low=e) != _all_pairs_reject(rows, pack, p)
 
 
 def test_gbd_examples():

@@ -13,13 +13,13 @@ from soldeg import (
     CapExceeded,
     DegreeReport,
     DomainError,
-    InconsistencyError,
     InfiniteDegree,
     MAX_DEGREE,
     Polynomial,
     PolySystem,
     RandomSpec,
     Ring,
+    buchberger_reduced,
     degree_of_regularity,
     gen_fk,
     gen_random,
@@ -241,14 +241,21 @@ def test_solving_degree_cap_error_reports_partial_dims():
     assert err.value.details["partial_dims"]  # scanned dimensions are reported
 
 
-@pytest.mark.parametrize("cap", [0, -5])
-def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
-    """Refused before any work: neither the d_reg walk nor Buchberger runs."""
+def refuse_all_work(monkeypatch):
+    """Make every first step of an entry point raise: the d_reg walk, the
+    climb of F (and of the tops), and Buchberger."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the cap was checked")
 
-    monkeypatch.setattr("soldeg.invariants.degree_of_regularity", refuse)
-    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", refuse)
+    for name in ("degree_of_regularity", "_climb", "buchberger_reduced"):
+        monkeypatch.setattr(f"soldeg.invariants.{name}", refuse)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
+    """Refused before any work: neither the d_reg walk, nor a climb, nor
+    Buchberger runs."""
+    refuse_all_work(monkeypatch)
     F = gen_fk(3, 101)
     for entry in (solving_degree, last_fall_degree, verify_bounds):
         with pytest.raises(DomainError, match="cap must be at least 1"):
@@ -259,33 +266,40 @@ def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap
 def test_a_cap_that_is_not_an_int_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
     """Refused before any work, like a cap below 1: a float would fail
     mid-scan, and True would pass for 1."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started before the cap was checked")
-
-    monkeypatch.setattr("soldeg.invariants.degree_of_regularity", refuse)
-    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", refuse)
+    refuse_all_work(monkeypatch)
     F = gen_fk(3, 101)
     for entry in (solving_degree, last_fall_degree, verify_bounds):
         with pytest.raises(DomainError, match="cap must be an int"):
             entry(F, cap=cap)
 
 
-def test_report_checks_the_basis_it_is_handed(monkeypatch):
-    """verify_bounds checks Buchberger's basis after the sd scan, pairs above
-    sd always and the rest unless the closure certifies them. Handed the
-    inputs, which are not a Groebner basis, it raises: the closure certifies
-    the pairs up to sd = 2, and the one pair, of lcm degree 3, fails."""
-    from soldeg.groebner import _monic, _reduced_basis
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_the_scan_rejects_a_rung_whose_rows_are_no_groebner_basis(monkeypatch, order):
+    """V(F, 2) of x^2 + y; x*y + 1 is the span of the two inputs, and they
+    are no Groebner basis: their one S-pair, of lcm degree 3, reduces to
+    y^2 - x, not zero. The scan rejects rung 2 on that pair, goes on, and
+    accepts rung 3, so the report is the one Buchberger's basis gives."""
+    from soldeg import invariants
 
     F = mk("p=101; vars=x,y; x^2 + y; x*y + 1")
+    checked, is_basis = [], invariants._is_basis
 
-    def unchecked(F, order, *, check=True):
-        pack = F.ring.packing(order)
-        return _reduced_basis(F.ring, [_monic(dict(f._packed(pack)), 101) for f in F], order)
+    def recorded(rows, pack, p, low=0):
+        verdict = is_basis(rows, pack, p, low)
+        checked.append((low, sorted(pack.decode(m) for m, _ in rows), verdict))
+        return verdict
 
-    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", unchecked)
-    with pytest.raises(InconsistencyError):
-        verify_bounds(F)
+    monkeypatch.setattr(invariants, "_is_basis", recorded)
+    report = verify_bounds(F, order)
+    assert checked[0] == (2, [(1, 1), (2, 0)], False)  # rung 2: the inputs' rows, rejected
+    assert checked[-1][0] == 3 and checked[-1][2]  # rung 3 accepted
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (InfiniteDegree(5), 2, 3, 3)
+    assert report.gbd == buchberger_reduced(F, order).max_degree
+    assert [(c.id, c.verdict) for c in report.certificates] == [
+        ("sd_le_dreg_plus_1", "pass"), ("gbd_le_dreg", "pass"), ("sd_eq_max_lfd_gbd", "pass"),
+        ("sd_generalized_bound", "pass"), ("lfd_upper_bound", "pass"),
+        ("sd_macaulay_bound", "skipped"), ("vspace_dim_identity", "skipped"),
+    ]
 
 
 def test_solving_and_last_fall_degrees_build_no_regularity_slice(monkeypatch):
@@ -308,7 +322,7 @@ def test_solving_and_last_fall_degrees_build_no_regularity_slice(monkeypatch):
 
 @pytest.mark.parametrize("k", [3, 6])
 def test_the_upper_bounds_fail_under_a_regularity_degree_too_small(k, monkeypatch):
-    # the sd scan's cap comes from the input, so a wrong d_reg cannot cap
+    # no bound of the sd scan comes from d_reg, so a wrong d_reg cannot cap
     # the scan below sd: the bounds it breaks fail instead of being skipped
     from soldeg import invariants
 
@@ -451,11 +465,13 @@ def verdicts(report: DegreeReport):
 
 
 def test_report_when_buchberger_is_capped(monkeypatch):
+    """Buchberger runs only when a cap stopped the scan (here the user cap 1,
+    below sd = 3); capped too, it leaves Gbd unknown with sd and Lfd."""
     def capped(*args, **kwargs):
         raise CapExceeded("buchberger exceeded 1 pairs")
 
     monkeypatch.setattr("soldeg.invariants.buchberger_reduced", capped)
-    report = verify_bounds(gen_fk(2, 101))
+    report = verify_bounds(gen_fk(2, 101), cap=1)
     assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, None, None, None)
     # Gbd, sd and Lfd are all unknown, and each skip names Buchberger's cap
     reason = "cap: buchberger exceeded 1 pairs"
@@ -775,11 +791,12 @@ def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
 def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
     monkeypatch, make, walks, traced
 ):
-    """A report reads V(F, d) at the scanned degrees max(1, Gbd)..sd, as
-    rungs of one climb of F, beside one climb of the tops when the d_reg
-    walk runs; it builds no v_space_closure. Untraced, the climb of F stops
-    at rung sd; traced, it also reads rung d_reg + 1 when that lies past
-    sd, only to write its trace."""
+    """A report reads V(F, e) at e = 1..sd silently, as rungs of one climb
+    of F, beside one climb of the tops when the d_reg walk runs; it builds
+    no v_space_closure. Once G is known it writes the blocks of rungs
+    max(1, Gbd)..sd. Untraced, the climb of F stops at rung sd; traced, it
+    also reads rung d_reg + 1 when that lies past sd, only to write its
+    trace."""
     from soldeg import invariants, vspace
 
     F, climbed, read, rungs_climbed = make(), [], [], []
@@ -795,9 +812,9 @@ def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
     def reader(S, *args):
         at = rungs(S, *args)
 
-        def recorded(e):
-            read.append(e)
-            return at(e)
+        def recorded(e, write=True):
+            read.append((e, write))
+            return at(e, write)
 
         return recorded if S is F else at
 
@@ -808,12 +825,36 @@ def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
     monkeypatch.setattr(invariants, "_rungs", reader)
     monkeypatch.setattr(invariants, "v_space_closure", refuse)
     report = verify_bounds(F, trace=io.StringIO() if traced else None)
-    scanned = list(range(max(1, report.gbd), report.sd + 1))
+    scanned = [(e, False) for e in range(1, report.sd + 1)]
+    written = [(e, True) for e in range(max(1, report.gbd), report.sd + 1)]
     past_sd = report.hypothesis["satisfied"] and report.d_reg >= report.sd
-    identity = [report.d_reg + 1] if traced and past_sd else []
-    assert read == scanned + identity  # no rung below max(1, Gbd), none read twice
-    assert rungs_climbed == list(range(max(scanned + identity) + 1))
+    identity = [(report.d_reg + 1, True)] if traced and past_sd else []
+    assert read == scanned + written + identity  # no rung past sd read untraced
+    assert rungs_climbed == list(range(max(e for e, _ in read) + 1))
     assert climbed == [False] * walks + [True]  # the tops, then F
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_fk(6, 101),
+    lambda: mk(UNDERDETERMINED),
+    lambda: mk("p=101; vars=x,y; x^2 + y; x*y + 1"),
+    lambda: mk("p=101; vars=x,y; x; x + 1"),
+    lambda: gen_random(RandomSpec(seed=5, n=3, k=3, deg_bounds=(3, 2, 2), p=3)),
+], ids=["fk6", "underdetermined", "rejected-rung", "unit-ideal", "n3-p3"])
+def test_an_uncapped_report_never_runs_buchberger(monkeypatch, make):
+    """G and sd come off the climb of F; Buchberger is left for a capped scan."""
+    from soldeg import invariants
+
+    F = make()
+    full = verify_bounds(F)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an uncapped report ran Buchberger")
+
+    monkeypatch.setattr(invariants, "buchberger_reduced", refuse)
+    for trace in (None, io.StringIO()):
+        assert render_report(verify_bounds(F, trace=trace)) == render_report(full)
+    assert (solving_degree(F), last_fall_degree(F)) == (full.sd, full.lfd)
 
 
 def _closure_trace(F, d, max_rows):
@@ -942,26 +983,25 @@ def test_last_fall_scan_counts_ideal_dimensions_in_one_pass(monkeypatch):
     assert calls == [("ideal_dims", 300)]  # one pass over the degrees 0..sd
 
 
-def test_sd_scan_keys_each_basis_member_once(monkeypatch):
-    from soldeg import buchberger_reduced, invariants
+def test_sd_scan_keys_each_input_once(monkeypatch):
+    from soldeg import invariants
     from soldeg.rings import Polynomial
 
     F = gen_fk(6, 101)
     G = buchberger_reduced(F, GRLEX)
     dims = invariants.ideal_dims(G, 7)
-    monkeypatch.setattr(invariants, "ideal_dims", lambda G, e: dims[: e + 1])
     keyed = []
     packed = Polynomial._packed
 
     def counted(self, pack):
-        if any(self is g for g in G.polys):
+        if any(self is f for f in F.polys):
             keyed.append(self)
         return packed(self, pack)
 
     rungs = v_space_closure(F, 7, GRLEX).dims
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    assert invariants._scan(F, GRLEX, G, None, invariants._rungs(F, GRLEX)) == (
-        7, 7, 7, dims, rungs)
-    # the sd scan tests membership at degrees 1..7; each member is keyed
-    # under grlex once, not once per degree
-    assert len(keyed) == len(G)
+    scanned = invariants._scan(F, GRLEX, MAX_DEGREE, invariants._rungs(F, GRLEX))
+    assert scanned[0].polys == G.polys and scanned[1:] == (7, 7, dims, rungs)
+    # the scan tests the inputs at rungs 1..7, and the climb inserts them
+    # once; each is keyed under grlex once by each, not once per rung
+    assert len(keyed) == 2 * len(F)
