@@ -132,11 +132,11 @@ def _cmd_oracle_diff(args) -> int:
     mutant, V = mutantxl_gb(sf.system, order)
     reference = buchberger_reduced(sf.system, order)
     same = mutant.polys == reference.polys
-    n = sf.system.ring.nvars
+    n, d = sf.system.ring.nvars, len(V.dims) - 1
     print(f"mutant elimination: {[g.render(order) for g in mutant]}")
     print(f"buchberger:         {[g.render(order) for g in reference]}")
     print(
-        f"stats: bound={V.d} N={math.comb(n + V.d, n)} insertions={V.stats.insertions} "
+        f"stats: bound={d} N={math.comb(n + d, n)} insertions={V.stats.insertions} "
         f"adoptions={V.stats.adoptions} field_mults={V.stats.field_mults}"
     )
     print("agreement: " + ("yes" if same else "NO"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import CapExceeded, DimensionError, DomainError, InconsistencyError
-from .rings import GREVLEX, Packing, Polynomial, TermOrder, _check_cap, _check_int
+from .rings import GREVLEX, Packing, Polynomial, TermOrder, _check_int
 
 DEFAULT_MAX_PAIRS = 200_000
 
@@ -214,9 +214,7 @@ def _unit_basis(ring, order: TermOrder) -> GroebnerBasis:
     return GroebnerBasis((ring.one(),), order)
 
 
-def buchberger_reduced(
-    F, order: TermOrder = GREVLEX, *, max_pairs: int = DEFAULT_MAX_PAIRS, check: bool = True
-) -> GroebnerBasis:
+def buchberger_reduced(F, order: TermOrder = GREVLEX, *, check: bool = True) -> GroebnerBasis:
     """The unique reduced Groebner basis of the ideal generated by F.
 
     Pairs are processed lowest lcm first (normal strategy). Each new
@@ -243,14 +241,12 @@ def buchberger_reduced(
     the loop, so a pair skipped by mistake cannot pass unseen.
     check=False leaves that check out. verify_bounds runs it checked, and
     only when a cap stopped its sd scan. Generators of two rings
-    are a DimensionError. Past `max_pairs` reduced S-polynomials CapExceeded
-    carries `basis_size`, `pairs_popped` (those reduced), `pairs_pending`
-    (the pair popped at the cap among them) and `pairs_skipped`, a count
-    per rule: `product` and `chain`. A `max_pairs` that is not an int (a
-    bool is not one) or lies below 1 is a DomainError, raised before any
-    work.
+    are a DimensionError. Past DEFAULT_MAX_PAIRS reduced S-polynomials, a
+    safety limit read at call time, CapExceeded carries `basis_size`,
+    `pairs_popped` (those reduced), `pairs_pending` (the pair popped at the
+    cap among them) and `pairs_skipped`, a count per rule: `product` and
+    `chain`.
     """
-    _check_cap(max_pairs, "max_pairs")
     polys = list(F)
     if not polys:
         raise DomainError("cannot take a basis of an empty family")
@@ -301,9 +297,9 @@ def buchberger_reduced(
         if chained(s * l, i, j):
             skipped["chain"] += 1
             continue
-        if pops >= max_pairs:
+        if pops >= DEFAULT_MAX_PAIRS:
             raise CapExceeded(
-                f"Buchberger exceeded {max_pairs} S-pairs",
+                f"Buchberger exceeded {DEFAULT_MAX_PAIRS} S-pairs",
                 details={"basis_size": len(G), "pairs_popped": pops,
                          "pairs_pending": len(heap) + 1, "pairs_skipped": skipped},
             )

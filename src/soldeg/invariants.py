@@ -30,7 +30,7 @@ from typing import Union
 from .errors import CapExceeded, DomainError, PreconditionError
 from .groebner import (GroebnerBasis, _is_basis, _nf, buchberger_reduced, ideal_dim_le,
                        ideal_dims)
-from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder, _check_cap
+from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder, _check_int
 from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
@@ -188,8 +188,8 @@ def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasi
     reduced basis; it is read off as the sd scan reads it off a rung
     (VSpaceBasis._minimal_rows): the fully reduced rows at the pivots that
     no other pivot divides.
-    Returns the basis and the closure: its `d` is the degree bound and its
-    `stats` the work counters.
+    Returns the basis and the closure: its `stats` are the work counters,
+    and its degree bound d_reg + 1 is len(dims) - 1.
     """
     d_reg = degree_of_regularity(F)
     if not isinstance(d_reg, int):
@@ -212,14 +212,6 @@ def _basis(ring, order: TermOrder, rows: list) -> GroebnerBasis:
     return GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in rows), order)
 
 
-def _scan_cap(cap: int | None) -> int:
-    """The last rung the sd scan reads: `cap`, checked, or MAX_DEGREE."""
-    if cap is None:
-        return MAX_DEGREE
-    _check_cap(cap, "cap")
-    return cap
-
-
 def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[int]]:
     """(G, sd, Lfd, ideal, dims) read off the rungs e = 1, 2, ... of one
     climb of F through its unread reader `at` (_rungs). Rung e gives G_e,
@@ -232,20 +224,18 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[
     monomial of some input above e has no minimal pivot dividing it. The
     rungs are read silently; once G is known, `at` writes the trace blocks
     of rungs max(1, Gbd)..sd, the closures v_space_closure would build at
-    those degrees. Past rung `last` (_scan_cap) CapExceeded carries the
-    scanned span dimensions. For e = 0..sd, `dims[e]` = dim V(F, e), and
-    `ideal[e]` counts the ideal's elements of degree <= e, in one pass.
-    Lfd is one past the last e <= sd with dims[e] < ideal[e], found walking
-    down from sd, so it reads no further rung.
+    those degrees. Past rung `last` it raises CapExceeded. For e = 0..sd,
+    `dims[e]` = dim V(F, e), and `ideal[e]` counts the ideal's elements of
+    degree <= e, in one pass. Lfd is one past the last e <= sd with
+    dims[e] < ideal[e], found walking down from sd, so it reads no further
+    rung.
     """
     pack, p = F.ring.packing(order), F.ring.p
     s, g = pack.sign, pack.guard
     # (degree, s * leading monomial, terms) of each input, keyed once
     inputs = [(f._degree, s * max(t := f._packed(pack)), t) for f in F]
-    partial: dict[int, int] = {}
     for sd in range(1, last + 1):
         V = at(sd, write=False)
-        partial[sd] = V.dims[sd]
         above = [(slm, t) for deg, slm, t in inputs if deg > sd]
         minimal = V._minimal_pivots().values()
         if any(all((slm + gm) & g != g for gm in minimal) for slm, _ in above):
@@ -255,7 +245,7 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[
                 and _is_basis(rows, pack, p, low=sd)):
             break
     else:
-        raise CapExceeded(f"solving degree exceeds cap {last}", details={"partial_dims": partial})
+        raise CapExceeded(f"solving degree exceeds cap {last}")
     G = _basis(F.ring, order, rows)
     for d in range(max(1, G.max_degree), sd + 1):
         at(d)  # writes the trace block of rung d
@@ -265,17 +255,19 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[
     return G, sd, lfd, ideal, dims
 
 
-def solving_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
-    """Smallest d whose degree-d span contains the reduced Groebner basis."""
-    return _scan(F, order, _scan_cap(cap), _rungs(F, order))[1]
+def solving_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
+    """Smallest d whose degree-d span contains the reduced Groebner basis.
+    The scan reads rungs up to MAX_DEGREE, as an uncapped verify_bounds
+    does; the climb's row cap, a CapExceeded, comes first on a large input."""
+    return _scan(F, order, MAX_DEGREE, _rungs(F, order))[1]
 
 
-def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX, cap: int | None = None) -> int:
+def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
     """Minimal d such that every ideal element f lies in the span at degree
     max(d, deg f). Computed by comparing span dimensions against the ideal's
-    bounded dimensions, walking down from the solving degree and stopping
-    at the last fall."""
-    return _scan(F, order, _scan_cap(cap), _rungs(F, order))[2]
+    bounded dimensions, walking down from the solving degree (found as
+    solving_degree finds it) and stopping at the last fall."""
+    return _scan(F, order, MAX_DEGREE, _rungs(F, order))[2]
 
 
 @dataclass
@@ -441,7 +433,10 @@ def verify_bounds(
                                of degree <= d_reg + 1, needs the hypothesis;
                                a cap skip when d_reg + 1 > MAX_DEGREE
     """
-    last = _scan_cap(cap)
+    last = MAX_DEGREE if cap is None else cap  # the last rung the sd scan reads
+    _check_int(last, "cap")
+    if last < 1:
+        raise DomainError(f"cap must be at least 1, got {last}")
     ring = F.ring
     maxdeg = F.max_degree()
     cap_notes: dict[str, str] = {}

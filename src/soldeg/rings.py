@@ -63,13 +63,6 @@ def _check_int(v, what: str) -> None:
         raise DomainError(f"{what} must be an int, got {v!r}")
 
 
-def _check_cap(v, what: str) -> None:
-    """DomainError unless v is a work cap: an int (not a bool) of at least 1."""
-    _check_int(v, what)
-    if v < 1:
-        raise DomainError(f"{what} must be at least 1, got {v}")
-
-
 def check_modulus(p) -> int:
     """p, if it is a prime int with 2 <= p < 2**31; DomainError otherwise."""
     _check_int(p, "field modulus")
@@ -415,6 +408,8 @@ class Polynomial:
             raise DimensionError(f"mixed rings: {self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_same_ring(other)
         p = self.ring.p
         res = dict(self._t)
@@ -427,6 +422,8 @@ class Polynomial:
         return Polynomial._raw(self.ring, res)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> Polynomial:
@@ -480,11 +477,20 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, e: int) -> Polynomial:
+        """self**e by repeated squaring; a power whose degree does not fit a
+        packed field is refused before any product is formed."""
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise DomainError("polynomial powers take non-negative int exponents")
-        result = self.ring.one()
-        for _ in range(e):
-            result = result * self
+        if not self._t:
+            return self.ring.one() if e == 0 else self
+        Packing.check(self._degree * e)  # every square and product below has at most this degree
+        result, square = self.ring.one(), self
+        while e:
+            if e & 1:
+                result = result * square
+            e >>= 1
+            if e:
+                square = square * square
         return result
 
     def top(self) -> Polynomial:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from .errors import (
     CapExceeded,
+    DimensionError,
     DomainError,
     InconsistencyError,
     PreconditionError,
@@ -53,7 +54,6 @@ from .rings import (
     PolySystem,
     Ring,
     TermOrder,
-    _check_cap,
     _check_int,
     _render_exps,
 )
@@ -74,19 +74,18 @@ class ClosureStats:
 
 
 class VSpaceBasis(RowBasis):
-    """Echelon basis of V(F, d), read in reduced form, plus the degree bound
-    `d`, the counters of its closure, `dims[e]` = dim V(F, e) for every
-    rung e <= d of its climb, and the climb's `candidates`: the pivots of
+    """Echelon basis of V(F, d), read in reduced form, plus the counters of
+    its closure, `dims[e]` = dim V(F, e) for every rung e <= d of its climb
+    (so d is len(dims) - 1), and the climb's `candidates`: the pivots of
     the inputs' rows and of the products' rows whose lead is not the
     product's own lead (pivot + x), in adoption order. Every other pivot is
     a variable times a pivot, so the candidates hold every pivot that no
     other pivot divides."""
 
-    __slots__ = ("d", "stats", "dims", "candidates", "_minimal", "_seen")
+    __slots__ = ("stats", "dims", "candidates", "_minimal", "_seen")
 
-    def __init__(self, ring: Ring, order: TermOrder, d: int):
+    def __init__(self, ring: Ring, order: TermOrder):
         super().__init__(ring, order)
-        self.d = d
         self.stats = ClosureStats()
         self.dims: list[int] = []
         self.candidates: list[int] = []
@@ -124,14 +123,8 @@ class VSpaceBasis(RowBasis):
                 for m in sorted(self._minimal_pivots(), reverse=True)]
 
 
-def v_space_closure(
-    F: PolySystem,
-    d: int,
-    order: TermOrder = GREVLEX,
-    *,
-    max_rows: int = DEFAULT_MAX_ROWS,
-    trace=None,
-) -> VSpaceBasis:
+def v_space_closure(F: PolySystem, d: int, order: TermOrder = GREVLEX, *,
+                    trace=None) -> VSpaceBasis:
     """Compute the reduced echelon basis of V(F, d) by climbing rungs e = 0..d.
 
     Rung e re-queues, in adoption order, the rows of degree e - 1 that rung
@@ -172,16 +165,15 @@ def v_space_closure(
     `trace`, when given, is a writable text stream receiving one
     tab-separated line per adopted row: degree, pivot, source id ("f<i>" an
     input, multiplier 1; "r<j>" the j-th adopted row), multiplier.
-    Raises CapExceeded (carrying partial stats) past `max_rows` rows, and
-    DomainError, before any work, unless d is an int (not a bool) from 1 to
-    MAX_DEGREE and `max_rows` an int (not a bool) of at least 1.
+    Raises CapExceeded (carrying partial stats) past DEFAULT_MAX_ROWS rows,
+    a safety limit read at call time, and DomainError, before any work,
+    unless d is an int (not a bool) from 1 to MAX_DEGREE.
     """
-    _check_cap(max_rows, "max_rows")
     _check_int(d, "closure degree")
     if d < 1:
         raise DomainError("closure degree must be at least 1")
     Packing.check(d)  # no product formed below exceeds degree d
-    *_, basis = _climb(F, d, order, max_rows=max_rows,
+    *_, basis = _climb(F, d, order, max_rows=DEFAULT_MAX_ROWS,
                        trace=None if trace is None else trace.write)
     return basis
 
@@ -203,7 +195,7 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     comparison, which records its pivot in `candidates` unless it is the
     product's own lead; the variables are enumerated once per closure."""
     ring = F.ring
-    basis = VSpaceBasis(ring, order, d)
+    basis = VSpaceBasis(ring, order)
     pack = basis._pack
     insert_product = basis._insert_product
     tails, dims, stats, candidates = basis._tails, basis.dims, basis.stats, basis.candidates
@@ -325,10 +317,14 @@ def reduce_against_tops(f: Polynomial, reps: dict[tuple[int, ...], Polynomial]):
 
     Returns (coeffs, remainder) with f == remainder + sum(coeffs[m] * reps[m])
     over exponent tuples m, and deg(remainder) < d. Purely syntactic: f need
-    not lie in any span.
+    not lie in any span, but it must share the representatives' ring.
     """
     if not reps:
         raise DomainError("no top representatives to reduce against")
+    ring = next(iter(reps.values())).ring
+    if f.ring != ring:
+        raise DimensionError(f"polynomial ring {f.ring!r} differs from the representatives' "
+                             f"ring {ring!r}")
     d = sum(next(iter(reps)))
     if f.is_zero or f._degree != d:
         raise DomainError(f"expected a polynomial of degree exactly {d}")

@@ -1,6 +1,10 @@
 """Small builders shared by the test modules."""
 
-from soldeg import PolySystem, parse_system
+from contextlib import contextmanager
+
+import pytest
+
+from soldeg import PolySystem, parse_system, vspace
 
 
 def mk(text: str) -> PolySystem:
@@ -12,3 +16,12 @@ def mk_polys(header: str, *exprs: str):
     """Parse polynomials under a shared header, returning them as a list."""
     system = mk(header + "; " + "; ".join(exprs))
     return list(system)
+
+
+@contextmanager
+def row_cap(max_rows: int):
+    """Lower the row cap of v_space_closure, vspace.DEFAULT_MAX_ROWS, to
+    `max_rows` inside the block; a report's climbs keep their own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vspace, "DEFAULT_MAX_ROWS", max_rows)
+        yield

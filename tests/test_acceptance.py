@@ -275,7 +275,7 @@ def test_criterion_8_oracle_equivalence():
         reference = buchberger_reduced(F, order)
         assert mutant.polys == reference.polys
         N = math.comb(F.ring.nvars + d + 1, F.ring.nvars)
-        assert V.d == d + 1
+        assert len(V.dims) - 1 == d + 1
         assert V.stats.adoptions <= N * N
         assert V.stats.insertions <= N * N
     note(

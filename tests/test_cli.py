@@ -263,11 +263,10 @@ def test_oracle_diff_reports_a_disagreement(fk_file, capsys, monkeypatch):
 
 
 def test_a_capped_oracle_diff_is_one_line_and_exit_3(fk_file, monkeypatch, capsys):
-    from soldeg import invariants
+    from soldeg import vspace
 
-    closure = invariants.v_space_closure
-    monkeypatch.setattr(invariants, "v_space_closure",
-                        lambda F, d, order: closure(F, d, order, max_rows=3))
+    # the closure's row cap; the d_reg walk reads invariants.DEFAULT_MAX_ROWS, not lowered
+    monkeypatch.setattr(vspace, "DEFAULT_MAX_ROWS", 3)
     assert main(["oracle-diff", fk_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -295,7 +294,7 @@ def test_sweep_table(capsys):
     assert [row.split()[0] for row in out[1:]] == ["2", "3", "4"]
 
 
-def test_sweep_json_parallel(capsys):
+def test_sweep_json(capsys):
     assert main(["sweep", "fk", "--from", "2", "--to", "5", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in rows] == [2, 3, 4, 5]

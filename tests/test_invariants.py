@@ -32,7 +32,7 @@ from soldeg import (
 )
 from soldeg.vspace import DEFAULT_MAX_ROWS
 
-from helpers import mk
+from helpers import mk, row_cap
 from oracle_vspace import rref
 
 
@@ -235,12 +235,6 @@ def test_solving_degree_trivial_cases():
     assert solving_degree(mk("p=101; vars=x,y; x^2; y^2")) == 2
 
 
-def test_solving_degree_cap_error_reports_partial_dims():
-    with pytest.raises(CapExceeded) as err:
-        solving_degree(gen_fk(3, 101), cap=2)
-    assert err.value.details["partial_dims"]  # scanned dimensions are reported
-
-
 def refuse_all_work(monkeypatch):
     """Make every first step of an entry point raise: the d_reg walk, the
     climb of F (and of the tops), and Buchberger."""
@@ -254,12 +248,10 @@ def refuse_all_work(monkeypatch):
 @pytest.mark.parametrize("cap", [0, -5])
 def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
     """Refused before any work: neither the d_reg walk, nor a climb, nor
-    Buchberger runs."""
+    Buchberger runs. verify_bounds is the one entry point with a cap."""
     refuse_all_work(monkeypatch)
-    F = gen_fk(3, 101)
-    for entry in (solving_degree, last_fall_degree, verify_bounds):
-        with pytest.raises(DomainError, match="cap must be at least 1"):
-            entry(F, cap=cap)
+    with pytest.raises(DomainError, match=f"cap must be at least 1, got {cap}"):
+        verify_bounds(gen_fk(3, 101), cap=cap)
 
 
 @pytest.mark.parametrize("cap", [2.5, 3.0, True])
@@ -267,10 +259,19 @@ def test_a_cap_that_is_not_an_int_is_a_domain_error_at_every_entry_point(monkeyp
     """Refused before any work, like a cap below 1: a float would fail
     mid-scan, and True would pass for 1."""
     refuse_all_work(monkeypatch)
-    F = gen_fk(3, 101)
-    for entry in (solving_degree, last_fall_degree, verify_bounds):
-        with pytest.raises(DomainError, match="cap must be an int"):
-            entry(F, cap=cap)
+    with pytest.raises(DomainError, match="cap must be an int"):
+        verify_bounds(gen_fk(3, 101), cap=cap)
+
+
+def test_work_caps_are_constants_not_parameters():
+    """A work cap only turns a runaway phase into a cap skip, so the row
+    and pair caps are module constants, and only verify_bounds takes a
+    degree cap for its sd scan."""
+    import inspect
+
+    for fn in (v_space_closure, buchberger_reduced, solving_degree, last_fall_degree):
+        assert not {"max_rows", "max_pairs", "cap"} & set(inspect.signature(fn).parameters)
+    assert "cap" in inspect.signature(verify_bounds).parameters
 
 
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX])
@@ -858,10 +859,12 @@ def test_an_uncapped_report_never_runs_buchberger(monkeypatch, make):
 
 
 def _closure_trace(F, d, max_rows):
-    """(trace text, capped) of v_space_closure(F, d) built from scratch."""
+    """(trace text, capped) of v_space_closure(F, d) built from scratch
+    under a row cap of `max_rows`."""
     sink = io.StringIO()
     try:
-        v_space_closure(F, d, max_rows=max_rows, trace=sink)
+        with row_cap(max_rows):
+            v_space_closure(F, d, trace=sink)
     except CapExceeded:
         return sink.getvalue(), True
     return sink.getvalue(), False

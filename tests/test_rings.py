@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from soldeg import (
     MINUS_INFINITY,
     DimensionError,
     DomainError,
+    Polynomial,
     PolySystem,
     Ring,
     TermOrder,
@@ -177,6 +179,48 @@ def test_top_of_zero_is_an_error():
 def test_a_power_needs_a_non_negative_int_exponent(e):
     with pytest.raises(DomainError, match="non-negative int exponents"):
         Ring(101, ("x", "y")).variable(0) ** e
+
+
+def test_a_power_past_the_largest_degree_is_refused_before_any_product(monkeypatch):
+    # (x + 1)**40000 used to multiply for more than 30 s before this error
+    ring = Ring(101, ("x", "y"))
+    f = ring.variable(0) + ring.one()
+
+    def refuse(self, other):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    with pytest.raises(DomainError, match="degree 40000 exceeds the largest supported degree"):
+        f ** 40000
+
+
+def test_a_power_equals_repeated_multiplication():
+    ring = Ring(7, ("x", "y"))
+    x, y = ring.variables()
+    for f in (ring.zero(), ring.constant(3), x + y.scaled(2) + ring.one(), x * y - y):
+        product = ring.one()
+        for e in range(10):
+            assert f ** e == product, (f, e)
+            product = product * f
+
+
+def test_a_power_takes_a_multiplication_per_bit_of_its_exponent(monkeypatch):
+    # 2**(10**6) used to take 10**6 multiplications; squaring takes at most 2 per bit
+    ring = Ring(101, ("x",))
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert ring.constant(2) ** 10**6 == ring.constant(pow(2, 10**6, 101))
+    assert len(calls) <= 2 * (10**6).bit_length()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, lambda f, c: c + f,
+                                lambda f, c: c - f], ids=["f+1", "f-1", "1+f", "1-f"])
+def test_a_polynomial_and_an_int_are_no_sum(op):
+    # f + 1 and f - 1 used to raise AttributeError: 'int' object has no attribute 'ring'
+    f = Ring(101, ("x",)).variable(0)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(f, 1)
 
 
 def test_degree_sentinel():

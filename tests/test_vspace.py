@@ -12,6 +12,7 @@ from soldeg import (
     GREVLEX,
     GRLEX,
     CapExceeded,
+    DimensionError,
     DomainError,
     InconsistencyError,
     PolySystem,
@@ -25,10 +26,11 @@ from soldeg import (
     reduce_against_tops,
     v_space_closure,
     RandomSpec,
+    Ring,
     RowBasis,
 )
 
-from helpers import mk
+from helpers import mk, row_cap
 from oracle_vspace import BruteForceSpan
 from soldeg.vspace import DEFAULT_MAX_ROWS
 
@@ -113,7 +115,7 @@ def assert_variable_only_counters(F, V, text):
     # its start index on: the multiplier's index when its product x_a*r<k>
     # had degree below the rung or the row has the rung's degree, else 0
     # (inputs, and mutants of products of the rung's degree)
-    d, names = V.d, F.ring.names
+    d, names = len(V.dims) - 1, F.ring.names
     lines = [line.split("\t") for line in text.splitlines()]
     passed_at, starts = [], []  # the rung that passes over each row; start indices
     for degree, _, source, multiplier in lines:
@@ -252,7 +254,8 @@ def closure_outcome(F, d, order, trace, max_rows=DEFAULT_MAX_ROWS):
     """(dims, rows, counters) of v_space_closure(F, d, order), or the
     counters that CapExceeded carries when the closure passes `max_rows`."""
     try:
-        V = v_space_closure(F, d, order, max_rows=max_rows, trace=trace)
+        with row_cap(max_rows):
+            V = v_space_closure(F, d, order, trace=trace)
     except CapExceeded as err:
         return "capped", dict(vars(err.stats))
     return V.dims, V._rows(), dict(vars(V.stats))
@@ -429,36 +432,18 @@ def test_closure_log_and_trace():
 
 def test_closure_cap_carries_partial_stats():
     F = gen_fk(4, 101)
-    with pytest.raises(CapExceeded) as err:
-        v_space_closure(F, 5, max_rows=2)
+    with row_cap(2), pytest.raises(CapExceeded) as err:
+        v_space_closure(F, 5)
     assert err.value.stats is not None
     assert err.value.stats.adoptions >= 2
-
-
-@pytest.mark.parametrize("max_rows, message", [
-    (-1, "max_rows must be at least 1, got -1"),
-    (0, "max_rows must be at least 1, got 0"),
-    (2.5, "max_rows must be an int, got 2.5"),
-    (True, "max_rows must be an int, got True"),
-], ids=["negative", "zero", "float", "bool"])
-def test_closure_refuses_a_row_cap_that_is_no_positive_int(monkeypatch, max_rows, message):
-    """A bad row cap is refused before any work, not reported as a cap hit."""
-    from soldeg import vspace
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the closure climbed a rung")
-
-    monkeypatch.setattr(vspace, "_climb", refuse)
-    with pytest.raises(DomainError, match=re.escape(message)):
-        v_space_closure(gen_fk(4, 101), 3, max_rows=max_rows)
 
 
 @pytest.mark.parametrize("max_rows", [1, 5, 10])
 def test_closure_cap_carries_the_counters_at_the_cap(max_rows):
     F = gen_random(RandomSpec(seed=2, n=3, k=3, deg_bounds=(2, 2, 2), density=1.0, p=101))
     assert v_space_closure(F, 3).span_dim() > max_rows
-    with pytest.raises(CapExceeded) as err:
-        v_space_closure(F, 3, max_rows=max_rows)
+    with row_cap(max_rows), pytest.raises(CapExceeded) as err:
+        v_space_closure(F, 3)
     stats = err.value.stats
     assert stats.adoptions == max_rows + 1
     assert stats.insertions >= stats.adoptions
@@ -572,6 +557,14 @@ def test_reduce_degree_mismatch():
         reduce_against_tops(F.ring.zero(), reps)
     with pytest.raises(DomainError):
         reduce_against_tops(F[0], {})
+
+
+def test_reduce_refuses_a_polynomial_of_another_ring():
+    # a 3-variable x*y used to end in a bare KeyError
+    reps = construct_top_representatives(gen_fk(2, 101), 2)
+    x, y, _ = Ring(101, ("x", "y", "z")).variables()
+    with pytest.raises(DimensionError, match="differs from the representatives' ring"):
+        reduce_against_tops(x * y, reps)
 
 
 # --- leading-term interreduction ----------------------------------------------
