@@ -4,15 +4,17 @@ certificates for every bound that relates them.
 All four invariants are exact integers (the regularity degree may be an
 InfiniteDegree marker carrying its cap, one past the Macaulay bound).
 verify_bounds computes everything once: one scan gives the reduced
-Groebner basis G, sd, and Lfd from the rung dimensions of its last
-closure, and one rule turns each bound into a certificate with lhs, rhs,
-and a pass/fail/skipped verdict. Every closure a report reads is a rung of
-one climb (_rungs): the d_reg walk climbs the tops, and the scan climbs F
-to sd and reads G off the rung where it first lies, so a report builds no
-v_space_closure and, uncapped, runs no Buchberger. Past sd the identity
-certificate reads dim V(F, d_reg + 1) off G, so only a traced report, to
-write that closure's trace, or one whose scan was capped climbs F past
-sd. Resource caps never produce wrong numbers: a capped computation turns
+Groebner basis G, sd, and Lfd, the last rung up to sd that adopts a row
+below its own degree, and one rule turns each bound into a certificate
+with lhs, rhs, and a pass/fail/skipped verdict. Every closure a report
+reads is a rung of one climb (_rungs): the d_reg walk climbs the tops,
+and the scan climbs F to sd and reads G off the rung where it first
+lies, so a report builds no v_space_closure and, uncapped, runs no
+Buchberger. The identity certificate counts the ideal's elements of
+degree <= d_reg + 1 off G, a report's only such count, and past sd that
+count is dim V(F, d_reg + 1), so only a traced report, to write that
+closure's trace, or one whose scan was capped climbs F past sd. Resource
+caps never produce wrong numbers: a capped computation turns
 the certificates that need it into skips with a "cap:" reason.
 mutantxl_gb reads the reduced Groebner basis off the closure at
 d_reg + 1, which contains it when max deg(F) <= d_reg, as the scan reads
@@ -28,10 +30,10 @@ from itertools import islice, product
 from typing import Union
 
 from .errors import CapExceeded, DomainError, PreconditionError
-from .groebner import (GroebnerBasis, _is_basis, _nf, buchberger_reduced, ideal_dim_le,
-                       ideal_dims)
+from . import vspace
+from .groebner import GroebnerBasis, _is_basis, _nf, buchberger_reduced, ideal_dim_le
 from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder, _check_int
-from .vspace import DEFAULT_MAX_ROWS, VSpaceBasis, _climb, v_space_closure
+from .vspace import VSpaceBasis, _climb, v_space_closure
 
 LFD_RATIONALE = (
     "falls cannot occur past the solving degree: once the reduced basis lies in "
@@ -65,7 +67,7 @@ def _macaulay_bound(F: PolySystem) -> int:
 
 
 def _rational_common_zero(F: PolySystem) -> bool:
-    """Whether one of the first DEFAULT_MAX_ROWS points of P^{n-1}(GF(p)),
+    """Whether one of the first vspace.DEFAULT_MAX_ROWS points of P^{n-1}(GF(p)),
     scaled so that its first nonzero coordinate is 1, zeroes the top part of
     every member of F."""
     p, n = F.ring.p, F.ring.nvars
@@ -77,7 +79,7 @@ def _rational_common_zero(F: PolySystem) -> bool:
     return any(
         all(sum(c * math.prod(pow(P[v], e, p) for v, e in m) for c, m in top) % p == 0
             for top in tops)
-        for P in islice(points, DEFAULT_MAX_ROWS)
+        for P in islice(points, vspace.DEFAULT_MAX_ROWS)
     )
 
 
@@ -97,7 +99,7 @@ def _rungs(F: PolySystem, order: TermOrder, trace=None):
     was capped or, to write its trace block, when tracing (verify_bounds);
     the d_reg walk reads the rungs of the tops."""
     lines: list[str] = []
-    climb = _climb(F, MAX_DEGREE, order, max_rows=DEFAULT_MAX_ROWS,
+    climb = _climb(F, MAX_DEGREE, order, max_rows=vspace.DEFAULT_MAX_ROWS,
                    trace=None if trace is None else lines.append)
     V, capped = next(climb), None  # rung 0 holds at most one row, so no cap stops it
 
@@ -212,8 +214,8 @@ def _basis(ring, order: TermOrder, rows: list) -> GroebnerBasis:
     return GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in rows), order)
 
 
-def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[int]]:
-    """(G, sd, Lfd, ideal, dims) read off the rungs e = 1, 2, ... of one
+def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
+    """(G, sd, Lfd, dims) read off the rungs e = 1, 2, ... of one
     climb of F through its unread reader `at` (_rungs). Rung e gives G_e,
     the fully reduced rows of V(F, e) whose pivots minimally generate its
     pivot set (VSpaceBasis._minimal_rows). The first e at which every input
@@ -225,10 +227,21 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[
     rungs are read silently; once G is known, `at` writes the trace blocks
     of rungs max(1, Gbd)..sd, the closures v_space_closure would build at
     those degrees. Past rung `last` it raises CapExceeded. For e = 0..sd,
-    `dims[e]` = dim V(F, e), and `ideal[e]` counts the ideal's elements of
-    degree <= e, in one pass. Lfd is one past the last e <= sd with
-    dims[e] < ideal[e], found walking down from sd, so it reads no further
-    rung.
+    `dims[e]` = dim V(F, e).
+
+    Lfd is max(1, r), r the last rung <= sd that adopts a row of degree
+    below its own (0 if none; VSpaceBasis._last_fall), read while V still
+    holds rung sd, so it counts nothing and reads no further rung. Lfd is
+    one past the last e with dim V(F, e) < dim I_{<=e} (1 if none), and no
+    such e reaches sd, where V(F, sd) = I_{<=sd} (proof at verify_bounds).
+    For e < sd, I_{<=e} is the part of V(F, sd) of degree <= e. The rows
+    of V(F, sd) are stored as adopted, in echelon form with pivots in a
+    degree-compatible order, so that part is spanned by its rows of degree
+    <= e, and V(F, e) by those adopted at rungs <= e. So dim V(F, e) falls
+    short exactly when some rung e' in e + 1..sd adopts a row of degree
+    <= e. A rung r adopting a row of degree k < r thus makes every e in
+    k..r - 1 a fall, and r - 1 is one, so the last fall is r - 1 for the
+    last such r, and Lfd is r.
     """
     pack, p = F.ring.packing(order), F.ring.p
     s, g = pack.sign, pack.guard
@@ -249,10 +262,8 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int], list[
     G = _basis(F.ring, order, rows)
     for d in range(max(1, G.max_degree), sd + 1):
         at(d)  # writes the trace block of rung d
-    ideal, dims = ideal_dims(G, sd), V.dims[: sd + 1]  # a later rung read extends V.dims
-    # going down, the first fall is the last one
-    lfd = 1 + next((e for e in range(sd, 0, -1) if dims[e] < ideal[e]), 0)
-    return G, sd, lfd, ideal, dims
+    # V holds rung sd until a later rung is read, which extends V.dims
+    return G, sd, max(1, V._last_fall()), V.dims[: sd + 1]
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
@@ -264,9 +275,9 @@ def solving_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
     """Minimal d such that every ideal element f lies in the span at degree
-    max(d, deg f). Computed by comparing span dimensions against the ideal's
-    bounded dimensions, walking down from the solving degree (found as
-    solving_degree finds it) and stopping at the last fall."""
+    max(d, deg f). Read off the climb that finds the solving degree (as
+    solving_degree does): the last rung up to sd that adopts a row below
+    its own degree, or 1 if none (proof at _scan)."""
     return _scan(F, order, MAX_DEGREE, _rungs(F, order))[2]
 
 
@@ -353,12 +364,14 @@ def verify_bounds(
     certificate that needs sd or Lfd. Then, and only then, Buchberger
     (groebner.buchberger_reduced, checked) gives G and Gbd; a cap that
     stops it too is named for Gbd, sd and Lfd alike. The scan reads the
-    rungs of one climb of F (_rungs): V(F, e) at e = 1..sd. Lfd, and the
-    identity certificate when d_reg + 1 <= sd, read the rung dimensions of
-    V(F, sd). Past sd the identity reads dim V(F, d_reg + 1) off G (proof
-    below), so an untraced report climbs F no further than sd; only when a
-    cap stopped the scan, leaving sd unknown, does the identity continue
-    the climb to d_reg + 1 and compare. `trace` receives, for each
+    rungs of one climb of F (_rungs): V(F, e) at e = 1..sd, and reads
+    Lfd off the rows each rung adopted (proof at _scan). The identity
+    certificate counts the ideal once, ideal_dim_le(G, d_reg + 1), the
+    report's only count. When d_reg + 1 <= sd it reads dim V(F, d_reg + 1)
+    off the scan's rungs; past sd that dimension is the count itself
+    (proof below), so an untraced report climbs F no further than sd; only
+    when a cap stopped the scan, leaving sd unknown, does the identity
+    continue the climb to d_reg + 1 and compare. `trace` receives, for each
     closure the report reads, the lines v_space_closure(F, d, trace=trace)
     would write, as if built from scratch: V(F, d) at d = max(1, Gbd)..sd
     (or, after a capped scan, from max(1, Gbd) to the cap), written once
@@ -451,12 +464,11 @@ def verify_bounds(
         "satisfied": finite and maxdeg <= d_reg,
     }
 
-    G = gbd_v = sd = lfd = None
-    ideal, dims = [], []
+    G = sd = lfd = None
     at = _rungs(F, order, trace)  # the one climb of F; past sd only identity() reads it
     try:
         try:
-            G, sd, lfd, ideal, dims = _scan(F, order, last, at)
+            G, sd, lfd, dims = _scan(F, order, last, at)
         except CapExceeded:  # G is unknown, and so is Gbd, where the trace starts
             G = buchberger_reduced(F, order)
             for d in range(max(1, G.max_degree), last + 1):
@@ -465,8 +477,7 @@ def verify_bounds(
     except CapExceeded as exc:  # every value the capped phase leaves unknown names its cap
         cap_notes.update(dict.fromkeys(("gbd", "sd", "lfd") if G is None else ("sd", "lfd"),
                                        str(exc)))
-    if G is not None:
-        gbd_v = G.max_degree
+    gbd_v = None if G is None else G.max_degree
     values = {"d_reg": d_reg, "gbd": gbd_v, "sd": sd, "lfd": lfd}
 
     def certify(cid, needs, bound, *, before=None, trivial=False, after=None, equal=False):
@@ -500,15 +511,15 @@ def verify_bounds(
         d = d_reg + 1
         if d > MAX_DEGREE:
             raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
-        if d < len(dims):  # d <= sd: the scan's rungs hold dim V(F, d)
-            return dims[d], ideal[d]
+        n = ideal_dim_le(G, d)
         if sd is None:  # the scan was capped: its climb goes on to rung d
-            return at(d).dims[d], ideal_dim_le(G, d)
+            return at(d).dims[d], n
+        if d <= sd:  # the scan's rungs hold dim V(F, d)
+            return dims[d], n
         if trace is not None:  # only to write V(F, d)'s trace block; its cap changes nothing
             with suppress(CapExceeded):
                 at(d)
-        n = ideal_dim_le(G, d)  # d > sd: V(F, d) = I_{<=d} (see the docstring)
-        return n, n
+        return n, n  # d > sd: V(F, d) = I_{<=d} (see the docstring)
 
     certs = [
         certify("sd_le_dreg_plus_1", ("sd", "d_reg"), lambda: (sd, d_reg + 1), trivial=True,

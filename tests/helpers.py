@@ -20,8 +20,9 @@ def mk_polys(header: str, *exprs: str):
 
 @contextmanager
 def row_cap(max_rows: int):
-    """Lower the row cap of v_space_closure, vspace.DEFAULT_MAX_ROWS, to
-    `max_rows` inside the block; a report's climbs keep their own."""
+    """Lower the row cap, vspace.DEFAULT_MAX_ROWS, to `max_rows` inside the
+    block: v_space_closure, a report's climbs and the rational-point search
+    of the d_reg walk all read it at call time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vspace, "DEFAULT_MAX_ROWS", max_rows)
         yield

@@ -265,7 +265,8 @@ def test_oracle_diff_reports_a_disagreement(fk_file, capsys, monkeypatch):
 def test_a_capped_oracle_diff_is_one_line_and_exit_3(fk_file, monkeypatch, capsys):
     from soldeg import vspace
 
-    # the closure's row cap; the d_reg walk reads invariants.DEFAULT_MAX_ROWS, not lowered
+    # the one row cap: the d_reg walk over the tops of fk(2) stays within 3
+    # rows, and the closure at d_reg + 1 passes them
     monkeypatch.setattr(vspace, "DEFAULT_MAX_ROWS", 3)
     assert main(["oracle-diff", fk_file]) == 3
     captured = capsys.readouterr()

@@ -28,8 +28,7 @@ from soldeg import (
     RandomSpec,
 )
 from soldeg import groebner
-from soldeg.groebner import (_is_basis, _monic, _nf, _reduced_basis, _spoly, check_basis,
-                             ideal_dims)
+from soldeg.groebner import _is_basis, _monic, _nf, _reduced_basis, _spoly, check_basis
 
 from helpers import mk
 
@@ -318,9 +317,7 @@ def test_ideal_dim_le_examples():
     assert ideal_dim_le(H, 2) == 2
 
 
-def test_ideal_dims_count_divisible_exponent_tuples_per_degree():
-    from soldeg.groebner import ideal_dims
-
+def test_ideal_dim_le_counts_divisible_exponent_tuples_per_degree():
     for F in (gen_fk(5, 101), mk("p=3; vars=x,y,z; x^2*y + z; y^3 - x; z^2 + x*y")):
         n = F.ring.nvars
         for order in (GREVLEX, GRLEX):
@@ -331,8 +328,8 @@ def test_ideal_dims_count_divisible_exponent_tuples_per_degree():
                     if sum(m) <= d and any(all(map(int.__ge__, m, lm)) for lm in lms))
                 for d in range(8)
             ]
-            assert ideal_dims(G, 7) == expected
-            assert ideal_dim_le(G, 7) == expected[-1] and ideal_dim_le(G, -1) == 0
+            assert [ideal_dim_le(G, d) for d in range(8)] == expected
+            assert ideal_dim_le(G, -1) == 0
 
 
 def test_ideal_dim_le_monotone_and_zero_below_min_degree():
@@ -442,7 +439,7 @@ def test_ideal_dim_le_matches_a_brute_force_count(order):
         ]
 
 
-# ideal_dims walks the standard monomials, those no leading monomial divides,
+# ideal_dim_le walks the standard monomials, those no leading monomial divides,
 # so it differs most from a count of the divisible ones where the standard
 # monomials are many (positive-dimensional ideals), none (the unit ideal), a
 # chain (one variable), spread over more variables (n = 4), or all of those
@@ -463,7 +460,7 @@ IDEAL_DIMS_CASES = [
 
 
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX])
-def test_ideal_dims_match_a_brute_force_count_over_standard_monomials(order):
+def test_ideal_dim_le_matches_a_brute_force_count_over_standard_monomials(order):
     systems = [mk(text) for text in IDEAL_DIMS_CASES]
     # the benchmark's infinite-d_reg slot n4-quadrics-p2, a zero-dimensional
     # n = 4 system (k = n) and a unit one (k > n)
@@ -472,32 +469,34 @@ def test_ideal_dims_match_a_brute_force_count_over_standard_monomials(order):
                 for k in (4, 5)]
     for F in systems:
         G = buchberger_reduced(F, order)
-        assert ideal_dims(G, 12) == [_brute_ideal_dim_le(G, e) for e in range(13)]
+        assert [ideal_dim_le(G, e) for e in range(13)] == [
+            _brute_ideal_dim_le(G, e) for e in range(13)
+        ]
 
 
-def test_ideal_dims_refuse_a_degree_past_the_largest_supported_one():
+def test_ideal_dim_le_refuses_a_degree_past_the_largest_supported_one():
     G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
     with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
-        ideal_dims(G, MAX_DEGREE + 1)
+        ideal_dim_le(G, MAX_DEGREE + 1)
 
 
 @pytest.mark.parametrize("e", [2.0, True, -1.5])
-def test_ideal_dims_refuse_a_degree_that_is_not_an_int(e):
+def test_ideal_dim_le_refuses_a_degree_that_is_not_an_int(e):
     G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
-    for count in (ideal_dims, ideal_dim_le):
-        with pytest.raises(DomainError, match="degree must be an int"):
-            count(G, e)
+    with pytest.raises(DomainError, match="degree must be an int"):
+        ideal_dim_le(G, e)
 
 
-def test_ideal_dims_start_at_the_least_degree_of_a_leading_monomial():
+def test_ideal_dim_le_starts_at_the_least_degree_of_a_leading_monomial():
     # no monomial of degree < 20000 lies in the ideal, so the walk starts from
-    # the 20,000 monomials of degree 19999, not from 1 through every degree
+    # the 20,000 monomials of degree 19999, not from 1 through every degree;
+    # the counts are cumulative, so a zero at 19999 is a zero at every degree below
     G = buchberger_reduced(mk("p=101; vars=x,y; x^20000; y^20000"))
-    dims = ideal_dims(G, 20001)
-    assert dims[:20000] == [0] * 20000 and dims[20000:] == [2, 2 + 4]
-    assert ideal_dims(G, 5) == [0] * 6
+    assert [ideal_dim_le(G, e) for e in (19999, 20000, 20001)] == [0, 2, 2 + 4]
+    assert all(ideal_dim_le(G, e) == 0 for e in range(6))
 
 
-def test_ideal_dims_of_the_maximal_ideal_leave_only_the_unit_standard():
+def test_ideal_dim_le_of_the_maximal_ideal_leaves_only_the_unit_standard():
     G = buchberger_reduced(mk("p=101; vars=x,y; x; y"))
-    assert ideal_dims(G, 3000) == [math.comb(d + 2, 2) - 1 for d in range(3001)]
+    assert [ideal_dim_le(G, d) for d in range(3001)] == [math.comb(d + 2, 2) - 1
+                                                          for d in range(3001)]

@@ -499,6 +499,18 @@ def cap_the_climb_of(monkeypatch, F, cap):
     return F
 
 
+def test_one_row_cap_binds_the_walk_the_scan_and_the_closure():
+    """vspace.DEFAULT_MAX_ROWS, read at call time, is the one row cap: lowered
+    to 40, it stops the d_reg walk over the tops of fk(10) and the climb of
+    F, whose rung 11 holds 77 rows, and every skip names 40 rows."""
+    with row_cap(40):
+        report = verify_bounds(gen_fk(10, 101))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (None, 1, None, None)
+    assert all(c.verdict == "skipped" for c in report.certificates)
+    assert {c.reason for c in report.certificates} == {
+        "cap: d_reg walk: closure exceeded 40 rows", "cap: closure exceeded 40 rows"}
+
+
 def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
     report = verify_bounds(cap_the_climb_of(monkeypatch, gen_fk(2, 101), 3))
     assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, 1, None, None)
@@ -701,10 +713,9 @@ def test_the_rational_point_search_tries_no_more_points_than_the_row_cap(monkeyp
     # (1, 2), (0, 1); the 5 monomials of degree cap - 2 = 4 let the search run
     F = mk("p=3; vars=x,y; x^2 - y^2; x^3 + y^3")
     assert degree_of_regularity(F) == _reference_regularity(F) == InfiniteDegree(6)
-    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 3)
-    assert degree_of_regularity(F) == InfiniteDegree(6)  # found among the first 3
-    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", 2)
-    with pytest.raises(CapExceeded, match="d_reg walk"):
+    with row_cap(3):
+        assert degree_of_regularity(F) == InfiniteDegree(6)  # found among the first 3
+    with row_cap(2), pytest.raises(CapExceeded, match="d_reg walk"):
         degree_of_regularity(F)  # missed by the first 2: the walk runs, into the same cap
 
 
@@ -761,20 +772,31 @@ def test_constant_member_fills_degree_one_with_fewer_forms_than_variables():
     assert degree_of_regularity(mk("p=2; vars=x,y,z,w; x + 1; 1; y*z")) == 1
 
 
-def test_last_fall_scan_stops_at_the_last_fall(monkeypatch):
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("make, values, calls", [
+    (lambda: gen_fk(6, 101), (6, 7, 7), [7]),  # the identity at d_reg + 1 = sd
+    (lambda: gen_fk(10, 101), (10, 11, 11), [11]),
+    (lambda: mk("p=101; vars=x,y; x^2; y^5"), (6, 5, 1), [7]),  # d_reg + 1 = 7 > sd = 5
+    # d_reg is infinite, so the identity certificate counts none
+    (lambda: mk("p=101; vars=x,y; x^300 + y^300"), (InfiniteDegree(302), 300, 1), []),
+], ids=["fk6", "fk10", "past-sd", "x300"])
+def test_a_report_counts_the_ideal_at_most_once_for_the_identity(monkeypatch, make, values,
+                                                                  calls, traced):
+    """The scan reads Lfd off its climb and counts nothing; the identity
+    certificate is the one caller of ideal_dim_le, once, at d_reg + 1."""
     from soldeg import invariants
 
-    calls = []
+    counted = []
 
-    def counted(G, e):
-        calls.append(e)
+    def count(G, e):
+        counted.append(e)
         return ideal_dim_le(G, e)
 
-    monkeypatch.setattr(invariants, "ideal_dim_le", counted)
-    report = verify_bounds(gen_fk(10, 101))
-    assert (report.sd, report.lfd) == (11, 11)
-    assert all(c.verdict == "pass" for c in report.certificates)
-    assert calls == []  # the walk and the identity read the scan's one ideal_dims pass
+    monkeypatch.setattr(invariants, "ideal_dim_le", count)
+    report = verify_bounds(make(), trace=io.StringIO() if traced else None)
+    assert (report.d_reg, report.sd, report.lfd) == values
+    assert all(c.verdict != "fail" for c in report.certificates)
+    assert counted == calls
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -875,9 +897,9 @@ def test_the_rung_reader_reads_each_rung_as_the_closure_at_its_degree(monkeypatc
     """Read in any order, a rung gives dim V(F, d) and writes the trace of
     v_space_closure(F, d); once the row cap has stopped the climb, every
     later rung raises that cap, and an earlier one is still read."""
-    from soldeg import invariants
+    from soldeg import invariants, vspace
 
-    monkeypatch.setattr(invariants, "DEFAULT_MAX_ROWS", max_rows)
+    monkeypatch.setattr(vspace, "DEFAULT_MAX_ROWS", max_rows)
     F, log = gen_fk(4, 101), io.StringIO()
     at = invariants._rungs(F, GREVLEX, log)
     for d in (3, 5, 2, 6, 4, 1):
@@ -942,57 +964,12 @@ def test_a_report_keeps_one_closure_of_its_scan_alive():
     assert peak(lambda: verify_bounds(F)) / peak(lambda: v_space_closure(F, 61)) < 4
 
 
-def test_verify_bounds_counts_the_ideal_once_on_the_family(monkeypatch):
-    from soldeg import invariants
-    from soldeg.groebner import ideal_dims
-
-    calls = []
-
-    def counted(fn):
-        def wrapper(G, e):
-            calls.append((fn.__name__, e))
-            return fn(G, e)
-        return wrapper
-
-    monkeypatch.setattr(invariants, "ideal_dim_le", counted(ideal_dim_le))
-    monkeypatch.setattr(invariants, "ideal_dims", counted(ideal_dims))
-    report = verify_bounds(gen_fk(6, 101))
-    assert (report.d_reg, report.sd, report.lfd) == (6, 7, 7)
-    assert calls == [("ideal_dims", 7)]  # the identity at d_reg + 1 = sd reads the scan's count
-
-
-def test_last_fall_scan_counts_ideal_dimensions_in_one_pass(monkeypatch):
-    from soldeg import invariants
-
-    calls = []
-
-    def counted(fn):
-        def wrapper(G, e):
-            calls.append((fn.__name__, e))
-            return fn(G, e)
-        return wrapper
-
-    F = mk("p=101; vars=x,y; x^300 + y^300")
-    monkeypatch.setattr(invariants, "ideal_dim_le", counted(ideal_dim_le))
-    report = verify_bounds(F)
-    assert (report.sd, report.lfd) == (300, 1)
-    assert isinstance(report.d_reg, InfiniteDegree)  # so the identity certificate counts none
-    assert calls == []  # not one call per degree of the walk
-
-    from soldeg.groebner import ideal_dims
-
-    monkeypatch.setattr(invariants, "ideal_dims", counted(ideal_dims))
-    assert render_report(verify_bounds(F)) == render_report(report)
-    assert calls == [("ideal_dims", 300)]  # one pass over the degrees 0..sd
-
-
 def test_sd_scan_keys_each_input_once(monkeypatch):
     from soldeg import invariants
     from soldeg.rings import Polynomial
 
     F = gen_fk(6, 101)
     G = buchberger_reduced(F, GRLEX)
-    dims = invariants.ideal_dims(G, 7)
     keyed = []
     packed = Polynomial._packed
 
@@ -1004,7 +981,7 @@ def test_sd_scan_keys_each_input_once(monkeypatch):
     rungs = v_space_closure(F, 7, GRLEX).dims
     monkeypatch.setattr(Polynomial, "_packed", counted)
     scanned = invariants._scan(F, GRLEX, MAX_DEGREE, invariants._rungs(F, GRLEX))
-    assert scanned[0].polys == G.polys and scanned[1:] == (7, 7, dims, rungs)
+    assert scanned[0].polys == G.polys and scanned[1:] == (7, 7, rungs)
     # the scan tests the inputs at rungs 1..7, and the climb inserts them
     # once; each is keyed under grlex once by each, not once per rung
     assert len(keyed) == 2 * len(F)

@@ -452,6 +452,40 @@ def test_closure_cap_carries_the_counters_at_the_cap(max_rows):
     assert (stats.closure_passes > 0) == (max_rows >= 3)
 
 
+# systems whose climbs adopt rows below their rung at various rungs, or at
+# none (x^2; y^5); none has a constant input, which rung 0 adopts
+LAST_FALL_CASES = [
+    "p=101; vars=x,y; x^2 + y; y^2 + x; x*y",
+    "p=101; vars=x,y; x^5 + y; y^5 + x; x*y",
+    "p=101; vars=x,y; x^2; y^5",
+    "p=101; vars=x,y; x; x + 1",
+    "p=3; vars=x,y,z; x^2 + y*z + 1; y^2 + x; z^2 + x*y + z",
+]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.kind)
+def test_the_last_fall_is_the_last_rung_whose_trace_holds_a_lower_degree(order):
+    """_last_fall on V(F, d) is the last rung e <= d whose trace lines, those
+    v_space_closure(F, e) writes past the trace of v_space_closure(F, e - 1),
+    include a row of degree below e; 0 if none."""
+    systems = [mk(text) for text in LAST_FALL_CASES] + [gen_fk(k, 101) for k in (2, 3, 5)]
+    systems.append(gen_random(RandomSpec(seed=1, n=3, k=3, deg_bounds=(2,) * 3)))
+    seen = set()
+    for F in systems:
+        before, falls = "", []
+        for d in range(1, 8):
+            sink = io.StringIO()
+            V = v_space_closure(F, d, order, trace=sink)
+            text = sink.getvalue()
+            assert text.startswith(before)
+            if any(int(line.split("\t")[0]) < d for line in text[len(before):].splitlines()):
+                falls.append(d)
+            assert V._last_fall() == max(falls, default=0), (F, d)
+            seen.add(V._last_fall())
+            before = text
+    assert {0, 1, 3, 4, 6} <= seen  # no fall, and falls at several rungs
+
+
 # --- top representatives ------------------------------------------------------
 
 
