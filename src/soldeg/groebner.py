@@ -332,25 +332,18 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
     divisor of a standard monomial is standard, so from there on the
     standard monomials of degree d are those of degree d - 1 times a
     variable that no leading monomial of at most degree d divides, and
-    degree d adds its C(d + n - 1, d) monomials less its standard ones. Once
-    a degree has no standard monomial, no later one has any, and every
-    monomial from that degree up to e counts. A report calls it at most
-    once, for the identity certificate (invariants.verify_bounds).
+    degree d adds its C(d + n - 1, d) monomials less its standard ones.
     """
     _check_int(e, "degree")
     pack = G.polys[0].ring.packing(G.order)
     pack.check(e)
     s, g, xs = pack.sign, pack.guard, pack.variables
-    n = len(xs)
     # lm divides m iff (s*m + g - s*lm) keeps every guard bit
     lms = [(pack.degree(lm), g - s * lm) for lm in (f._lead(G.order)[1] for f in G.polys)]
     d0 = min(k for k, _ in lms)
-    # none for the unit ideal, nor needed when no degree d0..e is walked
-    std = pack.monomials(d0 - 1) if 0 < d0 <= e else []
+    std = pack.monomials(d0 - 1) if d0 else []  # the unit ideal has none
     count = 0
     for d in range(d0, e + 1):
-        if not std:  # nor has degree d or any later one: all of degree d..e count
-            return count + math.comb(e + n, n) - math.comb(d - 1 + n, n)
         glms = [glm for k, glm in lms if k <= d]
         children = []
         for m in {m + x for m in std for x in xs}:
@@ -361,5 +354,5 @@ def ideal_dim_le(G: GroebnerBasis, e: int) -> int:
             else:
                 children.append(m)
         std = children
-        count += math.comb(d + n - 1, d) - len(std)
+        count += math.comb(d + len(xs) - 1, d) - len(std)
     return count

@@ -773,15 +773,16 @@ def test_constant_member_fills_degree_one_with_fewer_forms_than_variables():
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("make, values, calls", [
-    (lambda: gen_fk(6, 101), (6, 7, 7), [7]),  # the identity at d_reg + 1 = sd
-    (lambda: gen_fk(10, 101), (10, 11, 11), [11]),
-    (lambda: mk("p=101; vars=x,y; x^2; y^5"), (6, 5, 1), [7]),  # d_reg + 1 = 7 > sd = 5
+@pytest.mark.parametrize("make, values, calls, skipped", [
+    (lambda: gen_fk(6, 101), (6, 7, 7), [7], []),  # the identity at d_reg + 1 = sd
+    (lambda: gen_fk(10, 101), (10, 11, 11), [11], []),
+    (lambda: mk("p=101; vars=x,y; x^2; y^5"), (6, 5, 1), [7], []),  # d_reg + 1 = 7 > sd = 5
     # d_reg is infinite, so the identity certificate counts none
-    (lambda: mk("p=101; vars=x,y; x^300 + y^300"), (InfiniteDegree(302), 300, 1), []),
+    (lambda: mk("p=101; vars=x,y; x^300 + y^300"), (InfiniteDegree(302), 300, 1), [],
+     ["sd_macaulay_bound", "vspace_dim_identity"]),
 ], ids=["fk6", "fk10", "past-sd", "x300"])
 def test_a_report_counts_the_ideal_at_most_once_for_the_identity(monkeypatch, make, values,
-                                                                  calls, traced):
+                                                                  calls, skipped, traced):
     """The scan reads Lfd off its climb and counts nothing; the identity
     certificate is the one caller of ideal_dim_le, once, at d_reg + 1."""
     from soldeg import invariants
@@ -795,7 +796,8 @@ def test_a_report_counts_the_ideal_at_most_once_for_the_identity(monkeypatch, ma
     monkeypatch.setattr(invariants, "ideal_dim_le", count)
     report = verify_bounds(make(), trace=io.StringIO() if traced else None)
     assert (report.d_reg, report.sd, report.lfd) == values
-    assert all(c.verdict != "fail" for c in report.certificates)
+    assert [c.id for c in report.certificates if c.verdict == "skipped"] == skipped
+    assert all(c.verdict == "pass" for c in report.certificates if c.id not in skipped)
     assert counted == calls
 
 
