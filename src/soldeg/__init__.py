@@ -49,7 +49,6 @@ from .invariants import (
     InfiniteDegree,
     degree_of_regularity,
     last_fall_degree,
-    mutantxl_gb,
     solving_degree,
     verify_bounds,
 )

@@ -1,9 +1,9 @@
 """Ground truth for ideal computations: Buchberger with full reduction, the
 Groebner basis check, normal forms, and bounded ideal dimension counts. The
-module stands on rings alone. The sd scan and mutantxl_gb (invariants) read
-the reduced basis off a closure, the scan testing each candidate with
-_is_basis; Buchberger is the oracle they are tested against, and the source
-of the basis when a cap stops the scan.
+module stands on rings alone. The sd scan (invariants) reads the reduced
+basis off a rung of the climb of F, testing each candidate with _is_basis;
+Buchberger is the oracle it is tested against, and the source of the basis
+when a cap stops the scan.
 """
 
 from __future__ import annotations

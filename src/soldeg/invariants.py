@@ -16,9 +16,6 @@ count is dim V(F, d_reg + 1), so only a traced report, to write that
 closure's trace, or one whose scan was capped climbs F past sd. Resource
 caps never produce wrong numbers: a capped computation turns
 the certificates that need it into skips with a "cap:" reason.
-mutantxl_gb reads the reduced Groebner basis off the closure at
-d_reg + 1, which contains it when max deg(F) <= d_reg, as the scan reads
-it off a rung.
 """
 
 from __future__ import annotations
@@ -29,11 +26,11 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Union
 
-from .errors import CapExceeded, DomainError, PreconditionError
+from .errors import CapExceeded, DomainError
 from . import vspace
 from .groebner import GroebnerBasis, _is_basis, _nf, buchberger_reduced, ideal_dim_le
 from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder, _check_int
-from .vspace import VSpaceBasis, _climb, v_space_closure
+from .vspace import VSpaceBasis, _climb
 
 LFD_RATIONALE = (
     "falls cannot occur past the solving degree: once the reduced basis lies in "
@@ -180,40 +177,6 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     return InfiniteDegree(cap)
 
 
-def mutantxl_gb(F: PolySystem, order: TermOrder = GREVLEX) -> tuple[GroebnerBasis, VSpaceBasis]:
-    """Groebner basis read off the closure V(F, d_reg + 1).
-
-    Requires max deg(F) <= d_reg(F) < infinity (PreconditionError otherwise;
-    interreduce_tops can repair many violating systems). Under that
-    hypothesis the closure, which multiplies every adopted row below the
-    bound, mutants included, by each variable (MutantXL), contains the
-    reduced basis; it is read off as the sd scan reads it off a rung
-    (VSpaceBasis._minimal_rows): the fully reduced rows at the pivots that
-    no other pivot divides.
-    Returns the basis and the closure: its `stats` are the work counters,
-    and its degree bound d_reg + 1 is len(dims) - 1.
-    """
-    d_reg = degree_of_regularity(F)
-    if not isinstance(d_reg, int):
-        raise PreconditionError(
-            "mutant elimination needs a finite regularity degree; "
-            "interreduce the system first (interreduce_tops)"
-        )
-    if F.max_degree() > d_reg:
-        raise PreconditionError(
-            f"mutant elimination needs max deg(F) <= {d_reg}; "
-            "interreduce the system first (interreduce_tops)"
-        )
-    V = v_space_closure(F, d_reg + 1, order)
-    return _basis(F.ring, order, V._minimal_rows()), V
-
-
-def _basis(ring, order: TermOrder, rows: list) -> GroebnerBasis:
-    """The basis of the packed rows, given by descending pivot."""
-    pack = ring.packing(order)
-    return GroebnerBasis(tuple(Polynomial._from_packed(ring, pack, t) for _, t in rows), order)
-
-
 def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
     """(G, sd, Lfd, dims) read off the rungs e = 1, 2, ... of one
     climb of F through its unread reader `at` (_rungs). Rung e gives G_e,
@@ -259,7 +222,7 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
             break
     else:
         raise CapExceeded(f"solving degree exceeds cap {last}")
-    G = _basis(F.ring, order, rows)
+    G = GroebnerBasis(tuple(Polynomial._from_packed(F.ring, pack, t) for _, t in rows), order)
     for d in range(max(1, G.max_degree), sd + 1):
         at(d)  # writes the trace block of rung d
     # V holds rung sd until a later rung is read, which extends V.dims

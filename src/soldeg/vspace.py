@@ -65,7 +65,9 @@ DEFAULT_MAX_ROWS = 200_000
 
 @dataclass
 class ClosureStats:
-    """Counters recorded while building one closure."""
+    """Counters recorded while building one closure. A climb read between
+    its rungs (invariants._rungs) counts the reads' field multiplications
+    too, so its field_mults can exceed the closure's (see _climb)."""
 
     insertions: int = 0
     adoptions: int = 0
@@ -191,10 +193,14 @@ def v_space_closure(F: PolySystem, d: int, order: TermOrder = GREVLEX, *,
 
 def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
     """The rungs of v_space_closure(F, d), d <= MAX_DEGREE: yields its one
-    basis after each rung e = 0..d, holding V(F, e) with dims[e] set.
-    The basis only grows, so the row adopted last has index len(tails) - 1
-    and the basis size is the adoption count that the cap bounds. Closed
-    early, it still writes its counters.
+    basis after each rung e = 0..d, holding V(F, e) with dims[e] set and
+    its `stats` those of v_space_closure(F, e), written as each rung ends,
+    so a climb left open between rungs reads them too. Field
+    multiplications are the exception: they count every reduction the
+    basis has made, so reads between rungs (VSpaceBasis._minimal_rows)
+    add to them. The basis only grows, so the row adopted last has index
+    len(tails) - 1 and the basis size is the adoption count that the cap
+    bounds. Stopped by the cap, it writes its counters as the error leaves.
 
     The rung loop adopts inline, with no call per adopted row: the row
     goes to `queue` when its degree is below the rung's, to start from its
@@ -266,8 +272,10 @@ def _climb(F: PolySystem, d: int, order: TermOrder, *, max_rows: int, trace):
                         if row >= max_rows:
                             raise _row_cap(max_rows, stats)
             dims.append(len(tails))
+            stats.insertions, stats.adoptions = insertions, len(tails)
+            stats.closure_passes, stats.field_mults = passes, basis.mult_count
             yield basis
-    finally:  # the counters, also those CapExceeded carries
+    finally:  # the counters CapExceeded carries, written as it leaves mid-rung
         stats.insertions, stats.adoptions = insertions, len(tails)
         stats.closure_passes, stats.field_mults = passes, basis.mult_count
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import re
 import tempfile
@@ -251,6 +252,9 @@ def test_oracle_diff(fk_file, capsys):
     assert "agreement: yes" in out
     assert "stats: bound=3 N=10 insertions=" in out
     assert " adoptions=" in out and " field_mults=" in out
+    # the counters of the climb left open at rung sd, written as each rung ends
+    insertions, adoptions = re.search(r" insertions=(\d+) adoptions=(\d+) ", out).groups()
+    assert int(insertions) > 0 and int(adoptions) > 0
 
 
 def test_oracle_diff_reports_a_disagreement(fk_file, capsys, monkeypatch):
@@ -265,8 +269,8 @@ def test_oracle_diff_reports_a_disagreement(fk_file, capsys, monkeypatch):
 def test_a_capped_oracle_diff_is_one_line_and_exit_3(fk_file, monkeypatch, capsys):
     from soldeg import vspace
 
-    # the one row cap: the d_reg walk over the tops of fk(2) stays within 3
-    # rows, and the closure at d_reg + 1 passes them
+    # the one row cap: the climb of F that the scan reads passes 3 rows
+    # before it reaches sd = 3
     monkeypatch.setattr(vspace, "DEFAULT_MAX_ROWS", 3)
     assert main(["oracle-diff", fk_file]) == 3
     captured = capsys.readouterr()
@@ -275,10 +279,16 @@ def test_a_capped_oracle_diff_is_one_line_and_exit_3(fk_file, monkeypatch, capsy
 
 
 def test_oracle_diff_precondition(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("p=101; vars=x,y; x*y")
-    assert main(["oracle-diff", str(path)]) == 2
-    assert "interreduce" in capsys.readouterr().err
+    """Inputs outside the hypothesis max deg F <= d_reg < infinity are
+    compared too: an infinite d_reg, a max degree above d_reg, and a d_reg
+    walk that would pass the row cap, which no oracle-diff runs."""
+    path = tmp_path / "in.txt"
+    for text, order in itertools.product(("p=101; vars=x,y; x*y", "p=101; vars=x,y; x; y; x^5",
+                                          "p=101; vars=x,y,z; x^45; y^45; z^45"),
+                                         ("grevlex", "grlex")):
+        path.write_text(text)
+        assert main(["oracle-diff", str(path), "--order", order]) == 0, (text, order)
+        assert "agreement: yes" in capsys.readouterr().out.splitlines(), (text, order)
 
 
 def test_trace_file(fk_file, tmp_path, capsys):

@@ -15,7 +15,6 @@ from soldeg import (
     DomainError,
     InconsistencyError,
     Polynomial,
-    PreconditionError,
     Ring,
     buchberger_reduced,
     gbd,
@@ -23,7 +22,6 @@ from soldeg import (
     gen_random,
     ideal_dim_le,
     interreduce_tops,
-    mutantxl_gb,
     normal_form,
     RandomSpec,
 )
@@ -346,46 +344,6 @@ def test_ideal_dim_le_unit_ideal_counts_everything():
     assert ideal_dim_le(G, 3) == math.comb(2 + 3, 2)
 
 
-# --- mutant elimination -----------------------------------------------------------
-
-
-def test_mutant_family_matches_and_respects_step_bound():
-    F = gen_fk(2, 101)
-    G, V = mutantxl_gb(F)
-    x, y = F.ring.variables()
-    assert G.polys == (x, y)
-    assert len(V.dims) - 1 == 3
-    N = math.comb(2 + 3, 2)
-    assert V.stats.insertions <= N**2
-    assert V.stats.adoptions <= N**2
-
-
-def test_mutant_on_monomial_system():
-    F = mk("p=101; vars=x,y; x^2; y^2")
-    G, V = mutantxl_gb(F)
-    assert [g.render() for g in G] == ["x^2", "y^2"]
-    assert len(V.dims) - 1 == 4
-
-
-def test_mutant_single_variable():
-    F = mk("p=101; vars=x; x")
-    G, _ = mutantxl_gb(F)
-    assert [g.render() for g in G] == ["x"]
-
-
-def test_mutant_detects_unit_ideal():
-    F = mk("p=101; vars=x; x; x + 1")
-    G, _ = mutantxl_gb(F)
-    assert G.is_unit_ideal
-
-
-def test_mutant_refuses_violated_hypothesis():
-    with pytest.raises(PreconditionError):
-        mutantxl_gb(mk("p=101; vars=x,y; x; y; x^5"))  # max deg 5 > d_reg 1
-    with pytest.raises(PreconditionError):
-        mutantxl_gb(mk("p=101; vars=x,y; x*y"))  # infinite regularity degree
-
-
 def _hypothesis_instances(count, seed0):
     """Systems satisfying the degree hypothesis after leading-term interreduction."""
     out = []
@@ -405,17 +363,6 @@ def _hypothesis_instances(count, seed0):
         if isinstance(d, int) and F.max_degree() <= d:
             out.append((F, d))
     return out
-
-
-@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
-def test_mutant_agrees_with_buchberger_on_random_systems(order):
-    for F, d in _hypothesis_instances(20, 9000):
-        G1, V = mutantxl_gb(F, order)
-        G2 = buchberger_reduced(F, order)
-        assert G1.polys == G2.polys
-        assert len(V.dims) - 1 == d + 1
-        N = math.comb(F.ring.nvars + d + 1, F.ring.nvars)
-        assert V.stats.adoptions <= N**2
 
 
 def _brute_ideal_dim_le(G, e):

@@ -848,7 +848,7 @@ def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
 
     monkeypatch.setattr(invariants, "_climb", climb)
     monkeypatch.setattr(invariants, "_rungs", reader)
-    monkeypatch.setattr(invariants, "v_space_closure", refuse)
+    monkeypatch.setattr(vspace, "v_space_closure", refuse)  # invariants imports none
     report = verify_bounds(F, trace=io.StringIO() if traced else None)
     scanned = [(e, False) for e in range(1, report.sd + 1)]
     written = [(e, True) for e in range(max(1, report.gbd), report.sd + 1)]

@@ -4,7 +4,8 @@ The scan reads G and sd off the one climb of F (invariants._scan). Here G
 is compared with Buchberger's basis, sd with the first degree at which a
 closure built from scratch contains that basis, and Lfd with the closures'
 dimensions against the ideal's; every rung of the climbs is also checked
-to track the minimal pivots among its candidates.
+to track the minimal pivots among its candidates, and the climb's counters
+through sd against those of the closure at sd.
 """
 
 import itertools
@@ -30,6 +31,10 @@ from helpers import mk
 HAND = [
     "p=101; vars=x,y; x^2 + y; 3",  # a constant member
     "p=101; vars=x,y; x; x + 1",  # the unit ideal, from no constant member
+    "p=101; vars=x; x; x + 1",  # the same in one variable
+    "p=101; vars=x; x",
+    "p=101; vars=x,y; x^2; y^2",  # monomial generators, their own basis
+    "p=101; vars=x,y; x; y; x^5",  # max deg F = 5 > d_reg = 1
     "p=101; vars=x; x; x^3 + x",  # sd = 1 < max deg F = 3
     "p=101; vars=x,y; x^2 + y; x*y + 1",  # rung 2 holds the inputs, no Groebner basis
     "p=101; vars=x,y; x^2; y^5",
@@ -116,3 +121,17 @@ def test_the_climb_tracks_the_minimal_pivots_at_every_rung(order):
             assert minimal <= set(V.candidates), (name, e)
             assert set(V._minimal_pivots()) == minimal, (name, e)
 
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+def test_the_climb_counts_through_sd_what_the_closure_at_sd_counts(order):
+    """Read through the scan, the climb left open at rung sd holds the
+    counters of v_space_closure(F, sd); its field multiplications also count
+    the scan's reductions of the minimal rows, so they are at least the
+    closure's."""
+    for name, F in CORPUS:
+        at = _rungs(F, order)
+        sd = _scan(F, order, MAX_DEGREE, at)[1]
+        got, want = at(sd).stats, v_space_closure(F, sd, order).stats
+        assert (got.insertions, got.adoptions, got.closure_passes) == (
+            want.insertions, want.adoptions, want.closure_passes), name
+        assert got.field_mults >= want.field_mults, name
