@@ -26,6 +26,7 @@ from soldeg import (
     RandomSpec,
 )
 from soldeg import groebner
+from soldeg.invariants import _rungs, _scan
 from soldeg.groebner import _is_basis, _monic, _nf, _reduced_basis, _spoly, check_basis
 
 from helpers import mk
@@ -344,6 +345,53 @@ def test_ideal_dim_le_unit_ideal_counts_everything():
     assert ideal_dim_le(G, 3) == math.comb(2 + 3, 2)
 
 
+# --- the basis read off the climb of F ---------------------------------------------
+
+
+def _scan_of(F, order=GREVLEX):
+    """(G, sd, the climb's counters at rung sd) from the scan over one climb of F."""
+    at = _rungs(F, order)
+    G, sd, _, _ = _scan(F, order, MAX_DEGREE, at)
+    return G, sd, at(sd).stats
+
+
+def test_scan_family_matches_and_respects_step_bound():
+    F = gen_fk(2, 101)
+    G, sd, stats = _scan_of(F)
+    x, y = F.ring.variables()
+    assert G.polys == (x, y)
+    assert sd == 3
+    N = math.comb(2 + 3, 2)
+    assert 0 < stats.insertions <= N**2
+    assert 0 < stats.adoptions <= N**2
+
+
+def test_scan_on_monomial_system():
+    G, sd, _ = _scan_of(mk("p=101; vars=x,y; x^2; y^2"))
+    assert [g.render() for g in G] == ["x^2", "y^2"]
+    assert sd == 2
+
+
+def test_scan_single_variable():
+    G, sd, _ = _scan_of(mk("p=101; vars=x; x"))
+    assert [g.render() for g in G] == ["x"]
+    assert sd == 1
+
+
+def test_scan_detects_unit_ideal():
+    G, _, _ = _scan_of(mk("p=101; vars=x; x; x + 1"))
+    assert G.is_unit_ideal
+
+
+def test_scan_answers_outside_the_hypothesis():
+    """max deg F <= d_reg < infinity is not needed: the scan reads G off the
+    climb of F, not off a closure at d_reg + 1."""
+    for text in ("p=101; vars=x,y; x; y; x^5",  # max deg 5 > d_reg 1
+                 "p=101; vars=x,y; x*y"):  # infinite regularity degree
+        F = mk(text)
+        assert _scan_of(F)[0].polys == buchberger_reduced(F).polys, text
+
+
 def _hypothesis_instances(count, seed0):
     """Systems satisfying the degree hypothesis after leading-term interreduction."""
     out = []
@@ -363,6 +411,16 @@ def _hypothesis_instances(count, seed0):
         if isinstance(d, int) and F.max_degree() <= d:
             out.append((F, d))
     return out
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX])
+def test_scan_agrees_with_buchberger_on_random_systems(order):
+    for F, d in _hypothesis_instances(20, 9000):
+        G, sd, stats = _scan_of(F, order)
+        assert G.polys == buchberger_reduced(F, order).polys
+        assert sd <= d + 1  # the paper's bound
+        N = math.comb(F.ring.nvars + sd, F.ring.nvars)
+        assert stats.adoptions <= N**2
 
 
 def _brute_ideal_dim_le(G, e):
