@@ -3,7 +3,9 @@
 Subcommands: analyze, verify-bounds, gen fk|random, oracle-diff, sweep.
 Exit codes: 0 all certificates pass, 1 any certificate fails (or the basis
 read off the climb of F disagrees with Buchberger's), 2 usage or parse
-errors, 3 a resource cap was exceeded before an answer was reached.
+errors, 3 a resource cap was exceeded before an answer was reached. The
+caps are the library's constants (the closure's row cap, Buchberger's
+pair cap, MAX_DEGREE); no flag sets one.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _analyze_common(args) -> int:
     order = _order_from(args, sf)
     trace = open(args.trace, "w", encoding="utf-8") if args.trace else None
     try:
-        report = verify_bounds(sf.system, order, cap=args.cap, trace=trace)
+        report = verify_bounds(sf.system, order, trace=trace)
     finally:
         if trace is not None:
             trace.close()
@@ -123,7 +125,7 @@ def _cmd_oracle_diff(args) -> int:
     sf = parse_system(_read_text(args.file))
     order = _order_from(args, sf)
     at = _rungs(sf.system, order)  # the climb of F that a report reads G and sd off
-    G, sd, _, _ = _scan(sf.system, order, MAX_DEGREE, at)
+    G, sd, _, _ = _scan(sf.system, order, at)
     stats = at(sd).stats  # the climb's counters through rung sd
     reference = buchberger_reduced(sf.system, order)
     same = G.polys == reference.polys
@@ -146,7 +148,7 @@ def _cmd_sweep(args) -> int:
     order = TermOrder(args.order or "grevlex")
     rows, codes = [], set()
     for k in range(args.start, args.stop + 1):
-        report = verify_bounds(gen_fk(k, args.p), order, cap=args.cap)
+        report = verify_bounds(gen_fk(k, args.p), order)
         codes.add(_report_exit_code(report))
         row = {**report.to_json(), "k": k}
         rows.append(row)
@@ -175,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=_analyze_common, certificates_only=certificates_only)
         p.add_argument("file", help="system file path, or '-' for stdin")
         p.add_argument("--order", choices=TermOrder.KINDS, help="override the file's term order")
-        p.add_argument("--cap", type=int, help="degree cap for the solving-degree scan")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--trace", default=None, help="write closure adoption trace to this path")
 
@@ -212,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=int, default=6)
     sweep.add_argument("--p", type=int, default=101)
     sweep.add_argument("--order", choices=TermOrder.KINDS, default=None)
-    sweep.add_argument("--cap", type=int, help="degree cap for the solving-degree scan")
     sweep.add_argument("--json", action="store_true")
     return parser
 

@@ -9,13 +9,16 @@ below its own degree, and one rule turns each bound into a certificate
 with lhs, rhs, and a pass/fail/skipped verdict. Every closure a report
 reads is a rung of one climb (_rungs): the d_reg walk climbs the tops,
 and the scan climbs F to sd and reads G off the rung where it first
-lies, so a report builds no v_space_closure and, uncapped, runs no
-Buchberger. The identity certificate counts the ideal's elements of
-degree <= d_reg + 1 off G, a report's only such count, and past sd that
-count is dim V(F, d_reg + 1), so only a traced report, to write that
-closure's trace, or one whose scan was capped climbs F past sd. Resource
-caps never produce wrong numbers: a capped computation turns
-the certificates that need it into skips with a "cap:" reason.
+lies, so a report builds no v_space_closure and, unless a cap stops the
+scan, runs no Buchberger. The identity certificate counts the ideal's
+elements of degree <= d_reg + 1 off G, a report's only such count, and
+past sd that count is dim V(F, d_reg + 1), so only a traced report, to
+write that closure's trace, or one whose scan a cap stopped climbs F past
+sd. Every work limit is a constant, not a parameter: the closure's row
+cap (vspace.DEFAULT_MAX_ROWS), Buchberger's pair cap
+(groebner.DEFAULT_MAX_PAIRS) and MAX_DEGREE. They never produce wrong
+numbers: a capped computation turns the certificates that need it into
+skips with a "cap:" reason.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Union
 from .errors import CapExceeded, DomainError
 from . import vspace
 from .groebner import GroebnerBasis, _is_basis, _nf, buchberger_reduced, ideal_dim_le
-from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder, _check_int
+from .rings import GREVLEX, MAX_DEGREE, Packing, Polynomial, PolySystem, TermOrder
 from .vspace import VSpaceBasis, _climb
 
 LFD_RATIONALE = (
@@ -92,8 +95,8 @@ def _rungs(F: PolySystem, order: TermOrder, trace=None):
     line the climb wrote, as the capped closure would, and raises that same
     CapExceeded. Past MAX_DEGREE it raises DomainError. A report reads
     rungs 1..sd of F silently and then writes the blocks of rungs
-    max(1, Gbd)..sd, and reads rung d_reg + 1 past sd only when the scan
-    was capped or, to write its trace block, when tracing (verify_bounds);
+    max(1, Gbd)..sd, and reads rung d_reg + 1 past sd only when tracing,
+    to write its block, or when a cap stopped the scan (verify_bounds);
     the d_reg walk reads the rungs of the tops."""
     lines: list[str] = []
     climb = _climb(F, MAX_DEGREE, order, max_rows=vspace.DEFAULT_MAX_ROWS,
@@ -177,7 +180,7 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     return InfiniteDegree(cap)
 
 
-def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
+def _scan(F, order, at) -> tuple[GroebnerBasis, int, int, list[int]]:
     """(G, sd, Lfd, dims) read off the rungs e = 1, 2, ... of one
     climb of F through its unread reader `at` (_rungs). Rung e gives G_e,
     the fully reduced rows of V(F, e) whose pivots minimally generate its
@@ -189,8 +192,10 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
     monomial of some input above e has no minimal pivot dividing it. The
     rungs are read silently; once G is known, `at` writes the trace blocks
     of rungs max(1, Gbd)..sd, the closures v_space_closure would build at
-    those degrees. Past rung `last` it raises CapExceeded. For e = 0..sd,
-    `dims[e]` = dim V(F, e).
+    those degrees. The scan stops only at the library's constant limits:
+    the climb's row cap raises its CapExceeded, and with no rung accepted
+    through MAX_DEGREE the scan raises one naming that degree. For
+    e = 0..sd, `dims[e]` = dim V(F, e).
 
     Lfd is max(1, r), r the last rung <= sd that adopts a row of degree
     below its own (0 if none; VSpaceBasis._last_fall), read while V still
@@ -210,7 +215,7 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
     s, g = pack.sign, pack.guard
     # (degree, s * leading monomial, terms) of each input, keyed once
     inputs = [(f._degree, s * max(t := f._packed(pack)), t) for f in F]
-    for sd in range(1, last + 1):
+    for sd in range(1, MAX_DEGREE + 1):
         V = at(sd, write=False)
         above = [(slm, t) for deg, slm, t in inputs if deg > sd]
         minimal = V._minimal_pivots().values()
@@ -221,7 +226,7 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
                 and _is_basis(rows, pack, p, low=sd)):
             break
     else:
-        raise CapExceeded(f"solving degree exceeds cap {last}")
+        raise CapExceeded(f"solving degree exceeds cap {MAX_DEGREE}")
     G = GroebnerBasis(tuple(Polynomial._from_packed(F.ring, pack, t) for _, t in rows), order)
     for d in range(max(1, G.max_degree), sd + 1):
         at(d)  # writes the trace block of rung d
@@ -230,18 +235,19 @@ def _scan(F, order, last, at) -> tuple[GroebnerBasis, int, int, list[int]]:
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
-    """Smallest d whose degree-d span contains the reduced Groebner basis.
-    The scan reads rungs up to MAX_DEGREE, as an uncapped verify_bounds
-    does; the climb's row cap, a CapExceeded, comes first on a large input."""
-    return _scan(F, order, MAX_DEGREE, _rungs(F, order))[1]
+    """Smallest d whose degree-d span contains the reduced Groebner basis,
+    read off one climb of F as verify_bounds reads it (_scan): rungs up to
+    MAX_DEGREE, though the climb's row cap, a CapExceeded, comes first on
+    a large input."""
+    return _scan(F, order, _rungs(F, order))[1]
 
 
 def last_fall_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
     """Minimal d such that every ideal element f lies in the span at degree
-    max(d, deg f). Read off the climb that finds the solving degree (as
-    solving_degree does): the last rung up to sd that adopts a row below
-    its own degree, or 1 if none (proof at _scan)."""
-    return _scan(F, order, MAX_DEGREE, _rungs(F, order))[2]
+    max(d, deg f). Read off the climb that finds the solving degree, under
+    the same limits as solving_degree: the last rung up to sd that adopts
+    a row below its own degree, or 1 if none (proof at _scan)."""
+    return _scan(F, order, _rungs(F, order))[2]
 
 
 @dataclass
@@ -309,36 +315,39 @@ def verify_bounds(
     F: PolySystem,
     order: TermOrder = GREVLEX,
     *,
-    cap: int | None = None,
     trace=None,
 ) -> DegreeReport:
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
 
-    `cap` bounds the solving-degree scan: it reads rungs 1..cap (default
-    MAX_DEGREE; the climb's row cap comes first on a large input). No
-    bound of the scan comes from d_reg, so the upper bounds below can
-    fail, never skip, when sd exceeds them. A cap that is not an int (a
-    bool is not one) or lies below 1 is a DomainError, raised before any
-    work. `cap` does not bound the d_reg walk; the walk shares the
-    closure's row cap (see degree_of_regularity), and past it d_reg is
-    None, the hypothesis unknown (None) and every certificate that reads
-    d_reg a `cap:` skip; Gbd, sd and Lfd are still computed. A cap that
-    stops the sd scan likewise names itself in the skip of every
-    certificate that needs sd or Lfd. Then, and only then, Buchberger
-    (groebner.buchberger_reduced, checked) gives G and Gbd; a cap that
-    stops it too is named for Gbd, sd and Lfd alike. The scan reads the
-    rungs of one climb of F (_rungs): V(F, e) at e = 1..sd, and reads
-    Lfd off the rows each rung adopted (proof at _scan). The identity
-    certificate counts the ideal once, ideal_dim_le(G, d_reg + 1), the
-    report's only count. When d_reg + 1 <= sd it reads dim V(F, d_reg + 1)
-    off the scan's rungs; past sd that dimension is the count itself
-    (proof below), so an untraced report climbs F no further than sd; only
-    when a cap stopped the scan, leaving sd unknown, does the identity
-    continue the climb to d_reg + 1 and compare. `trace` receives, for each
-    closure the report reads, the lines v_space_closure(F, d, trace=trace)
-    would write, as if built from scratch: V(F, d) at d = max(1, Gbd)..sd
-    (or, after a capped scan, from max(1, Gbd) to the cap), written once
-    G is known. A traced report with d_reg + 1 > sd also reads rung
+    The solving-degree scan reads the rungs 1, 2, ... of one climb of F
+    (_rungs) until it finds sd, and stops only at the library's constant
+    limits: the climb's row cap, or MAX_DEGREE. No bound of the scan comes
+    from d_reg, so the upper bounds below can fail, never skip, when sd
+    exceeds them. An `order` that is not a TermOrder is a DomainError,
+    raised before any work. The d_reg walk shares the closure's row cap
+    (see degree_of_regularity), and past it d_reg is None, the hypothesis
+    unknown (None) and every certificate that reads d_reg a `cap:` skip;
+    Gbd, sd and Lfd are still computed. A cap that stops the sd scan
+    likewise names itself in the skip of every certificate that needs sd
+    or Lfd. Then, and only then, Buchberger (groebner.buchberger_reduced,
+    checked) gives G and Gbd; a cap that stops it too is named for Gbd, sd
+    and Lfd alike. The scan reads V(F, e) at e = 1..sd, and reads Lfd off
+    the rows each rung adopted (proof at _scan). The identity certificate
+    counts the ideal once, ideal_dim_le(G, d_reg + 1), the report's only
+    count. When d_reg + 1 <= sd it reads dim V(F, d_reg + 1) off the
+    scan's rungs; past sd that dimension is the count itself (proof
+    below), so an untraced report climbs F no further than sd. When a cap
+    stopped the scan, leaving sd unknown, the identity continues the climb
+    to d_reg + 1 and compares. The identity needs the hypothesis, under
+    which the paper's bound gives sd <= d_reg + 1, so after a row-capped
+    scan rung d_reg + 1 raises that cap again, and after MAX_DEGREE
+    d_reg + 1 lies past it: the comparison is reached only if the bound
+    fails, and is the check that would catch it. `trace` receives, for
+    each closure the report reads, the lines v_space_closure(F, d,
+    trace=trace) would write, as if built from scratch: V(F, d) at
+    d = max(1, Gbd)..sd (or, after a capped scan, from max(1, Gbd) to the
+    rung the row cap stopped on, or to MAX_DEGREE), written once G is
+    known. A traced report with d_reg + 1 > sd also reads rung
     d_reg + 1, only to write that closure's block: the report does not
     depend on it, and a row cap hit there changes nothing but leaves the
     lines the climb wrote.
@@ -409,11 +418,8 @@ def verify_bounds(
                                of degree <= d_reg + 1, needs the hypothesis;
                                a cap skip when d_reg + 1 > MAX_DEGREE
     """
-    last = MAX_DEGREE if cap is None else cap  # the last rung the sd scan reads
-    _check_int(last, "cap")
-    if last < 1:
-        raise DomainError(f"cap must be at least 1, got {last}")
     ring = F.ring
+    ring.packing(order)  # refuses an order that is no TermOrder before any work
     maxdeg = F.max_degree()
     cap_notes: dict[str, str] = {}
     try:
@@ -431,12 +437,12 @@ def verify_bounds(
     at = _rungs(F, order, trace)  # the one climb of F; past sd only identity() reads it
     try:
         try:
-            G, sd, lfd, dims = _scan(F, order, last, at)
-        except CapExceeded:  # G is unknown, and so is Gbd, where the trace starts
-            G = buchberger_reduced(F, order)
-            for d in range(max(1, G.max_degree), last + 1):
+            G, sd, lfd, dims = _scan(F, order, at)
+        except CapExceeded:  # the row cap, or no rung accepted through MAX_DEGREE
+            G = buchberger_reduced(F, order)  # gives Gbd, where the trace starts
+            for d in range(max(1, G.max_degree), MAX_DEGREE + 1):
                 at(d)  # writes rung d's block; from the rung the row cap stopped on, raises it
-            raise CapExceeded(f"solving degree exceeds cap {last}") from None
+            raise  # no row cap stopped the climb: the scan's own, past MAX_DEGREE
     except CapExceeded as exc:  # every value the capped phase leaves unknown names its cap
         cap_notes.update(dict.fromkeys(("gbd", "sd", "lfd") if G is None else ("sd", "lfd"),
                                        str(exc)))
@@ -475,8 +481,8 @@ def verify_bounds(
         if d > MAX_DEGREE:
             raise CapExceeded(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
         n = ideal_dim_le(G, d)
-        if sd is None:  # the scan was capped: its climb goes on to rung d
-            return at(d).dims[d], n
+        if sd is None:  # a cap stopped the scan; sd <= d (the paper's bound), so rung d
+            return at(d).dims[d], n  # raises the row cap again unless the bound fails
         if d <= sd:  # the scan's rungs hold dim V(F, d)
             return dims[d], n
         if trace is not None:  # only to write V(F, d)'s trace block; its cap changes nothing

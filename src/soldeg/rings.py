@@ -279,8 +279,12 @@ class Ring:
         self._packings = {kind: Packing(len(names), kind) for kind in TermOrder.KINDS}
 
     def packing(self, order: TermOrder) -> Packing:
-        """The packing of this ring's monomials under `order`."""
-        return self._packings[order.kind]
+        """The packing of this ring's monomials under `order`; DomainError
+        naming `order` when it is not a TermOrder."""
+        try:
+            return self._packings[order.kind]
+        except AttributeError:
+            raise DomainError(f"term order must be a TermOrder, got {order!r}") from None
 
     @property
     def nvars(self) -> int:

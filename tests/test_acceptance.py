@@ -15,7 +15,6 @@ import pytest
 from soldeg import (
     GREVLEX,
     GRLEX,
-    MAX_DEGREE,
     GenerationError,
     RandomSpec,
     buchberger_reduced,
@@ -274,7 +273,7 @@ def test_criterion_8_oracle_equivalence():
     for i, (F, d) in enumerate(instances):
         order = ORDERS[i % 2]
         at = _rungs(F, order)
-        G, sd, _, _ = _scan(F, order, MAX_DEGREE, at)
+        G, sd, _, _ = _scan(F, order, at)
         assert G.polys == buchberger_reduced(F, order).polys
         assert sd <= d + 1  # the paper's bound
         stats = at(sd).stats

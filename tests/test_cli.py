@@ -172,19 +172,6 @@ def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/system.txt"]) == 2
 
 
-def test_cap_exit_code(fk_file, capsys):
-    # sd scan cannot finish at cap 2, certificates degrade to cap-skips
-    assert main(["analyze", fk_file, "--cap", "2"]) == 3
-
-
-def test_cap_does_not_truncate_the_regularity_degree(tmp_path, capsys):
-    path = tmp_path / "x2y5.txt"
-    path.write_text("p=101; vars=x,y; x^2; y^5")
-    assert main(["analyze", str(path), "--cap", "5", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["d_reg"] == 6 and doc["sd"] == 5
-
-
 @pytest.mark.parametrize("text", ["p=101; vars=x,y; 2; 3", "p=101; vars=x,y,z; x; 2; 3"])
 def test_a_constant_among_the_largest_degrees_skips_the_macaulay_bound(text, tmp_path, capsys):
     # Lazard's bound needs forms of positive degree; over degrees (0, 0) the
@@ -227,12 +214,6 @@ def test_a_report_at_the_largest_supported_degree_prints_and_exits_3(tmp_path, c
     assert "d_reg: 32767" in lines and "sd: 32767" in lines and "lfd: 1" in lines
     assert ("  skipped vspace_dim_identity      "
             "(cap: degree 32768 exceeds the largest supported degree 32767)") in lines
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_nonpositive_cap_is_a_usage_error(fk_file, cap, capsys):
-    assert main(["analyze", fk_file, "--cap", cap]) == 2
-    assert "cap must be at least 1" in capsys.readouterr().err
 
 
 def test_an_internal_error_is_one_line_and_exit_2(fk_file, monkeypatch, capsys):
@@ -310,12 +291,6 @@ def test_sweep_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in rows] == [2, 3, 4, 5]
     assert [r["sd"] for r in rows] == [3, 4, 5, 6]
-
-
-def test_sweep_cap_exit_code(capsys):
-    # k = 3 and 4 need sd = 4 and 5: both scans stop at cap 2
-    assert main(["sweep", "fk", "--from", "3", "--to", "4", "--cap", "2"]) == 3
-    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_sweep_refuses_a_reversed_range(capsys):

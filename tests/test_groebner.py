@@ -351,7 +351,7 @@ def test_ideal_dim_le_unit_ideal_counts_everything():
 def _scan_of(F, order=GREVLEX):
     """(G, sd, the climb's counters at rung sd) from the scan over one climb of F."""
     at = _rungs(F, order)
-    G, sd, _, _ = _scan(F, order, MAX_DEGREE, at)
+    G, sd, _, _ = _scan(F, order, at)
     return G, sd, at(sd).stats
 
 

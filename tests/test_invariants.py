@@ -239,39 +239,76 @@ def refuse_all_work(monkeypatch):
     """Make every first step of an entry point raise: the d_reg walk, the
     climb of F (and of the tops), and Buchberger."""
     def refuse(*args, **kwargs):
-        raise AssertionError("work started before the cap was checked")
+        raise AssertionError("work started before the input was checked")
 
     for name in ("degree_of_regularity", "_climb", "buchberger_reduced"):
         monkeypatch.setattr(f"soldeg.invariants.{name}", refuse)
 
 
-@pytest.mark.parametrize("cap", [0, -5])
-def test_a_cap_below_one_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
-    """Refused before any work: neither the d_reg walk, nor a climb, nor
-    Buchberger runs. verify_bounds is the one entry point with a cap."""
+def test_an_order_that_is_no_term_order_is_refused_before_any_work(monkeypatch):
+    """verify_bounds looks its packing up first: neither the d_reg walk,
+    nor a climb, nor Buchberger runs on an order given as a bare string."""
     refuse_all_work(monkeypatch)
-    with pytest.raises(DomainError, match=f"cap must be at least 1, got {cap}"):
-        verify_bounds(gen_fk(3, 101), cap=cap)
+    with pytest.raises(DomainError, match="term order must be a TermOrder, got 'grevlex'"):
+        verify_bounds(gen_fk(3, 101), "grevlex")
 
 
-@pytest.mark.parametrize("cap", [2.5, 3.0, True])
-def test_a_cap_that_is_not_an_int_is_a_domain_error_at_every_entry_point(monkeypatch, cap):
-    """Refused before any work, like a cap below 1: a float would fail
-    mid-scan, and True would pass for 1."""
-    refuse_all_work(monkeypatch)
-    with pytest.raises(DomainError, match="cap must be an int"):
-        verify_bounds(gen_fk(3, 101), cap=cap)
+@pytest.mark.parametrize("call", [
+    lambda F: solving_degree(F, "grlex"),
+    lambda F: last_fall_degree(F, None),
+    lambda F: v_space_closure(F, 3, "grevlex"),
+    lambda F: buchberger_reduced(F, "grevlex"),
+], ids=["solving_degree", "last_fall_degree", "v_space_closure", "buchberger_reduced"])
+def test_an_order_that_is_no_term_order_is_a_domain_error_at_every_entry_point(call):
+    with pytest.raises(DomainError, match="term order must be a TermOrder, got "):
+        call(gen_fk(3, 101))
 
 
-def test_work_caps_are_constants_not_parameters():
+def test_work_caps_are_constants_not_parameters(tmp_path, capsys):
     """A work cap only turns a runaway phase into a cap skip, so the row
-    and pair caps are module constants, and only verify_bounds takes a
-    degree cap for its sd scan."""
+    and pair caps and MAX_DEGREE are module constants: no entry point takes
+    a cap, and no subcommand a --cap flag (argparse exits 2 on it)."""
     import inspect
 
-    for fn in (v_space_closure, buchberger_reduced, solving_degree, last_fall_degree):
+    from soldeg import SystemFile, render_system
+    from soldeg.cli import main
+
+    for fn in (v_space_closure, buchberger_reduced, solving_degree, last_fall_degree,
+               verify_bounds):
         assert not {"max_rows", "max_pairs", "cap"} & set(inspect.signature(fn).parameters)
-    assert "cap" in inspect.signature(verify_bounds).parameters
+    path = tmp_path / "f3.txt"
+    F = gen_fk(3, 101)
+    path.write_text(render_system(SystemFile(F.ring, GREVLEX, F)))
+    for argv in (["analyze", str(path)], ["verify-bounds", str(path)], ["sweep", "fk"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "2"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --cap 2" in capsys.readouterr().err, argv
+
+
+def test_the_scan_raises_its_cap_past_the_largest_supported_degree(monkeypatch):
+    """With no rung accepted through MAX_DEGREE, lowered here to 3 below
+    fk(3)'s sd = 4, the scan raises its own cap; a report then takes Gbd
+    from Buchberger and names that cap for sd and Lfd."""
+    from soldeg import invariants
+
+    monkeypatch.setattr(invariants, "MAX_DEGREE", 3)
+    F = gen_fk(3, 101)
+    with pytest.raises(CapExceeded, match="^solving degree exceeds cap 3$"):
+        invariants._scan(F, GREVLEX, invariants._rungs(F, GREVLEX))
+    report = verify_bounds(F)
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 1, None, None)
+    reason = "cap: solving degree exceeds cap 3"
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "skipped", reason),
+        ("gbd_le_dreg", "pass", None),
+        ("sd_eq_max_lfd_gbd", "skipped", reason),
+        ("sd_generalized_bound", "skipped", reason),
+        ("lfd_upper_bound", "skipped", reason),
+        ("sd_macaulay_bound", "skipped", reason),
+        ("vspace_dim_identity", "skipped",
+         "cap: degree 4 exceeds the largest supported degree 3"),
+    ]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX])
@@ -411,16 +448,6 @@ def test_report_with_infinite_regularity():
     assert (c.lhs, c.rhs, c.verdict) == (2, 2, "pass")
 
 
-def test_report_under_tight_cap_marks_cap_skips():
-    report = verify_bounds(gen_fk(3, 101), cap=2)
-    assert report.sd is None and report.lfd is None
-    assert report.gbd == 1
-    t = cert(report, "sd_le_dreg_plus_1")
-    assert t.verdict == "skipped" and t.reason.startswith("cap")
-    assert cert(report, "gbd_le_dreg").verdict == "pass"
-    assert report.any_capped
-
-
 def test_report_for_inconsistent_system():
     # unit ideal: the constant 1 appears at degree 1 and its monomial
     # multiples flood the span, so sd = lfd = 1 while gbd = 0
@@ -465,28 +492,6 @@ def verdicts(report: DegreeReport):
     return [(c.id, c.verdict, c.reason) for c in report.certificates]
 
 
-def test_report_when_buchberger_is_capped(monkeypatch):
-    """Buchberger runs only when a cap stopped the scan (here the user cap 1,
-    below sd = 3); capped too, it leaves Gbd unknown with sd and Lfd."""
-    def capped(*args, **kwargs):
-        raise CapExceeded("buchberger exceeded 1 pairs")
-
-    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", capped)
-    report = verify_bounds(gen_fk(2, 101), cap=1)
-    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, None, None, None)
-    # Gbd, sd and Lfd are all unknown, and each skip names Buchberger's cap
-    reason = "cap: buchberger exceeded 1 pairs"
-    assert verdicts(report) == [
-        ("sd_le_dreg_plus_1", "skipped", reason),
-        ("gbd_le_dreg", "skipped", reason),
-        ("sd_eq_max_lfd_gbd", "skipped", reason),
-        ("sd_generalized_bound", "skipped", reason),
-        ("lfd_upper_bound", "skipped", reason),
-        ("sd_macaulay_bound", "skipped", reason),
-        ("vspace_dim_identity", "skipped", reason),
-    ]
-
-
 def cap_the_climb_of(monkeypatch, F, cap):
     """Cap the climb of F itself at `cap` rows, and not the d_reg walk's
     climb of the tops, a system of its own."""
@@ -522,6 +527,29 @@ def test_report_when_the_sd_closure_hits_the_row_cap(monkeypatch):
         ("lfd_upper_bound", "skipped", "cap: closure exceeded 3 rows"),
         ("sd_macaulay_bound", "skipped", "cap: closure exceeded 3 rows"),
         ("vspace_dim_identity", "skipped", "cap: closure exceeded 3 rows"),
+    ]
+
+
+def test_report_when_buchberger_is_capped(monkeypatch):
+    """Buchberger runs only when a cap stopped the scan (here the row cap 3
+    of the climb of fk(2), below sd = 3); capped too, it leaves Gbd unknown
+    with sd and Lfd."""
+    def capped(*args, **kwargs):
+        raise CapExceeded("buchberger exceeded 1 pairs")
+
+    monkeypatch.setattr("soldeg.invariants.buchberger_reduced", capped)
+    report = verify_bounds(cap_the_climb_of(monkeypatch, gen_fk(2, 101), 3))
+    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (2, None, None, None)
+    # Gbd, sd and Lfd are all unknown, and each skip names Buchberger's cap
+    reason = "cap: buchberger exceeded 1 pairs"
+    assert verdicts(report) == [
+        ("sd_le_dreg_plus_1", "skipped", reason),
+        ("gbd_le_dreg", "skipped", reason),
+        ("sd_eq_max_lfd_gbd", "skipped", reason),
+        ("sd_generalized_bound", "skipped", reason),
+        ("lfd_upper_bound", "skipped", reason),
+        ("sd_macaulay_bound", "skipped", reason),
+        ("vspace_dim_identity", "skipped", reason),
     ]
 
 
@@ -569,23 +597,6 @@ def test_report_when_the_identity_degree_passes_the_largest_supported_degree():
     assert report.any_capped
 
 
-@pytest.mark.parametrize("cap", [2, 3])
-def test_report_when_the_sd_scan_hits_the_user_cap(cap):
-    # sd = 4 lies past either cap; d_reg = 3 stays finite under both
-    report = verify_bounds(gen_fk(3, 101), cap=cap)
-    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (3, 1, None, None)
-    reason = f"cap: solving degree exceeds cap {cap}"
-    assert verdicts(report) == [
-        ("sd_le_dreg_plus_1", "skipped", reason),
-        ("gbd_le_dreg", "pass", None),
-        ("sd_eq_max_lfd_gbd", "skipped", reason),
-        ("sd_generalized_bound", "skipped", reason),
-        ("lfd_upper_bound", "skipped", reason),
-        ("sd_macaulay_bound", "skipped", reason),
-        ("vspace_dim_identity", "pass", None),
-    ]
-
-
 def test_report_with_infinite_regularity_lists_every_verdict():
     report = verify_bounds(mk("p=101; vars=x,y; x*y"))
     trivial = "regularity degree infinite; bound trivial"
@@ -603,14 +614,6 @@ def test_report_with_infinite_regularity_lists_every_verdict():
         ),
     ]
     assert [c.rhs for c in report.certificates][:5] == ["+inf", "+inf", 2, "+inf", "+inf"]
-
-
-def test_user_cap_bounds_only_the_sd_scan():
-    # d_reg = 6 lies past the cap; the cap must not turn it into "infinite"
-    report = verify_bounds(mk("p=101; vars=x,y; x^2; y^5"), cap=5)
-    assert (report.d_reg, report.gbd, report.sd, report.lfd) == (6, 5, 5, 1)
-    assert all(c.verdict == "pass" for c in report.certificates)
-    assert not report.any_capped
 
 
 UNDERDETERMINED = (
@@ -982,7 +985,7 @@ def test_sd_scan_keys_each_input_once(monkeypatch):
 
     rungs = v_space_closure(F, 7, GRLEX).dims
     monkeypatch.setattr(Polynomial, "_packed", counted)
-    scanned = invariants._scan(F, GRLEX, MAX_DEGREE, invariants._rungs(F, GRLEX))
+    scanned = invariants._scan(F, GRLEX, invariants._rungs(F, GRLEX))
     assert scanned[0].polys == G.polys and scanned[1:] == (7, 7, rungs)
     # the scan tests the inputs at rungs 1..7, and the climb inserts them
     # once; each is keyed under grlex once by each, not once per rung

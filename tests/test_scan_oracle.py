@@ -23,7 +23,6 @@ from soldeg import (
     v_space_closure,
 )
 from soldeg.invariants import _rungs, _scan
-from soldeg.rings import MAX_DEGREE
 from soldeg.vspace import DEFAULT_MAX_ROWS, _climb
 
 from helpers import mk
@@ -84,7 +83,7 @@ def test_the_corpus_covers_the_named_cases():
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
 def test_the_scan_gives_buchbergers_basis_and_the_first_degree_that_holds_it(order):
     for name, F in CORPUS:
-        G, sd, lfd, _ = _scan(F, order, MAX_DEGREE, _rungs(F, order))
+        G, sd, lfd, _ = _scan(F, order, _rungs(F, order))
         reference = buchberger_reduced(F, order)
         assert G.polys == reference.polys, name
         closures = {}
@@ -114,7 +113,7 @@ def test_the_climb_tracks_the_minimal_pivots_at_every_rung(order):
     """At each rung up to sd, the climb's candidates hold every pivot that no
     other pivot divides, and its minimal set is exactly those."""
     for name, F in CORPUS:
-        sd = _scan(F, order, MAX_DEGREE, _rungs(F, order))[1]
+        sd = _scan(F, order, _rungs(F, order))[1]
         climb = _climb(F, sd, order, max_rows=DEFAULT_MAX_ROWS, trace=None)
         for e, V in enumerate(climb):
             minimal = _minimal(V._tails, V._pack)
@@ -130,7 +129,7 @@ def test_the_climb_counts_through_sd_what_the_closure_at_sd_counts(order):
     closure's."""
     for name, F in CORPUS:
         at = _rungs(F, order)
-        sd = _scan(F, order, MAX_DEGREE, at)[1]
+        sd = _scan(F, order, at)[1]
         got, want = at(sd).stats, v_space_closure(F, sd, order).stats
         assert (got.insertions, got.adoptions, got.closure_passes) == (
             want.insertions, want.adoptions, want.closure_passes), name
