@@ -216,6 +216,38 @@ def test_a_report_at_the_largest_supported_degree_prints_and_exits_3(tmp_path, c
             "(cap: degree 32768 exceeds the largest supported degree 32767)") in lines
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify-bounds"])
+def test_a_report_whose_scan_passes_the_largest_supported_degree_exits_3(
+        command, tmp_path, monkeypatch, capsys):
+    # fk(3) has sd = 4; with MAX_DEGREE lowered to 3 the scan stops at its
+    # own cap, so sd and Lfd are printed as unknown and their bounds skip
+    from soldeg import invariants
+
+    monkeypatch.setattr(invariants, "MAX_DEGREE", 3)
+    path = tmp_path / "f3.txt"
+    F = gen_fk(3, 101)
+    path.write_text(render_system(SystemFile(F.ring, GREVLEX, F)))
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert "  pass    gbd_le_dreg              lhs=1 rhs=3" in lines
+    assert ("  skipped sd_le_dreg_plus_1        "
+            "(cap: solving degree exceeds cap 3)") in lines
+    if command == "analyze":
+        assert "d_reg: 3" in lines and "sd: None" in lines and "lfd: None" in lines
+
+
+@pytest.mark.parametrize("argv", [["analyze", "FILE"], ["verify-bounds", "FILE"], ["sweep", "fk"]],
+                         ids=lambda argv: argv[0])
+def test_no_subcommand_takes_a_cap_flag(argv, fk_file, capsys):
+    # the sd scan stops only at constant limits: argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main([fk_file if a == "FILE" else a for a in argv] + ["--cap", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 2" in capsys.readouterr().err
+
+
 def test_an_internal_error_is_one_line_and_exit_2(fk_file, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise InconsistencyError("cross-check failed")
@@ -291,6 +323,18 @@ def test_sweep_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["k"] for r in rows] == [2, 3, 4, 5]
     assert [r["sd"] for r in rows] == [3, 4, 5, 6]
+
+
+def test_sweep_exits_3_when_a_scan_passes_the_largest_supported_degree(monkeypatch, capsys):
+    # k = 2 needs sd = 3 and passes; k = 3 needs sd = 4, past MAX_DEGREE
+    # lowered to 3, so its row prints with sd unknown and the sweep exits 3
+    from soldeg import invariants
+
+    monkeypatch.setattr(invariants, "MAX_DEGREE", 3)
+    assert main(["sweep", "fk", "--from", "2", "--to", "3"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split()[:5] for row in out[1:]] == [
+        ["2", "2", "1", "3", "3"], ["3", "3", "1", "None", "None"]]
 
 
 def test_sweep_refuses_a_reversed_range(capsys):

@@ -22,8 +22,10 @@ from soldeg import (
     buchberger_reduced,
     degree_of_regularity,
     gen_fk,
+    gbd,
     gen_random,
     ideal_dim_le,
+    interreduce_tops,
     last_fall_degree,
     render_report,
     solving_degree,
@@ -245,45 +247,41 @@ def refuse_all_work(monkeypatch):
         monkeypatch.setattr(f"soldeg.invariants.{name}", refuse)
 
 
-def test_an_order_that_is_no_term_order_is_refused_before_any_work(monkeypatch):
+@pytest.mark.parametrize("order", ["grevlex", None])
+def test_an_order_that_is_no_term_order_is_refused_before_any_work(monkeypatch, order):
     """verify_bounds looks its packing up first: neither the d_reg walk,
-    nor a climb, nor Buchberger runs on an order given as a bare string."""
+    nor a climb, nor Buchberger runs on an order given as a bare string or
+    left out as None."""
     refuse_all_work(monkeypatch)
-    with pytest.raises(DomainError, match="term order must be a TermOrder, got 'grevlex'"):
-        verify_bounds(gen_fk(3, 101), "grevlex")
+    with pytest.raises(DomainError, match=f"^term order must be a TermOrder, got {order!r}$"):
+        verify_bounds(gen_fk(3, 101), order)
 
 
-@pytest.mark.parametrize("call", [
-    lambda F: solving_degree(F, "grlex"),
-    lambda F: last_fall_degree(F, None),
-    lambda F: v_space_closure(F, 3, "grevlex"),
-    lambda F: buchberger_reduced(F, "grevlex"),
-], ids=["solving_degree", "last_fall_degree", "v_space_closure", "buchberger_reduced"])
-def test_an_order_that_is_no_term_order_is_a_domain_error_at_every_entry_point(call):
-    with pytest.raises(DomainError, match="term order must be a TermOrder, got "):
-        call(gen_fk(3, 101))
+@pytest.mark.parametrize("call, order", [
+    (lambda F, o: solving_degree(F, o), "grlex"),
+    (lambda F, o: last_fall_degree(F, o), None),
+    (lambda F, o: v_space_closure(F, 3, o), "grevlex"),
+    (lambda F, o: buchberger_reduced(F, o), "grevlex"),
+    (lambda F, o: gbd(F, o), 3),
+    (lambda F, o: interreduce_tops(F, o), "grlex"),
+], ids=["solving_degree", "last_fall_degree", "v_space_closure", "buchberger_reduced",
+        "gbd", "interreduce_tops"])
+def test_an_order_that_is_no_term_order_is_a_domain_error_at_every_entry_point(call, order):
+    """Each public function that takes an order names the value it got,
+    rather than failing on its missing attribute."""
+    with pytest.raises(DomainError, match=f"^term order must be a TermOrder, got {order!r}$"):
+        call(gen_fk(3, 101), order)
 
 
-def test_work_caps_are_constants_not_parameters(tmp_path, capsys):
+def test_work_caps_are_constants_not_parameters():
     """A work cap only turns a runaway phase into a cap skip, so the row
     and pair caps and MAX_DEGREE are module constants: no entry point takes
-    a cap, and no subcommand a --cap flag (argparse exits 2 on it)."""
+    a cap (and, in test_cli, no subcommand a --cap flag)."""
     import inspect
-
-    from soldeg import SystemFile, render_system
-    from soldeg.cli import main
 
     for fn in (v_space_closure, buchberger_reduced, solving_degree, last_fall_degree,
                verify_bounds):
         assert not {"max_rows", "max_pairs", "cap"} & set(inspect.signature(fn).parameters)
-    path = tmp_path / "f3.txt"
-    F = gen_fk(3, 101)
-    path.write_text(render_system(SystemFile(F.ring, GREVLEX, F)))
-    for argv in (["analyze", str(path)], ["verify-bounds", str(path)], ["sweep", "fk"]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--cap", "2"])
-        assert exc.value.code == 2, argv
-        assert "unrecognized arguments: --cap 2" in capsys.readouterr().err, argv
 
 
 def test_the_scan_raises_its_cap_past_the_largest_supported_degree(monkeypatch):
