@@ -7,9 +7,11 @@ verify_bounds computes everything once: one scan gives the reduced
 Groebner basis G, sd, and Lfd, the last rung up to sd that adopts a row
 below its own degree, and one rule turns each bound into a certificate
 with lhs, rhs, and a pass/fail/skipped verdict. Every closure a report
-reads is a rung of one climb (_rungs): the d_reg walk climbs the tops,
-and the scan climbs F to sd and reads G off the rung where it first
-lies, so a report builds no v_space_closure and, unless a cap stops the
+reads is a rung of one climb (_rungs): the scan climbs F to sd and reads
+G off the rung where it first lies, and d_reg off the first rung that
+fills its degree when no rung up to it adopted a row below its own
+degree; only when that read gives nothing does the d_reg walk climb the
+tops. So a report builds no v_space_closure and, unless a cap stops the
 scan, runs no Buchberger. The identity certificate counts the ideal's
 elements of degree <= d_reg + 1 off G, a report's only such count, and
 past sd that count is dim V(F, d_reg + 1), so only a traced report, to
@@ -123,7 +125,10 @@ def _rungs(F: PolySystem, order: TermOrder, trace=None):
 def degree_of_regularity(F: PolySystem) -> DegreeValue:
     """Smallest d at which the degree-d slice spanned by bounded multiples of
     the input top parts fills the whole degree-d space; InfiniteDegree(cap)
-    when none does, cap = Macaulay bound + 1.
+    when none does, cap = Macaulay bound + 1. The public standalone entry
+    point: it runs the proofs of _regularity_proof and then the walk of the
+    tops. A report (verify_bounds) runs the same proofs, and reads d_reg
+    off its climb of F where it can before it walks (_regularity).
 
     InfiniteDegree is a proof, not a give-up. The slices are those of the
     ideal I generated by the top parts, and their dimensions do not change
@@ -156,6 +161,15 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     MAX_DEGREE with no slice filled, the walk raises the DomainError of
     degree MAX_DEGREE + 1.
     """
+    return _regularity(F, _regularity_proof(F), None)
+
+
+def _regularity_proof(F: PolySystem) -> InfiniteDegree | None:
+    """The proofs that need no climb, in degree_of_regularity's order:
+    InfiniteDegree(cap) by Krull's height theorem, a coordinate point or a
+    rational point that zeroes every top; a DomainError when k = n forms of
+    positive degree have a Lazard's degree past MAX_DEGREE; else None (the
+    proofs are at degree_of_regularity)."""
     cap = _macaulay_bound(F) + 1  # one degree of slack past the Macaulay bound
     n = F.ring.nvars
     if len(F) < n and min(F.degrees()) > 0:
@@ -169,19 +183,53 @@ def degree_of_regularity(F: PolySystem) -> DegreeValue:
     if len(F) == n and min(F.degrees()) > 0 and cap - 2 > MAX_DEGREE:
         raise DomainError(f"d_reg is Lazard's degree {cap - 2} or infinite, and {cap - 2} "
                           f"exceeds the largest supported degree {MAX_DEGREE}")
+    return None
+
+
+def _fills(dims: list[int], e: int, n: int) -> bool:
+    """Whether rung e of a climb in n variables adopted C(e + n - 1, e) rows,
+    as many as the monomials of degree e: on a climb of the tops, or of F
+    with no fall through rung e, whether slice e of the tops' ideal fills."""
+    return dims[e] - dims[e - 1] == math.comb(e + n - 1, e)
+
+
+def _fill_before_fall(V: VSpaceBasis, n: int) -> int | None:
+    """d_reg read off V, a climb of F in n variables: the first rung e >= 1
+    that fills its degree (_fills), provided no rung in 1..e fell
+    (VSpaceBasis._falls); None when no rung of V fills or one falls at or
+    before the first that does (proof at verify_bounds)."""
+    fill = next((e for e in range(1, len(V.dims)) if _fills(V.dims, e, n)), None)
+    if fill is None or next(V._falls(range(1, fill + 1)), None) is not None:
+        return None
+    return fill
+
+
+def _regularity(F: PolySystem, proof: InfiniteDegree | None,
+                V: VSpaceBasis | None) -> DegreeValue:
+    """d_reg, the one route to it: `proof` when _regularity_proof gave one,
+    else the read of V, the climb of F through sd (None when a cap stopped
+    the scan, and for degree_of_regularity), when it gives one
+    (_fill_before_fall), else the walk of the tops."""
+    if proof is not None:
+        return proof
+    n = F.ring.nvars
+    if V is not None and (fill := _fill_before_fall(V, n)) is not None:
+        return fill
+    cap = _macaulay_bound(F) + 1
     at = _rungs(PolySystem(F.ring, [f.top() for f in F]), GREVLEX)
     try:
-        for e in range(1, max(1, cap - 2) + 1):  # up to Lazard's degree, two below the cap
-            dims = at(e).dims  # rung 0, which constant tops fill, is climbed and not read
-            if dims[e] - dims[e - 1] == math.comb(e + n - 1, e):
+        # up to Lazard's degree, two below the cap; rung 0, which constant
+        # tops fill, is climbed and not read
+        for e in range(1, max(1, cap - 2) + 1):
+            if _fills(at(e).dims, e, n):
                 return e
     except CapExceeded as exc:
         raise CapExceeded(f"d_reg walk: {exc}", stats=exc.stats, details=exc.details) from None
     return InfiniteDegree(cap)
 
 
-def _scan(F, order, at) -> tuple[GroebnerBasis, int, int, list[int]]:
-    """(G, sd, Lfd, dims) read off the rungs e = 1, 2, ... of one
+def _scan(F, order, at) -> tuple[GroebnerBasis, int, int, VSpaceBasis]:
+    """(G, sd, Lfd, V) read off the rungs e = 1, 2, ... of one
     climb of F through its unread reader `at` (_rungs). Rung e gives G_e,
     the fully reduced rows of V(F, e) whose pivots minimally generate its
     pivot set (VSpaceBasis._minimal_rows). The first e at which every input
@@ -194,8 +242,9 @@ def _scan(F, order, at) -> tuple[GroebnerBasis, int, int, list[int]]:
     of rungs max(1, Gbd)..sd, the closures v_space_closure would build at
     those degrees. The scan stops only at the library's constant limits:
     the climb's row cap raises its CapExceeded, and with no rung accepted
-    through MAX_DEGREE the scan raises one naming that degree. For
-    e = 0..sd, `dims[e]` = dim V(F, e).
+    through MAX_DEGREE the scan raises one naming that degree. V is the
+    climb's one basis, holding rung sd until a later rung is read; its
+    dims[e] = dim V(F, e) for e = 0..sd stay as later rungs are read.
 
     Lfd is max(1, r), r the last rung <= sd that adopts a row of degree
     below its own (0 if none; VSpaceBasis._last_fall), read while V still
@@ -231,7 +280,7 @@ def _scan(F, order, at) -> tuple[GroebnerBasis, int, int, list[int]]:
     for d in range(max(1, G.max_degree), sd + 1):
         at(d)  # writes the trace block of rung d
     # V holds rung sd until a later rung is read, which extends V.dims
-    return G, sd, max(1, V._last_fall()), V.dims[: sd + 1]
+    return G, sd, max(1, V._last_fall()), V
 
 
 def solving_degree(F: PolySystem, order: TermOrder = GREVLEX) -> int:
@@ -319,15 +368,29 @@ def verify_bounds(
 ) -> DegreeReport:
     """Compute d_reg, Gbd, sd, and Lfd, then certify every bound.
 
-    The solving-degree scan reads the rungs 1, 2, ... of one climb of F
-    (_rungs) until it finds sd, and stops only at the library's constant
-    limits: the climb's row cap, or MAX_DEGREE. No bound of the scan comes
-    from d_reg, so the upper bounds below can fail, never skip, when sd
-    exceeds them. An `order` that is not a TermOrder is a DomainError,
-    raised before any work. The d_reg walk shares the closure's row cap
-    (see degree_of_regularity), and past it d_reg is None, the hypothesis
-    unknown (None) and every certificate that reads d_reg a `cap:` skip;
-    Gbd, sd and Lfd are still computed. A cap that stops the sd scan
+    The phases run in this order. An `order` that is not a TermOrder is a
+    DomainError, raised before any work. The proofs of d_reg that need no
+    climb (_regularity_proof) run next, so an input they refuse, a k = n
+    system whose Lazard's degree passes MAX_DEGREE, is refused before any
+    climb. Then the solving-degree scan reads the rungs 1, 2, ... of one
+    climb of F (_rungs) until it finds sd. Then d_reg (_regularity): the
+    proof's InfiniteDegree if it gave one, else the read of the scan's
+    climb (_fill_before_fall, proof below), else the d_reg walk of the
+    tops, which alone covers a fall at or before the first filled rung, a
+    first fill past sd, a capped scan and an infinite d_reg. Last come the
+    certificates.
+
+    The scan stops only at the library's constant limits: the climb's row
+    cap, or MAX_DEGREE. No bound of the scan comes from d_reg, so the upper
+    bounds below can fail, never skip, when sd exceeds them. The d_reg walk
+    shares the closure's row cap (see degree_of_regularity), and past it
+    d_reg is None, the hypothesis unknown (None) and every certificate that
+    reads d_reg a `cap:` skip; Gbd, sd and Lfd are still computed. A read
+    of d_reg at rung e loses no such skip: the climb of F passed rung e
+    under the row cap with dims[e] rows, and the walk's climb of the tops
+    through e holds as many (below). A walk refused past MAX_DEGREE raises
+    its DomainError after the scan, so a traced report has written the
+    scan's lines by then. A cap that stops the sd scan
     likewise names itself in the skip of every certificate that needs sd
     or Lfd. Then, and only then, Buchberger (groebner.buchberger_reduced,
     checked) gives G and Gbd; a cap that stops it too is named for Gbd, sd
@@ -395,6 +458,32 @@ def verify_bounds(
     variable times a pivot. A rung is rejected at once when some input
     above e has a leading monomial that no minimal pivot divides.
 
+    d_reg off the climb of F. Call rung e' a fall when the climb adopts a
+    row of degree < e' there (VSpaceBasis._falls), and let e <= sd be the
+    first rung at which dims[e] - dims[e - 1] = C(e + n - 1, e), the number
+    of monomials of degree e. If no rung in 1..e falls, e is d_reg. Write
+    M(F, e') for the span of the products m*f of degree <= e'. With no fall
+    at rungs 1..e, V(F, e') = M(F, e') for every e' <= e, by induction from
+    V(F, 0) = M(F, 0). M(F, e') lies in V(F, e') always. An element of
+    M(F, e') of degree < e' outside M(F, e' - 1) = V(F, e' - 1) would lie
+    in V(F, e') below degree e' and outside V(F, e' - 1), so the climb
+    would adopt a row below rung e' there (the argument of _scan's Lfd
+    proof), a fall. With none, the part of M(F, e') below degree e' is
+    M(F, e' - 1), whose products by a variable lie in M(F, e'); so M(F, e')
+    is closed under multiplication by variables up to degree e', holds the
+    inputs of degree <= e', and so contains V(F, e'), the smallest such
+    space. No fall at rung e' also makes V(F, e' - 1) the part of V(F, e')
+    below degree e' (rows stored in echelon form under a degree-compatible
+    order), so dims[e'] - dims[e' - 1] is the rank of the degree-e' parts
+    of M(F, e'). The
+    degree-e' part of an element of M(F, e') is the sum of c*m*top(f) over
+    its products of degree e', so those parts span slice e' of the ideal of
+    the tops: the difference is that slice's dimension. Slices 1..e - 1
+    thus fall short of filling, slice e fills, and e is d_reg; and the
+    tops' climb through e, the direct sum of slices 0..e, holds dims[e]
+    rows too. With a fall at or before the first filled rung, that rung
+    need be no d_reg (the scan oracle holds such inputs), so the walk runs.
+
     Past sd the dimension identity holds by proof: for d > sd, G lies in
     V(F, sd) and so in V(F, d), and the third fact gives V(F, d) =
     I_{<=d}. So dim V(F, d_reg + 1) is ideal_dim_le(G, d_reg + 1), the
@@ -422,22 +511,13 @@ def verify_bounds(
     ring.packing(order)  # refuses an order that is no TermOrder before any work
     maxdeg = F.max_degree()
     cap_notes: dict[str, str] = {}
-    try:
-        d_reg = degree_of_regularity(F)
-    except CapExceeded as exc:
-        d_reg, cap_notes["d_reg"] = None, str(exc)
-    finite = isinstance(d_reg, int)
-    hypothesis = {  # None: unknown past the walk's cap
-        "d_reg_finite": None if d_reg is None else finite,
-        "max_deg_le_d_reg": None if d_reg is None else (maxdeg <= d_reg) if finite else True,
-        "satisfied": finite and maxdeg <= d_reg,
-    }
+    proof = _regularity_proof(F)  # refuses, or proves d_reg infinite, before any climb
 
-    G = sd = lfd = None
+    G = sd = lfd = V = None
     at = _rungs(F, order, trace)  # the one climb of F; past sd only identity() reads it
     try:
         try:
-            G, sd, lfd, dims = _scan(F, order, at)
+            G, sd, lfd, V = _scan(F, order, at)
         except CapExceeded:  # the row cap, or no rung accepted through MAX_DEGREE
             G = buchberger_reduced(F, order)  # gives Gbd, where the trace starts
             for d in range(max(1, G.max_degree), MAX_DEGREE + 1):
@@ -447,6 +527,16 @@ def verify_bounds(
         cap_notes.update(dict.fromkeys(("gbd", "sd", "lfd") if G is None else ("sd", "lfd"),
                                        str(exc)))
     gbd_v = None if G is None else G.max_degree
+    try:
+        d_reg = _regularity(F, proof, V)  # read off V when it can, else the walk
+    except CapExceeded as exc:
+        d_reg, cap_notes["d_reg"] = None, str(exc)
+    finite = isinstance(d_reg, int)
+    hypothesis = {  # None: unknown past the walk's cap
+        "d_reg_finite": None if d_reg is None else finite,
+        "max_deg_le_d_reg": None if d_reg is None else (maxdeg <= d_reg) if finite else True,
+        "satisfied": finite and maxdeg <= d_reg,
+    }
     values = {"d_reg": d_reg, "gbd": gbd_v, "sd": sd, "lfd": lfd}
 
     def certify(cid, needs, bound, *, before=None, trivial=False, after=None, equal=False):
@@ -484,7 +574,7 @@ def verify_bounds(
         if sd is None:  # a cap stopped the scan; sd <= d (the paper's bound), so rung d
             return at(d).dims[d], n  # raises the row cap again unless the bound fails
         if d <= sd:  # the scan's rungs hold dim V(F, d)
-            return dims[d], n
+            return V.dims[d], n
         if trace is not None:  # only to write V(F, d)'s trace block; its cap changes nothing
             with suppress(CapExceeded):
                 at(d)

@@ -28,12 +28,13 @@ through rung e holds V(F, e), row for row and line for line of its trace,
 whatever degree it climbs on to. The climb also records the pivots that
 no other pivot may divide (VSpaceBasis.candidates), so the minimal pivots,
 and the reduced Groebner basis when a rung holds it, are read off a rung
-without a pass over its rows; the last rung that adopted a row below its
-own degree, which gives the last fall degree, is read off the rows in
-adoption order. Adoption order makes traces and counters reproducible;
-the resulting basis is canonical regardless. Every span the
-library hands out is such a closure, returned as its own echelon basis (a
-VSpaceBasis is a RowBasis).
+without a pass over its rows; the rungs that adopted a row below their
+own degree are read off the rows in adoption order (VSpaceBasis._falls):
+the last gives the last fall degree, and a report that finds none up to
+the first rung that fills its degree reads d_reg there. Adoption order
+makes traces and counters reproducible; the resulting basis is canonical
+regardless. Every span the library hands out is such a closure, returned
+as its own echelon basis (a VSpaceBasis is a RowBasis).
 """
 
 from __future__ import annotations
@@ -126,14 +127,22 @@ class VSpaceBasis(RowBasis):
         return [(m, {**self._reduce_terms(dict(tails[m])), m: 1})
                 for m in sorted(self._minimal_pivots(), reverse=True)]
 
-    def _last_fall(self) -> int:
-        """The last rung e >= 1 of the climb that adopted a row of degree
-        < e, 0 if none: `_tails` holds the rows in adoption order, and rung
-        e adopted rows dims[e - 1]..dims[e] - 1. For a climb through sd the
-        last fall degree is max(1, this) (see invariants._scan)."""
+    def _falls(self, rungs):
+        """The rungs e among `rungs`, each in 1..len(dims) - 1 and taken in
+        the order given, at which the climb adopted a row of degree < e, a
+        fall: `_tails` holds the rows in adoption order, rung e adopted rows
+        dims[e - 1]..dims[e] - 1, and the smallest of their pivots has the
+        least degree (the order is degree-compatible). Lazy, so a caller
+        that stops at the first pays for no rung past it."""
         pivots, dims, degree = list(self._tails), self.dims, self._pack.degree
-        return next((e for e in range(len(dims) - 1, 0, -1)
-                     if any(degree(m) < e for m in pivots[dims[e - 1]:dims[e]])), 0)
+        return (e for e in rungs
+                if dims[e - 1] < dims[e] and degree(min(pivots[dims[e - 1]:dims[e]])) < e)
+
+    def _last_fall(self) -> int:
+        """The last rung e >= 1 of the climb that fell, 0 if none. For a
+        climb through sd the last fall degree is max(1, this) (see
+        invariants._scan)."""
+        return next(self._falls(range(len(self.dims) - 1, 0, -1)), 0)
 
 
 def v_space_closure(F: PolySystem, d: int, order: TermOrder = GREVLEX, *,

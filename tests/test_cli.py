@@ -191,8 +191,8 @@ def test_a_failing_certificate_exits_1(tmp_path, monkeypatch, capsys):
     # one below fk(3)'s true d_reg 3: sd = 4 then breaks max(d_reg + 1, max deg) = 3
     from soldeg import invariants
 
-    real = invariants.degree_of_regularity
-    monkeypatch.setattr(invariants, "degree_of_regularity", lambda F: real(F) - 1)
+    real = invariants._regularity  # the one route to d_reg, read off F's climb or walked
+    monkeypatch.setattr(invariants, "_regularity", lambda *args: real(*args) - 1)
     path = tmp_path / "f3.txt"
     F = gen_fk(3, 101)
     path.write_text(render_system(SystemFile(F.ring, GREVLEX, F)))

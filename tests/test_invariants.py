@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import tracemalloc
+from contextlib import suppress
 
 import pytest
 from hypothesis import given, settings
@@ -238,12 +239,13 @@ def test_solving_degree_trivial_cases():
 
 
 def refuse_all_work(monkeypatch):
-    """Make every first step of an entry point raise: the d_reg walk, the
-    climb of F (and of the tops), and Buchberger."""
+    """Make every first step of an entry point raise: the proofs of d_reg
+    that need no climb, the one route to d_reg (its read off the climb of
+    F, or the walk), the climb of F (and of the tops), and Buchberger."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
-    for name in ("degree_of_regularity", "_climb", "buchberger_reduced"):
+    for name in ("_regularity_proof", "_regularity", "_climb", "buchberger_reduced"):
         monkeypatch.setattr(f"soldeg.invariants.{name}", refuse)
 
 
@@ -362,7 +364,7 @@ def test_the_upper_bounds_fail_under_a_regularity_degree_too_small(k, monkeypatc
     # the scan below sd: the bounds it breaks fail instead of being skipped
     from soldeg import invariants
 
-    monkeypatch.setattr(invariants, "degree_of_regularity", lambda F: k - 1)
+    monkeypatch.setattr(invariants, "_regularity", lambda *args: k - 1)
     report = verify_bounds(gen_fk(k, 101))
     assert (report.d_reg, report.sd, report.lfd) == (k - 1, k + 1, k + 1)
     assert cert(report, "sd_generalized_bound").verdict == "fail"
@@ -806,23 +808,26 @@ def test_a_report_counts_the_ideal_at_most_once_for_the_identity(monkeypatch, ma
 @pytest.mark.parametrize(
     "make, walks",
     [
-        (lambda: gen_fk(6, 101), True),
+        (lambda: gen_fk(6, 101), False),  # d_reg = 6 is read: the first fall is at rung 7
         (lambda: mk(UNDERDETERMINED), False),  # Gbd = sd = 3 and Lfd = 1, d_reg infinite
-        (lambda: gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4)), True),
+        # d_reg = sd = 5 is read: Lfd = 1, so no rung falls
+        (lambda: gen_random(RandomSpec(seed=1, n=4, k=4, deg_bounds=(2,) * 4)), False),
         # the walk climbs to Lazard's degree and proves d_reg infinite
         (lambda: gen_random(RandomSpec(seed=5, n=3, k=3, deg_bounds=(3, 2, 2), p=3)), True),
+        (lambda: mk("p=101; vars=x; x^3; x^3 + x"), True),  # rung 3 falls where slice 3 fills
+        (lambda: mk("p=101; vars=x,y; x^2; y^5"), True),  # slice 6 fills past sd = 5
     ],
-    ids=["fk6", "underdetermined", "n4-quadrics", "n3-p3"],
+    ids=["fk6", "underdetermined", "n4-quadrics", "n3-p3", "fall-at-fill", "fill-past-sd"],
 )
 def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
     monkeypatch, make, walks, traced
 ):
     """A report reads V(F, e) at e = 1..sd silently, as rungs of one climb
-    of F, beside one climb of the tops when the d_reg walk runs; it builds
-    no v_space_closure. Once G is known it writes the blocks of rungs
-    max(1, Gbd)..sd. Untraced, the climb of F stops at rung sd; traced, it
-    also reads rung d_reg + 1 when that lies past sd, only to write its
-    trace."""
+    of F, and climbs the tops after it only when d_reg cannot be read off
+    that climb and the d_reg walk runs; it builds no v_space_closure. Once
+    G is known it writes the blocks of rungs max(1, Gbd)..sd. Untraced, the
+    climb of F stops at rung sd; traced, it also reads rung d_reg + 1 when
+    that lies past sd, only to write its trace."""
     from soldeg import invariants, vspace
 
     F, climbed, read, rungs_climbed = make(), [], [], []
@@ -857,7 +862,79 @@ def test_verify_bounds_climbs_F_to_sd_and_past_it_only_to_trace(
     identity = [(report.d_reg + 1, True)] if traced and past_sd else []
     assert read == scanned + written + identity  # no rung past sd read untraced
     assert rungs_climbed == list(range(max(e for e, _ in read) + 1))
-    assert climbed == [False] * walks + [True]  # the tops, then F
+    assert climbed == [True] + [False] * walks  # F, then the tops if the read gave nothing
+    V = invariants._scan(F, GREVLEX, rungs(F, GREVLEX))[3]
+    read_off = invariants._fill_before_fall(V, F.ring.nvars)
+    assert walks == (invariants._regularity_proof(F) is None and read_off is None)
+    assert read_off in (None, report.d_reg)
+
+
+@pytest.mark.parametrize("text, d_reg", [
+    ("p=101; vars=x; x^3; x^3 + x", 3),  # rung 3 fills slice 3 and falls to x
+    ("p=101; vars=x,y,z; x^45; y^45; z^45", None),  # slice 133 fills past sd = 45
+])
+def test_d_reg_is_walked_when_the_climb_of_F_falls_first_or_fills_past_sd(text, d_reg):
+    """Neither input gives d_reg off the climb of F, so the report walks
+    the tops: x^3; x^3 + x to d_reg = 3, and x^45; y^45; z^45 into the
+    walk's row cap, a skip of every certificate that reads d_reg."""
+    from soldeg import invariants
+
+    F = mk(text)
+    report = verify_bounds(F)
+    V = invariants._scan(F, GREVLEX, invariants._rungs(F, GREVLEX))[3]
+    assert invariants._fill_before_fall(V, F.ring.nvars) is None
+    assert report.d_reg == d_reg
+    if d_reg is None:
+        assert cert(report, "gbd_le_dreg").reason.startswith("cap: d_reg walk: ")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_fk(4, 101),
+    lambda: gen_fk(6, 101),
+    lambda: gen_random(RandomSpec(seed=1, n=3, k=3, deg_bounds=(2,) * 3)),
+], ids=["fk4", "fk6", "n3-quadrics"])
+def test_a_report_that_reads_d_reg_is_the_one_the_walk_gives_under_every_row_cap(
+    monkeypatch, make
+):
+    """When the climb of F gives d_reg = e, it passed rung e under the row
+    cap with dims[e] rows, and the walk's climb of the tops through e holds
+    as many, so it passes the same cap. With the one row cap lowered to
+    every value up to one past the rows of V(F, sd), a report and its trace
+    are the same whether d_reg is read or walked: no report loses the walk's
+    cap skip."""
+    from soldeg import invariants
+
+    F = make()
+    rows = invariants._scan(F, GREVLEX, invariants._rungs(F, GREVLEX))[3].dims[-1]
+    read = set()
+    for max_rows in range(1, rows + 2):
+        reports = []
+        for walk in (False, True):
+            log = io.StringIO()
+            with row_cap(max_rows), monkeypatch.context() as mp:
+                if walk:
+                    mp.setattr(invariants, "_fill_before_fall", lambda V, n: None)
+                reports.append((render_report(verify_bounds(F, trace=log)), log.getvalue()))
+        assert reports[0] == reports[1], max_rows
+        with row_cap(max_rows), suppress(CapExceeded):
+            V = invariants._scan(F, GREVLEX, invariants._rungs(F, GREVLEX))[3]
+            read.add(invariants._fill_before_fall(V, F.ring.nvars))
+    assert read == {verify_bounds(F).d_reg}  # by every scan that the cap lets end
+
+
+def test_a_walk_refused_past_the_largest_supported_degree_runs_after_the_scan():
+    """k > n, so nothing refuses this input up front: the scan climbs F into
+    the row cap and Buchberger gives Gbd, and then the walk of the tops,
+    which climbs every supported rung with no slice filled, refuses degree
+    MAX_DEGREE + 1. A traced report has written the scan's lines by then."""
+    F = mk("p=101; vars=x,y; x^32767; y^32767; x^32767 + y")
+    message = f"degree {MAX_DEGREE + 1} exceeds the largest supported degree {MAX_DEGREE}"
+    with pytest.raises(DomainError, match=message):
+        verify_bounds(F)
+    log = io.StringIO()
+    with pytest.raises(DomainError, match=message):
+        verify_bounds(F, trace=log)
+    assert log.getvalue().startswith("32767\tx^32767\tf0\t1\n")
 
 
 @pytest.mark.parametrize("make", [
@@ -984,7 +1061,7 @@ def test_sd_scan_keys_each_input_once(monkeypatch):
     rungs = v_space_closure(F, 7, GRLEX).dims
     monkeypatch.setattr(Polynomial, "_packed", counted)
     scanned = invariants._scan(F, GRLEX, invariants._rungs(F, GRLEX))
-    assert scanned[0].polys == G.polys and scanned[1:] == (7, 7, rungs)
+    assert scanned[0].polys == G.polys and scanned[1:3] == (7, 7) and scanned[3].dims == rungs
     # the scan tests the inputs at rungs 1..7, and the climb inserts them
     # once; each is keyed under grlex once by each, not once per rung
     assert len(keyed) == 2 * len(F)

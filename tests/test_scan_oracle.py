@@ -5,7 +5,8 @@ is compared with Buchberger's basis, sd with the first degree at which a
 closure built from scratch contains that basis, and Lfd with the closures'
 dimensions against the ideal's; every rung of the climbs is also checked
 to track the minimal pivots among its candidates, and the climb's counters
-through sd against those of the closure at sd.
+through sd against those of the closure at sd. Where d_reg is read off the
+climb of F, it is compared with the walk of the tops.
 """
 
 import itertools
@@ -17,12 +18,13 @@ from soldeg import (
     GRLEX,
     RandomSpec,
     buchberger_reduced,
+    degree_of_regularity,
     gen_fk,
     gen_random,
     ideal_dim_le,
     v_space_closure,
 )
-from soldeg.invariants import _rungs, _scan
+from soldeg.invariants import _fill_before_fall, _rungs, _scan
 from soldeg.vspace import DEFAULT_MAX_ROWS, _climb
 
 from helpers import mk
@@ -46,6 +48,13 @@ HAND = [
     # S-pair is coprime, but the quadrics leave a nonzero remainder in z
     "p=3; vars=x,y,z; 2*x + z; 2*x^2 + y^2 + y*z + z^2 + z + 2; x^2 + y^2 + y*z + z^2 + z;"
     " 2*y + z + 2",
+    # rung 3 falls, and rung 4 adopts C(6, 4) = 15 rows, yet d_reg is
+    # infinite: a slice read off F's climb past a fall is no slice of the tops
+    "p=101; vars=x,y,z; 82*y*z + 42*x + 53*z + 10; 41*x^3 + 75*x^2*y + 27*x*y^2 + 81*y^3"
+    " + 55*x*y*z + 67*y^2*z + 11*y*z^2 + 32*z^3 + 13*x^2 + 33*x*y + 89*x*z + 80*y*z + 3*z^2"
+    " + 30*x + 31*z + 83; 89*x*y + 20*y*z + 56*x + 52*y",
+    # rung 3 falls as it adopts C(4, 3) = 4 rows, and d_reg is infinite
+    "p=2; vars=x,y; x*y^2 + y^3 + x + y + 1; x*y^2 + y^3 + x*y + y",
 ]
 
 
@@ -134,3 +143,24 @@ def test_the_climb_counts_through_sd_what_the_closure_at_sd_counts(order):
         assert (got.insertions, got.adoptions, got.closure_passes) == (
             want.insertions, want.adoptions, want.closure_passes), name
         assert got.field_mults >= want.field_mults, name
+
+
+WALKED = {}  # name -> degree_of_regularity(F), the walk of the tops, which takes no order
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+def test_d_reg_read_off_the_climb_of_F_is_the_walks(order):
+    """Where _fill_before_fall reads d_reg off the scan's climb of F (the
+    first rung that fills its slice, with no fall at or before it), the
+    value is the walk's. It reads every fk(k), whose first fall comes one
+    rung past d_reg = k, and nothing on the two hand inputs whose first
+    filled rung comes with or after a fall and is no d_reg."""
+    read = {}
+    for name, F in CORPUS:
+        read[name] = _fill_before_fall(_scan(F, order, _rungs(F, order))[3], F.ring.nvars)
+        if read[name] is not None:
+            if name not in WALKED:
+                WALKED[name] = degree_of_regularity(F)
+            assert read[name] == WALKED[name], name
+    assert [read[f"fk{k}"] for k in range(2, 31)] == list(range(2, 31))
+    assert [read[f"hand{i}"] for i in range(len(HAND) - 2, len(HAND))] == [None, None]
